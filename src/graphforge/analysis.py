@@ -16,6 +16,7 @@ outside it.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -409,28 +410,82 @@ def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
 # -- embedded paths ---------------------------------------------------------
 
 
+def embedded_path_counts(view: BallView, x: int, targets, length_bound: int,
+                         cap: int = 10 ** 6) -> dict:
+    """Exact numbers of simple paths from ``x`` to each target, of length
+    at most the bound (a single edge always counts), inside the window.
+
+    One backtracking search from ``x`` with one shared ``used`` set counts
+    the paths to every target at once; a branch stops once its path holds
+    every target.  The cost is one step per simple path from ``x`` shorter
+    than the bound that misses at least one target.
+
+    The guard is still counted per pair: the search for ``(x, y)`` alone
+    takes ``1 + P - Q(y)`` steps, where P counts the simple paths from
+    ``x`` shorter than the bound and Q(y) those among them that visit
+    ``y``.  CombinatorialBlowup is raised as soon as any target's count
+    passes ``cap``.
+    """
+    counts = dict.fromkeys(targets, 0)
+    if x in counts:
+        counts[x] = 1
+    want = [y for y in counts if y != x]
+    if not want:
+        return counts
+    if cap < 1:   # the first step alone passes the cap
+        raise CombinatorialBlowup(f"more than {cap} search steps")
+    adj = view.adj
+    full = len(want)
+    # a target's steps are 1 + the pushes made while it is off the path:
+    # ``done[y]`` counts the pushes of finished visits to y and ``entry[y]``
+    # the push count when the visit on the path began
+    done = dict.fromkeys(want, 0)
+    entry = {}
+    pushes = 0
+    # each push adds at most one step to any target, so the exact maximum
+    # is only recomputed when it could have passed the cap
+    slack = cap - 1
+    used = {x}
+    path = [x]
+    frames = [iter(adj[x])]
+    while frames:
+        for v in frames[-1]:
+            if v in used:
+                continue
+            hit = v in counts
+            if hit:
+                counts[v] += 1
+            if len(path) >= length_bound:
+                continue
+            if hit:
+                if len(entry) + 1 == full:
+                    continue
+                entry[v] = pushes
+            pushes += 1
+            slack -= 1
+            if slack < 0:
+                worst = max(entry.get(y, pushes) - done[y] for y in want)
+                slack = cap - 1 - worst
+                if slack < 0:
+                    raise CombinatorialBlowup(f"more than {cap} search steps")
+            used.add(v)
+            path.append(v)
+            frames.append(iter(adj[v]))
+            break
+        else:
+            frames.pop()
+            v = path.pop()
+            used.discard(v)
+            if v in entry:
+                done[v] += pushes - entry.pop(v)
+    return counts
+
+
 def embedded_path_count(view: BallView, x: int, y: int, length_bound: int,
                         cap: int = 10 ** 6) -> int:
     """Exact number of simple paths between two window vertices of length
     at most the bound, inside the window."""
-    if x == y:
-        return 1
-    count = 0
-    steps = 0
-    stack = [(x, {x}, 0)]
-    while stack:
-        u, used, d = stack.pop()
-        steps += 1
-        if steps > cap:
-            raise CombinatorialBlowup(f"more than {cap} search steps")
-        for v in view.adj[u]:
-            if v == y:
-                count += 1
-                continue
-            if v in used or d + 1 >= length_bound:
-                continue
-            stack.append((v, used | {v}, d + 1))
-    return count
+    return embedded_path_counts(view, x, (y,), length_bound, cap)[y]
 
 
 # -- hyperbolicity -------------------------------------------------------------
@@ -450,73 +505,57 @@ def delta_estimate(view: BallView, parallel=False) -> HyperbolicityEstimate:
     For each corner pair the side may be any geodesic; the defect maximizes,
     over points u on any side, the distance from u to the farthest choice of
     the other two sides.  Farthest-geodesic distances are computed by a
-    bottleneck dynamic program over the geodesic level DAG, which equals the
-    exhaustive enumeration without listing paths.
+    bottleneck dynamic program over the geodesic DAG towards each corner,
+    which equals the exhaustive enumeration without listing paths.
+
+    Every triangle is a side {p, q}, a point u on one of its geodesics and a
+    third corner r, so the defect is taken for each (p, q, u) at once over
+    all r.  Cost, for n window vertices and g geodesic members per pair:
+    one breadth-first search and n whole-row steps of the DP per corner,
+    then ~g·n²/2 element-wise min/max sweeps of length n; the far tables
+    take 4·n³ bytes.
     """
     n = view.vertex_count
     if n == 0:
         return HyperbolicityEstimate(0.0, view.radius)
-    dist = [view.distances_from(i) for i in range(n)]
-    if any(len(d) != n for d in dist):
-        raise WindowTooSmall("delta estimate needs a connected window")
+    dist = []
+    for i in range(n):
+        found = view.distances_from(i)
+        if len(found) != n:
+            raise WindowTooSmall("delta estimate needs a connected window")
+        row = [0] * n
+        for v, d in found.items():
+            row[v] = d
+        dist.append(row)
+    adj = view.adj
 
-    pairs = [(s, t) for s in range(n) for t in range(s, n)]
-    geod = {}
-    for s, t in pairs:
-        d = dist[s][t]
-        members = [v for v in range(n) if dist[s][v] + dist[v][t] == d]
-        geod[(s, t)] = members
-        geod[(t, s)] = members
+    def far_table(t):
+        # rows[r][u] = max over geodesics from r to t of their distance to
+        # u; the successors of r are its neighbours one step nearer t.  The
+        # table is returned transposed: [u][r], one array per u.
+        dt = dist[t]
+        rows = [None] * n
+        for r in sorted(range(n), key=dt.__getitem__):
+            step = dt[r] - 1
+            succ = [rows[w] for w in adj[r] if dt[w] == step]
+            if not succ:
+                rows[r] = dt
+            elif len(succ) == 1:
+                rows[r] = list(map(min, dist[r], succ[0]))
+            else:
+                rows[r] = list(map(min, dist[r], map(max, *succ)))
+        return [array("I", col) for col in zip(*rows)]
 
-    def far_table(pair):
-        s, t = pair
-        d = dist[s][t]
-        level = [[] for _ in range(d + 1)]
-        for v in range(n):
-            if dist[s][v] + dist[v][t] == d:
-                level[dist[s][v]].append(v)
-        # best[u][v] = max over geodesics through v of min cost to u
-        out = [None] * n
-        for u in range(n):
-            best = {t: dist[u][t]}
-            for lev in range(d - 1, -1, -1):
-                for v in level[lev]:
-                    reach = max(
-                        (best[w] for w in level[lev + 1]
-                         if w in best and dist[v][w] == 1),
-                        default=None,
-                    )
-                    if reach is not None:
-                        best[v] = min(dist[u][v], reach)
-            out[u] = best.get(s, dist[u][s])
-        return out
-
-    far = {}
-    results = pmap(far_table, pairs, parallel)
-    for pair, table in zip(pairs, results):
-        far[pair] = table
-        far[(pair[1], pair[0])] = table
+    far = pmap(far_table, range(n), parallel)
 
     delta = 0
-    for a in range(n):
-        for b in range(a, n):
-            side_ab = geod[(a, b)]
-            fab = far[(a, b)]
-            for c in range(b, n):
-                fbc = far[(b, c)]
-                fca = far[(c, a)]
-                for u in side_ab:
-                    defect = min(fbc[u], fca[u])
-                    if defect > delta:
-                        delta = defect
-                for u in geod[(b, c)]:
-                    defect = min(fca[u], fab[u])
-                    if defect > delta:
-                        delta = defect
-                for u in geod[(c, a)]:
-                    defect = min(fab[u], fbc[u])
-                    if defect > delta:
-                        delta = defect
+    for p in range(n):
+        dp, fp = dist[p], far[p]
+        for q in range(p, n):
+            dq, fq, d = dist[q], far[q], dp[q]
+            for u in range(n):
+                if dp[u] + dq[u] == d:
+                    delta = max(delta, max(map(min, fp[u], fq[u])))
     return HyperbolicityEstimate(float(delta), view.radius)
 
 

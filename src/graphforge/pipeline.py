@@ -23,13 +23,15 @@ from .analysis import (
     cayley_abels_audit,
     cut_vertex_audit,
     delta_estimate,
-    embedded_path_count,
+    embedded_path_count,  # noqa: F401  (re-exported)
+    embedded_path_counts,
     fineness_probe,
     gh_graph_audit,
 )
 from .errors import (
     BudgetExceeded,
     ForgeError,
+    GroupMismatch,
     SpecError,
 )
 from .ggraphs import (
@@ -231,7 +233,10 @@ class SpecEnv:
                           budget=decl.get("budget", 12))
         elif kind == "restricted":
             inner = self.subgroup(decl["inner"])
-            h = RestrictedSubgroup(amb, inner, decl["side"])
+            try:
+                h = RestrictedSubgroup(amb, inner, decl["side"])
+            except GroupMismatch as exc:
+                raise SpecError(f"subgroup {sid!r}: {exc}") from None
         else:
             raise SpecError(f"subgroup {sid!r}: unknown kind {kind!r}")
         self.subgroups[sid] = h
@@ -393,6 +398,10 @@ def _step_ball(env, step, report):
     graph = env.graph(step["graph"])
     radius = step.get("radius", env.budgets["radius"])
     budget = step.get("word_budget", env.budgets["word_budget"])
+    _require(isinstance(radius, int) and radius >= 0,
+             f"ball {step['id']!r}: radius must be a nonnegative integer")
+    _require(budget is None or (isinstance(budget, int) and budget >= 0),
+             f"ball {step['id']!r}: word_budget must be a nonnegative integer")
     bases = [env.vertex(graph, ref) for ref in step.get("base", [])]
     if not bases:
         prov = graph.provenance
@@ -468,14 +477,15 @@ def _step_audit_paths(env, step, report):
     view = env.ball(step["ball"])
     bound = step.get("length_bound", 2 * view.radius)
     limit = step.get("pair_limit", 40)
+    max_count = step.get("max_count", 1)
+    m = min(limit, view.vertex_count)
     ok = True
     worst = 0
-    for x in range(min(limit, view.vertex_count)):
-        for y in range(x + 1, min(limit, view.vertex_count)):
-            count = embedded_path_count(view, x, y, bound)
-            worst = max(worst, count)
-            if count > step.get("max_count", 1):
-                ok = False
+    for x in range(m - 1):
+        counts = embedded_path_counts(view, x, range(x + 1, m), bound)
+        top = max(counts.values())
+        worst = max(worst, top)
+        ok = ok and top <= max_count
     report.record(step.get("id", step["ball"]), "audit_paths",
                   "ok" if ok else "fail", {"max_count": worst})
     report.verdict(step.get("id", step["ball"]), "embedded-path-counts",
@@ -696,8 +706,11 @@ def _step_presentation_amalgam(env, step, report):
     g = env.group(step["group"])
     p1 = env.presentation(step["left"])
     p2 = env.presentation(step["right"])
-    join = JoinSubgroup(g, p1.peripherals[step["left_label"]],
-                        p2.peripherals[step["right_label"]])
+    try:
+        join = JoinSubgroup(g, p1.peripherals[step["left_label"]],
+                            p2.peripherals[step["right_label"]])
+    except GroupMismatch as exc:
+        raise SpecError(f"step {step['id']!r}: {exc}") from None
     out = amalgam_presentation(p1, step["left_label"], p2, step["right_label"],
                                g, join, join_label=step.get("join_label", "KK"))
     env.constructions[step["id"]] = out

@@ -18,6 +18,7 @@ from collections import deque
 
 from .errors import (
     BudgetExceeded,
+    GroupMismatch,
     MalformedWord,
     MismatchedAmbient,
     MonomorphismUnverified,
@@ -511,10 +512,22 @@ class RestrictedSubgroup(Subgroup):
     def __init__(self, ambient, inner: Subgroup, side: str):
         # side: "L"/"R" for amalgams, "base" for HNN extensions
         if side == "base":
-            assert isinstance(ambient, HNNGroup) and inner.ambient is ambient.base
+            if not isinstance(ambient, HNNGroup):
+                raise GroupMismatch(
+                    f"side 'base' needs an HNN extension, not {ambient.name}")
+            factor = ambient.base
+        elif side in ("L", "R"):
+            if not isinstance(ambient, AmalgamGroup):
+                raise GroupMismatch(
+                    f"side {side!r} needs an amalgam, not {ambient.name}")
+            factor = ambient.factor(side)
         else:
-            assert isinstance(ambient, AmalgamGroup)
-            assert inner.ambient is ambient.factor(side)
+            raise GroupMismatch(
+                f"side must be 'L', 'R' or 'base', not {side!r}")
+        if inner.ambient is not factor:
+            raise GroupMismatch(
+                f"inner subgroup lives in {inner.ambient.name}, "
+                f"not in the {side} factor {factor.name}")
         self.inner = inner
         self.side = side
         super().__init__(ambient, inner.generators)
@@ -611,10 +624,14 @@ class JoinSubgroup(Subgroup):
 
     def __init__(self, ambient: AmalgamGroup, inner_left: Subgroup,
                  inner_right: Subgroup, budget=DEFAULT_BUDGET):
-        assert isinstance(ambient, AmalgamGroup)
-        assert inner_left.ambient is ambient.left
-        assert inner_right.ambient is ambient.right
+        if not isinstance(ambient, AmalgamGroup):
+            raise GroupMismatch(f"a join needs an amalgam, not {ambient.name}")
         for side, inner in (("L", inner_left), ("R", inner_right)):
+            factor = ambient.factor(side)
+            if inner.ambient is not factor:
+                raise GroupMismatch(
+                    f"join handle lives in {inner.ambient.name}, "
+                    f"not in the {side} factor {factor.name}")
             emb = ambient.edge_embedding(side)
             for c in ambient.edge_group.generator_words():
                 if inner.contains(emb.push(c)) != YES:

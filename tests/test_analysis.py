@@ -3,6 +3,9 @@ hand (cycle arcs, complete-graph path counts, thin-triangle defects) before
 being frozen here.
 """
 
+import itertools
+import random
+
 import pytest
 
 from graphforge.analysis import (
@@ -16,11 +19,12 @@ from graphforge.analysis import (
     decomposition_audit,
     delta_estimate,
     embedded_path_count,
+    embedded_path_counts,
     find_vertex,
     fineness_probe,
     gh_graph_audit,
 )
-from graphforge.errors import NotNeighbors
+from graphforge.errors import CombinatorialBlowup, NotNeighbors
 from graphforge.ggraphs import (
     bass_serre,
     c_pushout,
@@ -170,6 +174,96 @@ def test_path_count_k4():
     assert embedded_path_count(view, 0, 1, 3) == 5
 
 
+def random_graph(rng, n, p):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return edges, BallView.from_edges(n, edges)
+
+
+def brute_path_count(n, edges, x, y, length_bound):
+    """Simple vertex sequences x .. y with 1..length_bound edges."""
+    adjacent = {frozenset(e) for e in edges}
+    others = [v for v in range(n) if v not in (x, y)]
+    count = 0
+    for k in range(1, length_bound + 1):
+        for middle in itertools.permutations(others, k - 1):
+            seq = (x, *middle, y)
+            if all(frozenset(seq[i:i + 2]) in adjacent for i in range(k)):
+                count += 1
+    return count
+
+
+def reference_path_count(view, x, y, length_bound, cap):
+    """The per-pair search, one (vertex, used set, depth) entry per step."""
+    if x == y:
+        return 1
+    count = 0
+    steps = 0
+    stack = [(x, {x}, 0)]
+    while stack:
+        u, used, d = stack.pop()
+        steps += 1
+        if steps > cap:
+            raise CombinatorialBlowup(f"more than {cap} search steps")
+        for v in view.adj[u]:
+            if v == y:
+                count += 1
+                continue
+            if v in used or d + 1 >= length_bound:
+                continue
+            stack.append((v, used | {v}, d + 1))
+    return count
+
+
+def test_path_counts_match_brute_force():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        edges, view = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        x = rng.randrange(n)
+        for bound in range(1, 9):
+            counts = embedded_path_counts(view, x, range(n), bound)
+            assert counts[x] == 1
+            for y in range(n):
+                if y == x:
+                    continue
+                expected = brute_path_count(n, edges, x, y, bound)
+                assert counts[y] == expected, (edges, x, y, bound)
+                assert embedded_path_count(view, x, y, bound) == expected
+
+
+def test_path_counts_guard_parity():
+    rng = random.Random(7)
+    raised = quiet = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        _, view = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        x = rng.randrange(n)
+        targets = rng.sample(range(n), rng.randint(1, n))
+        bound = rng.randint(1, 8)
+        cap = rng.choice([0, 1, 2, 3, 5, 8, 13, 21, 40, 100])
+        expected = {}
+        for y in targets:
+            try:
+                expected[y] = reference_path_count(view, x, y, bound, cap)
+            except CombinatorialBlowup:
+                expected[y] = None
+                with pytest.raises(CombinatorialBlowup):
+                    embedded_path_count(view, x, y, bound, cap)
+            else:
+                assert embedded_path_count(view, x, y, bound, cap) == \
+                    expected[y]
+        if None in expected.values():
+            raised += 1
+            with pytest.raises(CombinatorialBlowup):
+                embedded_path_counts(view, x, targets, bound, cap)
+        else:
+            quiet += 1
+            assert embedded_path_counts(view, x, targets, bound, cap) == \
+                expected
+    assert raised and quiet
+
+
 # -- fineness ----------------------------------------------------------------
 
 
@@ -219,6 +313,83 @@ def test_delta_wedge_is_piece_maximum():
     d5 = delta_estimate(cycle(5)).delta
     d7 = delta_estimate(cycle(7)).delta
     assert delta_estimate(wedge).delta == max(d5, d7)
+
+
+def all_pairs_distances(n, edges):
+    inf = float("inf")
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        if i != j:
+            d[i][j] = d[j][i] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+def brute_delta(n, edges):
+    """Max over triangles and side points u of the distance from u to the
+    other two sides, each chosen as the geodesic farthest from u, with
+    every geodesic listed explicitly."""
+    d = all_pairs_distances(n, edges)
+    adjacent = {frozenset(e) for e in edges}
+
+    def geodesics(s, t):
+        found = [[s]]
+        for _ in range(int(d[s][t])):
+            found = [g + [v] for g in found for v in range(n)
+                     if frozenset((g[-1], v)) in adjacent
+                     and d[v][t] == d[g[-1]][t] - 1]
+        return found
+
+    geo = {(s, t): geodesics(s, t) for s in range(n) for t in range(n)}
+
+    def far(u, s, t):
+        return max(min(d[u][v] for v in g) for g in geo[(s, t)])
+
+    delta = 0
+    for a, b, c in itertools.product(range(n), repeat=3):
+        for u in {v for g in geo[(a, b)] for v in g}:
+            delta = max(delta, min(far(u, b, c), far(u, c, a)))
+    return float(delta)
+
+
+def grid_3x3():
+    edges = [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+    edges += [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)]
+    return edges
+
+
+def random_connected(rng, n):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.25}
+    return sorted(edges)
+
+
+def delta_oracle_cases():
+    cases = [(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 9)]
+    cases.append((9, grid_3x3()))
+    wedge = wedge_c5_c7()
+    cases.append((11, [e.endpoints for e in wedge.edges]))
+    rng = random.Random(99)
+    for _ in range(25):
+        n = rng.randint(1, 9)
+        cases.append((n, random_connected(rng, n)))
+    return cases
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_delta_matches_explicit_geodesics(parallel):
+    seen = set()
+    for n, edges in delta_oracle_cases():
+        expected = brute_delta(n, edges)
+        seen.add(expected)
+        view = BallView.from_edges(n, edges)
+        assert delta_estimate(view, parallel=parallel).delta == expected, \
+            (n, edges)
+    assert len(seen) >= 3
 
 
 def test_decomposition_audit_wedge():

@@ -1,10 +1,14 @@
 """Pipeline specs, built-in examples, CLI surface, exports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import graphforge
 
 from graphforge.cli import main as cli_main
 from graphforge.dot import export_dot
@@ -171,3 +175,65 @@ def test_console_script_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "example-amalgam-1" in proc.stdout
+
+
+def _restricted_in_free_group(side="L"):
+    return {
+        "groups": {"F": {"kind": "free", "generators": ["a", "b"]}},
+        "subgroups": {
+            "A": {"group": "F", "kind": "cyclic", "generator": "a"},
+            "R": {"group": "F", "kind": "restricted", "inner": "A",
+                  "side": side},
+        },
+    }
+
+
+@pytest.mark.parametrize("side", ["L", "base", "X"])
+def test_cli_rejects_restricted_subgroup_of_free_group(tmp_path, capsys,
+                                                       side):
+    path = _write_spec(tmp_path, _restricted_in_free_group(side))
+    assert cli_main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: subgroup 'R':")
+    assert err.count("\n") == 1
+
+
+def test_restricted_subgroup_rejected_without_asserts(tmp_path):
+    # under -O a bare assert would vanish and the run fail later
+    path = _write_spec(tmp_path, _restricted_in_free_group())
+    src = str(Path(graphforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "graphforge.cli", "run", path],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("spec error: subgroup 'R':")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_rejects_amalgam_presentation_over_free_group(tmp_path, capsys):
+    spec = {
+        "groups": {"F": {"kind": "free", "generators": ["a"]}},
+        "subgroups": {"A": {"group": "F", "kind": "whole"}},
+        "presentations": {"P": {"peripherals": {"K": "A"}}},
+        "pipeline": [{"op": "presentation_amalgam", "id": "J", "group": "F",
+                      "left": "P", "left_label": "K",
+                      "right": "P", "right_label": "K"}],
+    }
+    assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
+    err = capsys.readouterr().err
+    assert err == "spec error: step 'J': a join needs an amalgam, not F\n"
+
+
+@pytest.mark.parametrize("key", ["radius", "word_budget"])
+def test_cli_rejects_negative_ball_budget(tmp_path, capsys, key):
+    spec = json.loads(json.dumps(builtin_examples()["example-tree-modular"]))
+    ball = next(s for s in spec["pipeline"] if s["op"] == "ball")
+    ball[key] = -1
+    path = _write_spec(tmp_path, spec)
+    assert cli_main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"spec error: ball {ball['id']!r}: {key} must be a "
+                   "nonnegative integer\n")
