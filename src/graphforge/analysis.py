@@ -51,7 +51,7 @@ def pmap(fn, items, parallel=False):
         return list(pool.map(fn, items))
 
 
-@dataclass
+@dataclass(slots=True)
 class BallVertex:
     index: int
     elem: GSetElem
@@ -59,7 +59,7 @@ class BallVertex:
     complete: bool = True      # all incident edges enumerated
 
 
-@dataclass
+@dataclass(slots=True)
 class BallEdge:
     index: int
     orbit_id: str
@@ -77,7 +77,13 @@ class BallView:
         self.adj: list[list[int]] = []
         self.base: list[int] = []
         self.complete = True
-        self._edge_keys = set()
+        self._edge_index = {}          # edge key -> edge index
+        # what a narrower window is derived from (see narrow_view): for each
+        # expanded vertex, in index order, the offset of its first entry in
+        # _item_edge, which holds the window edge of every edge that
+        # incident_edges returned for it, in the order returned
+        self._item_start = array("l")
+        self._item_edge = array("l")
 
     # -- construction helpers ---------------------------------------------
 
@@ -87,21 +93,22 @@ class BallView:
         self.adj.append([])
         return idx
 
-    def add_edge(self, orbit_id, i, j, key=None):
+    def add_edge(self, orbit_id, i, j, key=None) -> int:
+        """Index of the edge with this key, added if it is new."""
         if i > j:
             i, j = j, i
         if key is None:
             key = (orbit_id, i, j)
-        if key in self._edge_keys:
-            return None
-        self._edge_keys.add(key)
-        e = BallEdge(len(self.edges), orbit_id, (i, j))
-        self.edges.append(e)
+        idx = self._edge_index.get(key)
+        if idx is not None:
+            return idx
+        idx = self._edge_index[key] = len(self.edges)
+        self.edges.append(BallEdge(idx, orbit_id, (i, j)))
         if j not in self.adj[i]:
             self.adj[i].append(j)
         if i not in self.adj[j]:
             self.adj[j].append(i)
-        return e
+        return idx
 
     @classmethod
     def from_edges(cls, n, edges, base=(0,)):
@@ -165,17 +172,19 @@ class BallView:
         return True
 
 
-def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
-              max_vertices=200000) -> BallView:
-    """Breadth-first window around the base vertices.
+def _depth_budget(view: BallView, depth: int) -> int:
+    """The stabilizer enumeration budget at a hop depth of the window."""
+    return max(1, (view.word_budget or view.radius) - depth)
 
-    The enumeration budget for a vertex's stabilizer decreases with its
-    depth, so far-away cone points contribute fewer neighbors; vertices
-    whose incident edges were only sampled carry ``complete=False``.
+
+def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):
+    """Fill ``view`` breadth-first from the bases, up to its radius.
+
+    ``incidence(v, depth)`` gives ``(complete, items)`` for a frontier
+    vertex: its incident edges in order, each as ``(edge orbit id, other
+    endpoint elems, edge key)``; an edge whose key is already in the window
+    is not added again.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    view = BallView(radius, word_budget)
     verts = graph.vertices
     index_of = {}
     buckets = {}  # orbit -> list of (elem, idx) for inexact-rep orbits
@@ -206,17 +215,19 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
             view.base.append(idx)
             frontier.append(idx)
 
+    radius = view.radius
+    item_start, item_edge = view._item_start, view._item_edge
     for depth in range(radius):
-        budget = max(1, (view.word_budget or radius) - depth)
         nxt = []
         for vi in frontier:
             v = view.vertices[vi]
-            incident, complete = graph.incident_edges(v.elem, budget)
+            complete, items = incidence(v, depth)
             if not complete:
                 v.complete = False
                 view.complete = False
-            for edge_elem, others in incident:
-                endpoint_idx = []
+            item_start.append(len(item_edge))
+            for orbit_id, others, key in items:
+                wi = vi
                 for w in others:
                     wi = lookup(w)
                     if wi is None:
@@ -227,14 +238,7 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
                         wi = register(w, depth + 1,
                                       complete=(depth + 1 < radius))
                         nxt.append(wi)
-                    endpoint_idx.append(wi)
-                if not endpoint_idx:
-                    endpoint_idx = [vi]
-                key = None
-                estab = graph.edges.stabilizer(edge_elem.orbit_id)
-                if estab.rep_exact:
-                    key = (edge_elem.orbit_id, tuple(edge_elem.rep))
-                view.add_edge(edge_elem.orbit_id, vi, endpoint_idx[0], key=key)
+                item_edge.append(view.add_edge(orbit_id, vi, wi, key))
         frontier = nxt
         if not frontier:
             break
@@ -244,6 +248,110 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
             v.complete = False
             view.complete = False
     return view
+
+
+def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
+              max_vertices=200000) -> BallView:
+    """Breadth-first window around the base vertices.
+
+    The enumeration budget for a vertex's stabilizer decreases with its
+    depth, so far-away cone points contribute fewer neighbors; vertices
+    whose incident edges were only sampled carry ``complete=False``.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    view = BallView(radius, word_budget)
+    edge_stab = graph.edges.stabilizer
+
+    def incidence(v, depth):
+        found, complete = graph.incident_edges(v.elem,
+                                               _depth_budget(view, depth))
+        return complete, (
+            (e.orbit_id, others,
+             (e.orbit_id, e.rep) if edge_stab(e.orbit_id).rep_exact else None)
+            for e, others in found)
+
+    return _grow(graph, view, bases, max_vertices, incidence)
+
+
+def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
+    """The window ``ball_view(graph, bases, wide.radius, word_budget)``,
+    derived from the wider window ``wide`` that ``ball_view`` built around
+    the same bases with a budget at least as large.
+
+    This runs the same breadth-first search over ``wide``'s records
+    instead of enumerating stabilizers again.  It is exact because
+    (1) each stabilizer sample contains every smaller-budget sample, so a
+    vertex's edges at a smaller budget are among its edges at a larger one;
+    (2) a vertex's depth in the wider window is at most its depth in the
+    narrower one, so every vertex this search expands was expanded there,
+    with a budget at least as large; (3) at a vertex ``g . v0`` of an
+    orbit, ``incident_edges`` lists the ``g``-translates of the edges it
+    lists at the orbit's base point ``v0``, in the same order, so which of
+    its wide-budget edges survive at a smaller budget, and in what order,
+    is read once per orbit and budget pair at ``v0``; and an edge's other
+    endpoint does not depend on which stabilizer element found it.
+
+    In an orbit whose stabilizer has no exact coset representatives, a
+    vertex keeps the representative it has in ``wide``.
+
+    Cost: two ``incident_edges`` calls per (orbit, wide budget, budget)
+    triple, then one step per edge of the narrowed window's expanded
+    vertices.
+    """
+    view = BallView(wide.radius, word_budget)
+    if _depth_budget(view, 0) > _depth_budget(wide, 0):
+        raise ValueError("a window can only be narrowed to a smaller budget")
+    edges = graph.edges
+    wide_of = list(wide.base)   # narrow vertex index -> wide vertex index
+    plans = {}
+
+    def plan(orbit_id, wide_budget, budget):
+        """Which of the wide-budget edges at a vertex of the orbit survive
+        at the budget, as indices into incident_edges' list, in order."""
+        key = (orbit_id, wide_budget, budget)
+        if key not in plans:
+            v0 = graph.vertices.elem(orbit_id)
+            wide_found, _ = graph.incident_edges(v0, wide_budget)
+            found, complete = graph.incident_edges(v0, budget)
+            position = {(e.orbit_id, e.rep): k
+                        for k, (e, _) in enumerate(wide_found)}
+            kept = []
+            for e, _ in found:
+                if edges.stabilizer(e.orbit_id).rep_exact:
+                    kept.append(position[(e.orbit_id, e.rep)])
+                else:
+                    kept.append(next(k for k, (w, _) in enumerate(wide_found)
+                                     if edges.elem_equal(w, e)))
+            plans[key] = kept, complete
+        return plans[key]
+
+    def incidence(v, depth):
+        lo = wide_of[v.index]
+        kept, complete = plan(v.elem.orbit_id,
+                              _depth_budget(wide, wide.vertices[lo].depth),
+                              _depth_budget(view, depth))
+        start = wide._item_start[lo]
+
+        def items():
+            for k in kept:
+                e = wide.edges[wide._item_edge[start + k]]
+                i, j = e.endpoints
+                other = j if i == lo else i
+                if other == lo:
+                    yield e.orbit_id, (), e.index
+                    continue
+                yield e.orbit_id, (wide.vertices[other].elem,), e.index
+                # _grow has now looked the endpoint up, and registered it
+                # if it was new
+                if len(wide_of) < len(view.vertices):
+                    wide_of.append(other)
+
+        return complete, items()
+
+    # a narrowed window never outgrows the wide one
+    return _grow(graph, view, [wide.vertices[i].elem for i in wide.base],
+                 wide.vertex_count, incidence)
 
 
 def find_vertex(view: BallView, graph: GGraph, elem: GSetElem):
@@ -357,12 +465,16 @@ def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
     A path of length at most the angle bound between two neighbors of the
     apex stays within hop-depth ``angle_bound + 1``, so the windows use that
     hop radius; the requested radius only widens the enumeration budgets.
+
+    Cost: one ``ball_view`` build, of the large window (word budget
+    ``radius + 2``); the small window (word budget ``radius``) is narrowed
+    from it by ``narrow_view``, at one step per edge of the small window's
+    expanded vertices.
     """
     hops = min(radius, angle_bound + 1)
-    small = ball_view(graph, [vertex], hops, word_budget=radius,
-                      max_vertices=max_vertices)
     large = ball_view(graph, [vertex], hops, word_budget=radius + 2,
                       max_vertices=max_vertices)
+    small = narrow_view(graph, large, radius)
     apex_s = find_vertex(small, graph, vertex)
     apex_l = find_vertex(large, graph, vertex)
     if apex_s is None or apex_l is None:

@@ -59,11 +59,18 @@ class GGraph:
         self.edges = GSet(group, [Orbit(e.orbit_id, e.stabilizer)
                                   for e in self.edge_orbits])
         self.attach = {}
+        # per vertex orbit, one block per base-edge end in that orbit:
+        # (edge orbit id, edge stabilizer, end rep inverse, the other ends)
+        self._incidence = {o.orbit_id: [] for o in vertices.orbits}
         for eo in self.edge_orbits:
             ends = tuple(vertices.elem(p.orbit_id, p.rep) for p in eo.ends)
             if len(ends) not in (1, 2):
                 raise ValueError(f"edge orbit {eo.orbit_id!r} needs 1 or 2 ends")
             self.attach[eo.orbit_id] = ends
+            for i, end in enumerate(ends):
+                self._incidence[end.orbit_id].append((
+                    eo.orbit_id, eo.stabilizer, end.rep.inverse(),
+                    tuple(q for j, q in enumerate(ends) if j != i)))
         self.provenance = provenance
 
     @property
@@ -84,31 +91,23 @@ class GGraph:
         stabilizer is exhausted up to the word budget and the returned flag
         is False.
         """
-        group = self.group
-        vstab = self.vertices.stabilizer(v.orbit_id)
-        elems, complete = vstab.sample(word_budget)
+        group, verts = self.group, self.vertices
+        elems, complete = verts.stabilizer(v.orbit_id).sample(word_budget)
         found = []
         seen_keys = set()
-        for eo in self.edge_orbits:
-            ends = self.attach[eo.orbit_id]
-            ekey_ok = eo.stabilizer.rep_exact
-            for i, end in enumerate(ends):
-                if end.orbit_id != v.orbit_id:
+        for eo_id, estab, end_inv, other_ends in self._incidence[v.orbit_id]:
+            ekey_ok = estab.rep_exact
+            for u in elems:
+                h = group.multiply(v.rep, u, end_inv)
+                edge = GSetElem(eo_id, estab.coset_rep(h))
+                if ekey_ok:
+                    key = (eo_id, edge.rep)
+                    if key in seen_keys:
+                        continue
+                    seen_keys.add(key)
+                elif any(self.edges.elem_equal(edge, e0) for e0, _ in found):
                     continue
-                for u in elems:
-                    h = group.multiply(v.rep, u, end.rep.inverse())
-                    edge = self.edges.elem(eo.orbit_id, h)
-                    if ekey_ok:
-                        key = self.edges.elem_key(edge)
-                        if key in seen_keys:
-                            continue
-                        seen_keys.add(key)
-                    else:
-                        if any(self.edges.elem_equal(edge, e0) for e0, _ in found):
-                            continue
-                    others = [self.vertices.act(h, q)
-                              for j, q in enumerate(ends) if j != i]
-                    found.append((edge, others))
+                found.append((edge, [verts.act(h, q) for q in other_ends]))
         return found, complete
 
     def relabel(self, prefix: str) -> "GGraph":

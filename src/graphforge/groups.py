@@ -3,18 +3,20 @@
 Supported classes: finite groups by multiplication table, free and free
 abelian groups, and free products, amalgamated products and HNN extensions
 built recursively over these.  Every class has a deterministic canonical
-form, so element equality is tuple equality of normal forms.
+form, returned as a ``NormalForm``, so element equality is tuple equality
+of normal forms.
 
-Canonical form schemes
-----------------------
-* ``table``        -- shortlex-minimal word for each table element (BFS).
-* ``free``         -- freely reduced word.
-* ``free-abelian`` -- letters sorted by declared generator order.
-* ``free-product`` -- alternating factor-canonical syllables.
-* ``amalgam``      -- left-to-right pinned alternating transversal syllables
-                      followed by a trailing edge-group part.
-* ``hnn``          -- Britton-reduced form ``tau_1 t^e1 ... tau_n t^en a``
-                      with each ``tau_i`` a pinned left-coset representative.
+Canonical forms, by class
+-------------------------
+* ``FiniteGroup``       -- shortlex-minimal word for each table element (BFS).
+* ``FreeGroup``         -- freely reduced word.
+* ``FreeAbelianGroup``  -- letters sorted by declared generator order.
+* ``FreeProductGroup``  -- alternating factor-canonical syllables.
+* ``AmalgamGroup``      -- left-to-right pinned alternating transversal
+                           syllables followed by a trailing edge-group part.
+* ``HNNGroup``          -- Britton-reduced form ``tau_1 t^e1 ... tau_n t^en a``
+                           with each ``tau_i`` a pinned left-coset
+                           representative.
 
 Pinning is done left to right so that trailing carries flow rightward; left
 cosets of the distinguished subgroups then have representatives that are
@@ -35,8 +37,6 @@ from .words import NormalForm, Word, free_reduce
 
 class Group:
     """Base class: a finitely described group with a canonical form."""
-
-    scheme = "abstract"
 
     def __init__(self, name: str, generators):
         self.name = name
@@ -78,11 +78,12 @@ class Group:
     # -- canonical forms ----------------------------------------------------
 
     def normalize(self, word) -> NormalForm:
-        word = Word.coerce(word)
+        if not isinstance(word, Word):
+            word = Word.coerce(word)
         cached = self._nf_cache.get(word)
         if cached is None:
             self.check_word(word)
-            cached = NormalForm(self._canonical(word), self.scheme)
+            cached = NormalForm(self._canonical(word))
             self._nf_cache[word] = cached
         return cached
 
@@ -90,13 +91,13 @@ class Group:
         raise NotImplementedError
 
     def identity(self) -> NormalForm:
-        return NormalForm((), self.scheme)
+        return NormalForm()
 
     def multiply(self, *words) -> NormalForm:
-        acc = Word()
+        letters = ()
         for w in words:
-            acc = acc * Word.coerce(w)
-        return self.normalize(acc)
+            letters += w if isinstance(w, tuple) else Word.coerce(w)
+        return self.normalize(Word(letters))
 
     def inverse(self, word) -> NormalForm:
         return self.normalize(Word.coerce(word).inverse())
@@ -131,8 +132,6 @@ class FiniteGroup(Group):
     is the product ``i * j``.  Named generators map to elements, and each
     element gets a precomputed shortlex-minimal word over the generators.
     """
-
-    scheme = "table"
 
     def __init__(self, name, gen_to_element: dict, table):
         super().__init__(name, gen_to_element.keys())
@@ -262,8 +261,6 @@ class FiniteGroup(Group):
 
 
 class FreeGroup(Group):
-    scheme = "free"
-
     def _canonical(self, word):
         return free_reduce(word)
 
@@ -275,8 +272,6 @@ class FreeGroup(Group):
 
 
 class FreeAbelianGroup(Group):
-    scheme = "free-abelian"
-
     def exponents(self, word) -> tuple:
         exps = [0] * len(self.generators)
         for name, sign in Word.coerce(word):
@@ -302,8 +297,6 @@ class FreeAbelianGroup(Group):
 
 class FreeProductGroup(Group):
     """Free product of disjointly-generated factors."""
-
-    scheme = "free-product"
 
     def __init__(self, name, factors):
         gens = []
@@ -376,8 +369,6 @@ class AmalgamGroup(Group):
     factors; their codomain handles must answer membership and left-coset
     representatives exactly, since the pinning algorithm leans on them.
     """
-
-    scheme = "amalgam"
 
     def __init__(self, name, left, right, edge_group, into_left, into_right):
         for g in left.generators:
@@ -537,8 +528,6 @@ class HNNGroup(Group):
     ``t c t^{-1} = iso(c)``.  Canonical forms are Britton-reduced with
     left-coset representatives pinned before each stable letter.
     """
-
-    scheme = "hnn"
 
     def __init__(self, name, base, edge_handle, iso, stable: str):
         if base.owns(stable):

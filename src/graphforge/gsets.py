@@ -32,7 +32,7 @@ from .subgroups import (
 from .words import Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GSetElem:
     orbit_id: str
     rep: Word

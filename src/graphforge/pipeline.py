@@ -32,6 +32,7 @@ from .errors import (
     BudgetExceeded,
     ForgeError,
     GroupMismatch,
+    MalformedWord,
     SpecError,
 )
 from .ggraphs import (
@@ -97,6 +98,7 @@ DEFAULT_BUDGETS = {
     "parallel": True,
     "trust_monomorphisms": False,
 }
+POSITIVE_BUDGETS = ("radius", "angle_bound", "threshold", "max_vertices")
 
 
 @dataclass
@@ -152,6 +154,18 @@ def _known_keys(obj, allowed, where):
     _require(not extra, f"{where}: unknown keys {sorted(extra)}")
 
 
+class _Decl(dict):
+    """A spec object whose missing required keys are spec errors."""
+
+    def __init__(self, obj, where):
+        _require(isinstance(obj, dict), f"{where} must be a JSON object")
+        super().__init__(obj)
+        self.where = where
+
+    def __missing__(self, key):
+        raise SpecError(f"{self.where}: missing key {key!r}")
+
+
 class SpecEnv:
     """Resolves the declaration sections with cycle detection."""
 
@@ -170,9 +184,17 @@ class SpecEnv:
         budgets = spec.get("budgets", {})
         _known_keys(budgets, DEFAULT_BUDGETS, "budgets")
         self.budgets.update(budgets)
-        for key in ("radius", "angle_bound", "threshold", "max_vertices"):
-            _require(self.budgets[key] is None or self.budgets[key] > 0,
-                     f"budgets.{key} must be positive")
+        for key, value in self.budgets.items():
+            default = DEFAULT_BUDGETS[key]
+            if isinstance(default, bool):
+                _require(isinstance(value, bool),
+                         f"budgets.{key} must be true or false")
+            elif value is not None or default is not None:
+                low = 1 if key in POSITIVE_BUDGETS else 0
+                _require(isinstance(value, int)
+                         and not isinstance(value, bool) and value >= low,
+                         f"budgets.{key} must be a "
+                         f"{'positive' if low else 'nonnegative'} integer")
         self._building = set()
 
     # -- declarations ---------------------------------------------------------
@@ -183,7 +205,7 @@ class SpecEnv:
         _require(gid in self.spec.get("groups", {}), f"undeclared group {gid!r}")
         _require(gid not in self._building, f"cyclic declaration at group {gid!r}")
         self._building.add(gid)
-        decl = self.spec["groups"][gid]
+        decl = _Decl(self.spec["groups"][gid], f"group {gid!r}")
         kind = decl.get("kind")
         if kind == "free":
             g = FreeGroup(gid, decl["generators"])
@@ -217,7 +239,7 @@ class SpecEnv:
             return self.subgroups[sid]
         _require(sid in self.spec.get("subgroups", {}),
                  f"undeclared subgroup {sid!r}")
-        decl = self.spec["subgroups"][sid]
+        decl = _Decl(self.spec["subgroups"][sid], f"subgroup {sid!r}")
         amb = self.group(decl["group"])
         kind = decl.get("kind", "generated")
         if kind == "trivial":
@@ -247,7 +269,7 @@ class SpecEnv:
             return self.monomorphisms[mid]
         _require(mid in self.spec.get("monomorphisms", {}),
                  f"undeclared monomorphism {mid!r}")
-        decl = self.spec["monomorphisms"][mid]
+        decl = _Decl(self.spec["monomorphisms"][mid], f"monomorphism {mid!r}")
         if "domain_subgroup" in decl:
             dom = self.subgroup(decl["domain_subgroup"])
         else:
@@ -266,7 +288,7 @@ class SpecEnv:
         if gid in self.graphs:
             return self.graphs[gid]
         _require(gid in self.spec.get("graphs", {}), f"undeclared graph {gid!r}")
-        decl = self.spec["graphs"][gid]
+        decl = _Decl(self.spec["graphs"][gid], f"graph {gid!r}")
         kind = decl.get("kind")
         amb = self.group(decl["group"])
         if kind == "coned_off":
@@ -864,8 +886,12 @@ def _step_hnn2(env, step, report):
 
 def _step_normalize_check(env, step, report):
     g = env.group(step["group"])
-    lhs = g.normalize(Word.parse(step["word"]))
-    rhs = g.normalize(Word.parse(step.get("equals", "1")))
+    try:
+        lhs = g.normalize(Word.parse(step["word"]))
+        rhs = g.normalize(Word.parse(step.get("equals", "1")))
+    except (MalformedWord, ValueError) as exc:
+        raise SpecError(
+            f"step {step.get('id', 'normalize')!r}: {exc}") from None
     ok = lhs == rhs
     report.record(step.get("id", "normalize"), "normalize_check",
                   "ok" if ok else "fail", {"lhs": str(lhs), "rhs": str(rhs)})
@@ -923,7 +949,7 @@ def run_pipeline(spec: dict, *, overrides=None, audits_only=False,
         op = step["op"]
         start = time.monotonic()
         try:
-            STEP_HANDLERS[op](env, step, report)
+            STEP_HANDLERS[op](env, _Decl(step, f"pipeline[{i}]"), report)
         except BudgetExceeded as exc:
             report.record(step.get("id", f"step{i}"), op, "error",
                           {"budget_exceeded": str(exc)})

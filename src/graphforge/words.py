@@ -15,9 +15,6 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, letters=()):
-        return super().__new__(cls, tuple(letters))
-
     @classmethod
     def parse(cls, text: str) -> "Word":
         text = text.strip()
@@ -37,7 +34,9 @@ class Word(tuple):
         return cls(letters)
 
     def __mul__(self, other) -> "Word":
-        return Word(tuple.__add__(self, Word.coerce(other)))
+        if not isinstance(other, tuple):
+            other = Word.coerce(other)
+        return Word(tuple.__add__(self, other))
 
     def __rmul__(self, other) -> "Word":
         return Word(tuple.__add__(Word.coerce(other), self))
@@ -80,21 +79,14 @@ class Word(tuple):
 
 
 class NormalForm(Word):
-    """A canonical word, tagged with the scheme that produced it.
+    """A canonical word, as returned by ``Group.normalize``.
 
-    Equality and hashing are inherited from the underlying letter tuple:
-    two group elements are equal iff their normal forms are identical
-    letter sequences (the scheme tag is metadata only).
+    Equality and hashing are those of the underlying letter tuple: two
+    group elements are equal iff their normal forms are identical letter
+    sequences, and a normal form equals the plain ``Word`` it spells.
     """
 
-    def __new__(cls, letters=(), scheme: str = ""):
-        obj = super().__new__(cls, letters)
-        obj._scheme = scheme
-        return obj
-
-    @property
-    def scheme(self) -> str:
-        return self._scheme
+    __slots__ = ()
 
 
 EMPTY = Word()

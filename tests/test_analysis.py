@@ -3,6 +3,7 @@ hand (cycle arcs, complete-graph path counts, thin-triangle defects) before
 being frozen here.
 """
 
+import copy
 import itertools
 import random
 
@@ -11,6 +12,8 @@ import pytest
 from graphforge.analysis import (
     INFINITE,
     BallView,
+    FinenessCertificate,
+    _neighbor_counts,
     angle,
     angle_table,
     ball_view,
@@ -23,9 +26,18 @@ from graphforge.analysis import (
     find_vertex,
     fineness_probe,
     gh_graph_audit,
+    narrow_view,
 )
-from graphforge.errors import CombinatorialBlowup, NotNeighbors
+from graphforge.errors import (
+    BudgetExceeded,
+    CombinatorialBlowup,
+    NotNeighbors,
+    WindowTooSmall,
+)
+from graphforge.examples import builtin_examples
 from graphforge.ggraphs import (
+    EdgeOrbit,
+    GGraph,
     bass_serre,
     c_pushout,
     cayley_graph,
@@ -33,7 +45,20 @@ from graphforge.ggraphs import (
     edgeless_cosets,
     single_vertex_graph,
 )
-from graphforge.subgroups import cyclic, free_factor
+from graphforge.groups import FreeAbelianGroup
+from graphforge.gsets import GSet, Orbit
+from graphforge.pipeline import run_pipeline
+from graphforge.subgroups import (
+    Monomorphism,
+    RestrictedSubgroup,
+    SearchSubgroup,
+    build_amalgam,
+    cyclic,
+    free_factor,
+    generated,
+    trivial,
+    whole,
+)
 from graphforge.words import Word
 
 import grouplib
@@ -97,6 +122,253 @@ def test_ball_monotone():
     small_keys = {g.vertices.elem_key(v.elem) for v in small.vertices}
     large_keys = {g.vertices.elem_key(v.elem) for v in large.vertices}
     assert small_keys <= large_keys
+
+
+# -- narrowed windows ----------------------------------------------------------
+#
+# The oracle for narrow_view is a direct ball_view at the smaller budget.
+
+NARROW_CAP = 1500
+
+
+def builtin_graph(name, gid):
+    """A graph of a built-in spec, built by running its steps up to ``gid``."""
+    spec = copy.deepcopy(builtin_examples()[name])
+    steps = spec["pipeline"]
+    upto = [i for i, st in enumerate(steps) if st.get("id") == gid]
+    spec["pipeline"] = steps[:upto[0] + 1] if upto else []
+    env = run_pipeline(spec).env
+    return env.constructions[gid] if upto else env.graph(gid)
+
+
+def coned_f2_over_ab_ba():
+    f = grouplib.free2()
+    h = generated(f, ["a b", "b a"])
+    assert isinstance(h, SearchSubgroup) and not h.rep_exact
+    return coned_off(f, [h], [Word.parse("a"), Word.parse("b")], labels=["H"])
+
+
+def unsorted_sample_graph():
+    """A graph whose stabilizer samples are not sorted by budget.
+
+    In Z^2 *_Z Z^2 with c = a1 on the left and c = b1^2 on the right, the
+    right factor's ball of radius 2 holds b1^2, written ``a1``, which sorts
+    before ``b1`` and ``b2`` of radius 1.  The edge stabilizer
+    <b1^2 b2^-1> puts ``a1`` and ``b2`` on one edge, so that edge is found
+    first through its radius-2 element.  The cones over the right factor
+    are joined through group elements with ``a2`` and ``b2`` edges, so a
+    narrower window reaches some of them at a greater depth.
+    """
+    a = FreeAbelianGroup("A", ["a1", "a2"])
+    b = FreeAbelianGroup("B", ["b1", "b2"])
+    c = FreeAbelianGroup("C", ["c"])
+    g = build_amalgam("A*B", a, b,
+                      Monomorphism(whole(c), cyclic(a, "a1"), ["a1"]),
+                      Monomorphism(whole(c), cyclic(b, "b1 b1"), ["b1 b1"]))
+    edge_stab = RestrictedSubgroup(g, cyclic(b, "b1 b1 b2^-1"), "R")
+    verts = GSet(g, [Orbit("v", RestrictedSubgroup(g, whole(b), "R")),
+                     Orbit("w", edge_stab), Orbit("el", trivial(g))])
+    return GGraph(g, verts, [
+        EdgeOrbit("e", edge_stab, (verts.elem("v"), verts.elem("w"))),
+        EdgeOrbit("lace", trivial(g), (verts.elem("v"), verts.elem("el"))),
+    ] + [EdgeOrbit(f"cay:{s}", trivial(g),
+                   (verts.elem("el"), verts.elem("el", Word.parse(s))))
+         for s in ("a2", "b2")])
+
+
+def probe_vertices(graph, seed, count=2, length=4):
+    """Each orbit's base point and seeded translates of it by reduced
+    words."""
+    rng = random.Random(seed)
+    gens = graph.group.generators
+    out = []
+    for orb in graph.vertices.orbits:
+        out.append(graph.vertices.elem(orb.orbit_id))
+        for _ in range(count):
+            letters = []
+            while len(letters) < length:
+                letter = (rng.choice(gens), rng.choice((1, -1)))
+                if letters and letters[-1] == (letter[0], -letter[1]):
+                    continue
+                letters.append(letter)
+            out.append(graph.vertices.act(Word(letters),
+                                          graph.vertices.elem(orb.orbit_id)))
+    return out
+
+
+def built(build):
+    try:
+        return build(), None
+    except BudgetExceeded as exc:
+        return None, str(exc)
+
+
+def assert_same_window(got, want):
+    assert got.vertices == want.vertices
+    assert got.adj == want.adj
+    assert got.edges == want.edges
+    assert got.base == want.base
+    assert got.complete == want.complete
+    assert (got.radius, got.word_budget) == (want.radius, want.word_budget)
+
+
+def check_narrowing(graph, vertices, hops_range, budgets, cap=NARROW_CAP):
+    """narrow_view(ball_view(.., r + 2), r) against ball_view(.., r).
+    Returns how many windows were compared and how many direct builds
+    raised."""
+    compared = raised = 0
+    for v in vertices:
+        for r in budgets:
+            for hops in hops_range:
+                direct, err = built(lambda: ball_view(
+                    graph, [v], hops, word_budget=r, max_vertices=cap))
+                wide, werr = built(lambda: ball_view(
+                    graph, [v], hops, word_budget=r + 2, max_vertices=cap))
+                if wide is None:
+                    narrowed, nerr = None, werr
+                else:
+                    narrowed, nerr = built(lambda: narrow_view(graph, wide, r))
+                if err is not None:
+                    # the narrowed path raises the same budget error
+                    assert nerr == err, (v, r, hops)
+                    raised += 1
+                    break       # every larger hop radius raises as well
+                if narrowed is not None:
+                    assert_same_window(narrowed, direct)
+                    compared += 1
+    return compared, raised
+
+
+@pytest.mark.parametrize("name, gid", [
+    ("example-coned-free", "coned"),
+    ("example-fineness-fail", "coned"),
+    ("example-tree-modular", "T"),
+])
+def test_narrowed_window_matches_direct_build(name, gid):
+    graph = builtin_graph(name, gid)
+    compared, _ = check_narrowing(graph, probe_vertices(graph, name, 1),
+                                  range(1, 8), range(1, 9))
+    assert compared >= 30
+
+
+def test_narrowed_window_matches_direct_build_amalgam2_pushout():
+    # every vertex orbit of the pushout, JoinSubgroup cone included; the
+    # cone's stabilizer balls grow fast, so the budgets stay small
+    graph = builtin_graph("example-amalgam-2", "Z")
+    assert len(graph.vertices.orbits) == 3
+    compared, _ = check_narrowing(graph, probe_vertices(graph, "amalgam-2", 1),
+                                  range(1, 8), range(1, 4))
+    assert compared >= 20
+
+
+def test_narrowed_window_matches_direct_build_on_unsorted_samples():
+    graph = unsorted_sample_graph()
+    v0 = graph.vertices.elem("v")
+    wide_found, _ = graph.incident_edges(v0, 2)
+    found, _ = graph.incident_edges(v0, 1)
+    position = [wide_found.index(item) for item in found]
+    # the narrow budget's edges come in another order than the wide one's
+    assert position != sorted(position)
+    compared, _ = check_narrowing(graph, probe_vertices(graph, "unsorted", 1),
+                                  range(1, 6), range(1, 4))
+    assert compared >= 40
+
+
+def test_narrowed_window_raises_like_direct_build_without_exact_reps():
+    graph = coned_f2_over_ab_ba()
+    compared, raised = check_narrowing(graph, probe_vertices(graph, "ab-ba"),
+                                       range(1, 8), range(1, 6), cap=200000)
+    assert compared > 0 and raised > 0
+
+
+def test_narrow_view_rejects_a_larger_budget():
+    graph = builtin_graph("example-fineness-fail", "coned")
+    wide = ball_view(graph, [graph.vertices.elem("cone:E")], 3, word_budget=4)
+    with pytest.raises(ValueError):
+        narrow_view(graph, wide, 5)
+
+
+def two_build_probe(graph, vertex, angle_bound, radius, threshold,
+                    max_vertices=200000):
+    """fineness_probe as it was when it built both windows directly; the
+    reference for the one-build probe."""
+    hops = min(radius, angle_bound + 1)
+    small = ball_view(graph, [vertex], hops, word_budget=radius,
+                      max_vertices=max_vertices)
+    large = ball_view(graph, [vertex], hops, word_budget=radius + 2,
+                      max_vertices=max_vertices)
+    apex_s = find_vertex(small, graph, vertex)
+    apex_l = find_vertex(large, graph, vertex)
+    if apex_s is None or apex_l is None:
+        raise WindowTooSmall("probe vertex missing from its own window")
+    counts_s, _ = _neighbor_counts(graph, small, apex_s, angle_bound)
+    counts_l, wit_l = _neighbor_counts(graph, large, apex_l, angle_bound)
+    incident, complete = graph.incident_edges(
+        vertex, max(1, radius - angle_bound))
+    if complete:
+        trusted = set(counts_s)
+    else:
+        trusted = set()
+        for _, others in incident:
+            for w in others:
+                trusted.add(graph.vertices.elem_key(w))
+    grown = []
+    for key, c_small in counts_s.items():
+        if key not in trusted:
+            continue
+        c_large = counts_l.get(key, c_small)
+        if c_large > c_small:
+            grown.append((key, c_small, c_large))
+    violating = [entry for entry in grown if entry[2] >= threshold]
+    if violating:
+        key = max(violating, key=lambda e: e[2])[0]
+        witness = [large.vertices[i].elem for i in wit_l[key]]
+        return FinenessCertificate(vertex, angle_bound, radius,
+                                   "violation", witness,
+                                   {k: c for k, _, c in violating})
+    if not grown:
+        return FinenessCertificate(
+            vertex, angle_bound, radius,
+            f"locally-finite-at-({angle_bound},{radius})",
+            counts=dict(counts_s))
+    return FinenessCertificate(vertex, angle_bound, radius, "inconclusive",
+                               counts=dict(counts_l))
+
+
+def probe_outcome(probe, *args, **kwargs):
+    try:
+        cert = probe(*args, **kwargs)
+    except BudgetExceeded as exc:
+        return ("raised", str(exc))
+    return (cert.verdict, cert.witness, list(cert.counts.items()))
+
+
+@pytest.mark.parametrize("graph, params, cap", [
+    (lambda: builtin_graph("example-coned-free", "coned"),
+     [(4, 6, 10), (3, 8, 10)], 200000),
+    (lambda: builtin_graph("example-fineness-fail", "coned"),
+     [(4, 12, 10), (4, 12, 100), (2, 5, 3), (3, 8, 4)], 200000),
+    (lambda: coned_line()[1], [(4, 12, 10), (2, 6, 3)], 200000),
+    (lambda: builtin_graph("example-amalgam-2", "Z"),
+     [(2, 2, 8), (1, 3, 4)], 200000),
+    (lambda: builtin_graph("example-tree-modular", "T"),
+     [(4, 6, 8), (2, 8, 2)], 200000),
+    (coned_f2_over_ab_ba, [(1, 3, 4), (2, 4, 4), (3, 5, 6)], 200000),
+    # the vertex cap raises in both probes
+    (lambda: builtin_graph("example-coned-free", "coned"), [(4, 6, 10)], 500),
+])
+def test_fineness_probe_matches_two_build_probe(graph, params, cap):
+    g = graph()
+    seen = set()
+    for v in probe_vertices(g, "probe", count=1, length=3):
+        for angle_bound, radius, threshold in params:
+            args = (g, v, angle_bound, radius, threshold)
+            got = probe_outcome(fineness_probe, *args, max_vertices=cap)
+            assert got == probe_outcome(two_build_probe, *args,
+                                        max_vertices=cap)
+            seen.add(got[0])
+    if cap < 1000:
+        assert seen == {"raised"}
 
 
 # -- angles ------------------------------------------------------------------

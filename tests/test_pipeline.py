@@ -237,3 +237,33 @@ def test_cli_rejects_negative_ball_budget(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err == (f"spec error: ball {ball['id']!r}: {key} must be a "
                    "nonnegative integer\n")
+
+
+def _normalize_spec(word):
+    return {
+        "groups": {"F": {"kind": "free", "generators": ["a", "b"]}},
+        "pipeline": [{"op": "normalize_check", "id": "n", "group": "F",
+                      "word": word, "equals": "a"}],
+    }
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"groups": {"F": {"kind": "free"}}},
+     "group 'F': missing key 'generators'"),
+    ({"budgets": {"radius": "x"}}, "budgets.radius must be a positive integer"),
+    ({"budgets": {"delta_cap": -1}},
+     "budgets.delta_cap must be a nonnegative integer"),
+    ({"budgets": {"parallel": 1}}, "budgets.parallel must be true or false"),
+    (_normalize_spec("a z"), "step 'n': letter 'z' is not a generator of F"),
+    ({**_normalize_spec("a"), "pipeline": [{"op": "normalize_check"}]},
+     "pipeline[0]: missing key 'group'"),
+])
+def test_cli_rejects_malformed_spec(tmp_path, capsys, spec, message):
+    assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
+    assert capsys.readouterr().err == f"spec error: {message}\n"
+
+
+def test_normalize_check_on_a_wellformed_word_still_runs():
+    report = run_pipeline(_normalize_spec("a b b^-1"))
+    assert report.exit_code() == 0
+    assert run_pipeline(_normalize_spec("b")).exit_code() == 1

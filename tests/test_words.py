@@ -23,7 +23,11 @@ def test_free_reduce():
     assert free_reduce(Word.parse("a b^-1 b a^-1 c")) == Word.parse("c")
 
 
-def test_normal_form_equality_ignores_scheme():
-    assert NormalForm(Word.parse("a"), "free") == NormalForm(Word.parse("a"), "table")
-    assert NormalForm(Word.parse("a"), "free") == Word.parse("a")
-    assert hash(NormalForm(Word.parse("a"), "free")) == hash(Word.parse("a"))
+def test_normal_form_equals_and_hashes_like_its_word():
+    for text in ("1", "a", "a b^-2 c"):
+        w = Word.parse(text)
+        nf = NormalForm(w)
+        assert nf == w and w == nf
+        assert hash(nf) == hash(w)
+        assert {w: text}[nf] == text
+    assert NormalForm(Word.parse("a")) != Word.parse("a^-1")
