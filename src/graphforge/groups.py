@@ -445,12 +445,12 @@ class AmalgamGroup(Group):
         if cached is not None:
             return cached
         self.check_word(word)
-        pend = self._merge_syllables(self._raw_syllables(word))
+        pend = deque(self._merge_syllables(self._raw_syllables(word)))
         pinned = []
         carry = None  # word over the edge group, multiplies next syllable on the left
         tail = Word()
         while pend:
-            side, w = pend.pop(0)
+            side, w = pend.popleft()
             if carry is not None:
                 w = self.factor(side).multiply(
                     self.edge_embedding(side).push(carry), w
@@ -460,8 +460,9 @@ class AmalgamGroup(Group):
                     # the carry cancelled the whole syllable
                     if pinned and pend and pinned[-1][0] == pend[0][0]:
                         pside, pw = pinned.pop()
-                        nside, nw = pend.pop(0)
-                        pend.insert(0, (pside, self.factor(pside).multiply(pw, nw)))
+                        nside, nw = pend.popleft()
+                        pend.appendleft(
+                            (pside, self.factor(pside).multiply(pw, nw)))
                     continue
             rep, c = self._split(side, w)
             if rep:
@@ -476,11 +477,11 @@ class AmalgamGroup(Group):
                     if pinned and pinned[-1][0] == pend[0][0]:
                         # its neighbours are same-sided: merge them
                         pside, pw = pinned.pop()
-                        nside, nw = pend.pop(0)
+                        nside, nw = pend.popleft()
                         merged = self.factor(pside).multiply(
                             pw, self.edge_embedding(pside).push(c), nw
                         )
-                        pend.insert(0, (pside, merged))
+                        pend.appendleft((pside, merged))
                     else:
                         carry = c
                 else:

@@ -101,7 +101,7 @@ class GSet:
         return verdict == YES
 
     def elem_key(self, x: GSetElem):
-        return (x.orbit_id, tuple(x.rep))
+        return (x.orbit_id, x.rep)
 
     def point_stabilizer(self, x: GSetElem) -> Subgroup:
         stab = self.stabilizer(x.orbit_id)
@@ -133,6 +133,33 @@ class GSet:
 
 def act(gset: GSet, g, x: GSetElem) -> GSetElem:
     return gset.act(g, x)
+
+
+def collisions(gset: GSet, items):
+    """``(label, earlier label)`` for every pair of equal elements among the
+    ``(label, element)`` items, in the order a pairwise scan of each item
+    against all earlier ones finds them.
+
+    In an orbit with exact coset representatives two elements are equal iff
+    their reps are, so such elements are matched through one hashed bucket
+    per rep.  In any other orbit an element is compared with that orbit's
+    earlier elements one by one, in order, so an undecided equality raises
+    ``BudgetExceeded`` at the same pair as the pairwise scan.
+    """
+    out = []
+    buckets = {}   # elem_key -> earlier labels (exact orbits)
+    scans = {}     # orbit id -> earlier (label, element) (other orbits)
+    for label, x in items:
+        if gset.stabilizer(x.orbit_id).rep_exact:
+            earlier = buckets.setdefault(gset.elem_key(x), [])
+            out.extend((label, other) for other in earlier)
+            earlier.append(label)
+        else:
+            earlier = scans.setdefault(x.orbit_id, [])
+            out.extend((label, other) for other, y in earlier
+                       if gset.elem_equal(x, y))
+            earlier.append((label, x))
+    return out
 
 
 class GMap:

@@ -11,6 +11,7 @@ ran out (partial report), 3 the spec itself was invalid.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass, field
@@ -56,7 +57,7 @@ from .groups import (
     FreeProductGroup,
     ball_enumerate,
 )
-from .gsets import GSetElem, chain_factorize
+from .gsets import GSetElem, chain_factorize, collisions
 from .relpres import (
     RelPresentation,
     amalgam_presentation,
@@ -662,23 +663,19 @@ def _step_audit_embedding(env, step, report):
     radius = step.get("radius", 4)
     view = ball_view(source, [prov.x, prov.y], radius,
                      max_vertices=env.budgets["max_vertices"])
-    images = []
-    collisions = []
-    for v in view.vertices:
-        big_elem = result.embedding.codomain.vertices.elem(
-            v.elem.orbit_id, result.embedding.mono.push(v.elem.rep))
-        img = result.quotient.vertex(big_elem)
-        for other_v, other in images:
-            if graph.vertices.elem_equal(img, other):
-                collisions.append((str(v.elem), str(other_v)))
-        images.append((v.elem, img))
-    ok = not collisions
+    big_vertices = result.embedding.codomain.vertices
+    push = result.embedding.mono.push
+    images = ((v.elem, result.quotient.vertex(
+        big_vertices.elem(v.elem.orbit_id, push(v.elem.rep))))
+        for v in view.vertices)
+    found = [(str(a), str(b)) for a, b in collisions(graph.vertices, images)]
+    ok = not found
     report.record(step.get("id", step["graph"]), "audit_embedding",
                   "ok" if ok else "fail",
-                  {"vertices": len(images), "collisions": collisions[:5]})
+                  {"vertices": len(view.vertices), "collisions": found[:5]})
     report.verdict(step.get("id", step["graph"]), "embedding-injective",
                    "pass" if ok else "fail",
-                   f"{len(images)} vertices embedded")
+                   f"{len(view.vertices)} vertices embedded")
 
 
 def _step_stabilizer_check(env, step, report):
@@ -931,40 +928,56 @@ STEP_HANDLERS = {
 
 def run_pipeline(spec: dict, *, overrides=None, audits_only=False,
                  timings=False) -> RunReport:
-    """Execute a validated spec; determinism holds for fixed spec+budgets."""
-    if overrides:
-        spec = json.loads(json.dumps(spec))
-        spec.setdefault("budgets", {}).update(overrides)
-    env = validate_spec(spec)
-    # the report echoes the numeric budgets; execution switches (parallelism,
-    # injection trust) change how answers are computed, never what they are,
-    # so they stay out of the byte-deterministic report
-    echoed = {k: v for k, v in env.budgets.items()
-              if k not in ("parallel", "trust_monomorphisms")}
-    report = RunReport(env.name, budgets=echoed)
-    report.audits_only = audits_only  # exports are skipped by the caller
-    if timings:
-        report.timings_ms = {}
-    for i, step in enumerate(spec.get("pipeline", [])):
-        op = step["op"]
-        start = time.monotonic()
-        try:
-            STEP_HANDLERS[op](env, _Decl(step, f"pipeline[{i}]"), report)
-        except BudgetExceeded as exc:
-            report.record(step.get("id", f"step{i}"), op, "error",
-                          {"budget_exceeded": str(exc)})
-            report.budget_exhausted = True
-            break
-        except SpecError:
-            raise
-        except ForgeError as exc:
-            report.record(step.get("id", f"step{i}"), op, "error",
-                          {"error": f"{type(exc).__name__}: {exc}"})
-            report.verdict(step.get("id", f"step{i}"), op, "fail",
-                           f"{type(exc).__name__}: {exc}")
+    """Execute a validated spec; determinism holds for fixed spec+budgets.
+
+    The cyclic garbage collector is paused for the whole run, spec
+    validation included, and left as the caller had it on the way out.  A
+    run builds hundreds of thousands of long-lived window and normal-form
+    objects and frees what it drops by reference counting alone, so every
+    full collection during a run walks the live windows and finds nothing
+    to free (``test_runs_make_no_cyclic_garbage`` in
+    ``tests/test_pipeline.py`` checks this on every built-in).
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if overrides:
+            spec = json.loads(json.dumps(spec))
+            spec.setdefault("budgets", {}).update(overrides)
+        env = validate_spec(spec)
+        # the report echoes the numeric budgets; execution switches
+        # (parallelism, injection trust) change how answers are computed,
+        # never what they are, so they stay out of the byte-deterministic
+        # report
+        echoed = {k: v for k, v in env.budgets.items()
+                  if k not in ("parallel", "trust_monomorphisms")}
+        report = RunReport(env.name, budgets=echoed)
+        report.audits_only = audits_only  # exports are skipped by the caller
         if timings:
-            key = f"{i}:{op}"
-            report.timings_ms[key] = round(
-                (time.monotonic() - start) * 1000, 3)
-    report.env = env
-    return report
+            report.timings_ms = {}
+        for i, step in enumerate(spec.get("pipeline", [])):
+            op = step["op"]
+            start = time.monotonic()
+            try:
+                STEP_HANDLERS[op](env, _Decl(step, f"pipeline[{i}]"), report)
+            except BudgetExceeded as exc:
+                report.record(step.get("id", f"step{i}"), op, "error",
+                              {"budget_exceeded": str(exc)})
+                report.budget_exhausted = True
+                break
+            except SpecError:
+                raise
+            except ForgeError as exc:
+                report.record(step.get("id", f"step{i}"), op, "error",
+                              {"error": f"{type(exc).__name__}: {exc}"})
+                report.verdict(step.get("id", f"step{i}"), op, "fail",
+                               f"{type(exc).__name__}: {exc}")
+            if timings:
+                key = f"{i}:{op}"
+                report.timings_ms[key] = round(
+                    (time.monotonic() - start) * 1000, 3)
+        report.env = env
+        return report
+    finally:
+        if collecting:
+            gc.enable()

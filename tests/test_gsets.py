@@ -1,8 +1,10 @@
 """Orbit layer: actions, induction, pushouts, chain certificates."""
 
+import random
+
 import pytest
 
-from graphforge.errors import NotAStabilizer
+from graphforge.errors import BudgetExceeded, NotAStabilizer
 from graphforge.groups import FiniteGroup
 from graphforge.gsets import (
     GMap,
@@ -10,12 +12,14 @@ from graphforge.gsets import (
     GSetElem,
     Orbit,
     chain_factorize,
+    collisions,
     factor_through_pushout,
     induce_gset,
     pushout_gsets,
 )
 from graphforge.subgroups import (
     Monomorphism,
+    Subgroup,
     cyclic,
     finite_table_subgroup,
     free_factor,
@@ -65,6 +69,64 @@ def test_elem_equal_uses_cosets():
     b = GSetElem("c", s3.normalize("y x"))
     assert gs.elem_equal(gs.elem("c", "y"), gs.elem("c", "y x"))
     assert not gs.elem_equal(gs.elem("c", "y"), gs.elem("c"))
+
+
+def pairwise_collisions(gset, items):
+    """Reference for ``collisions``: every item against every earlier one."""
+    out, seen = [], []
+    for label, x in items:
+        for other, y in seen:
+            if gset.elem_equal(x, y):
+                out.append((label, other))
+        seen.append((label, x))
+    return out
+
+
+class WordReps(Subgroup):
+    """An exact membership test behind reps that are the words themselves,
+    so equal elements can have different reps (``rep_exact`` is false)."""
+
+    def __init__(self, inner):
+        super().__init__(inner.ambient, inner.generators)
+        self.inner = inner
+
+    def contains(self, word):
+        return self.inner.contains(word)
+
+    def coset_rep(self, word):
+        return self.check_ambient(word)
+
+
+def test_collisions_match_the_pairwise_scan():
+    f = grouplib.free2()
+    gs = GSet(f, [Orbit("exact", cyclic(f, "a")),
+                  Orbit("words", WordReps(cyclic(f, "b"))),
+                  Orbit("point", whole(f))])
+    rng = random.Random(5)
+    items = []
+    for i in range(60):
+        word = Word((rng.choice("ab"), rng.choice((1, -1)))
+                    for _ in range(rng.randrange(4)))
+        items.append((i, gs.elem(rng.choice(gs.orbit_ids()), word)))
+    items += rng.sample(items, 20)   # exact duplicates collide too
+    expected = pairwise_collisions(gs, items)
+    assert collisions(gs, items) == expected
+    hit = {dict(items)[label].orbit_id for label, _ in expected}
+    assert hit == {"exact", "words", "point"}
+
+
+def test_collisions_raise_where_the_pairwise_scan_does():
+    f = grouplib.free2()
+    gs = GSet(f, [Orbit("exact", cyclic(f, "a")),
+                  Orbit("search", generated(f, ["a a", "b b"], budget=3))])
+    items = [("p", gs.elem("search")), ("q", gs.elem("exact", "b")),
+             ("r", gs.elem("search", "a a b b")), ("s", gs.elem("exact")),
+             ("t", gs.elem("search", "a"))]
+    assert collisions(gs, items[:4]) == pairwise_collisions(gs, items[:4]) \
+        == [("r", "p")]
+    for scan in (pairwise_collisions, collisions):
+        with pytest.raises(BudgetExceeded, match="orbit 'search'"):
+            scan(gs, items)
 
 
 def test_gmap_equivariance_enforced():

@@ -1,5 +1,6 @@
 """Pipeline specs, built-in examples, CLI surface, exports."""
 
+import gc
 import json
 import os
 import subprocess
@@ -32,6 +33,67 @@ def test_every_builtin_has_expected_exit_code():
         expected = 1 if name == "example-fineness-fail" else 0
         assert report.exit_code() == expected, (
             name, [v for v in report.verdicts if v["verdict"] != "pass"])
+
+
+def unreachable_after_run(spec, **kwargs):
+    """Objects the cyclic collector finds after ``spec`` ran with the
+    collector off and its report (or its ``SpecError``) was dropped."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        try:
+            run_pipeline(spec, **kwargs)
+        except SpecError:
+            pass
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+BAD_SPEC = {"groups": {"F": {"kind": "free"}}}   # no generators: exit 3
+
+
+def test_runs_make_no_cyclic_garbage():
+    # run_pipeline pauses the collector, which is safe only while a run
+    # leaves nothing that reference counting cannot free
+    examples = builtin_examples()
+    for name, spec in examples.items():
+        assert unreachable_after_run(spec) == 0, name
+    small = {"max_vertices": 500}
+    assert run_pipeline(examples["example-coned-free"],
+                        overrides=small).exit_code() == 2
+    assert unreachable_after_run(examples["example-coned-free"],
+                                 overrides=small) == 0
+    assert unreachable_after_run(BAD_SPEC) == 0
+
+
+def test_run_pipeline_pauses_the_collector_and_restores_it(monkeypatch):
+    seen = []
+
+    def validate(spec):
+        seen.append(gc.isenabled())
+        return validate_spec(spec)
+
+    monkeypatch.setattr("graphforge.pipeline.validate_spec", validate)
+    spec = builtin_examples()["example-tree-modular"]
+    assert gc.isenabled()
+    run_pipeline(spec)
+    assert gc.isenabled()
+    with pytest.raises(SpecError):
+        run_pipeline(BAD_SPEC)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        run_pipeline(spec)
+        assert not gc.isenabled()
+        with pytest.raises(SpecError):
+            run_pipeline(BAD_SPEC)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
 
 
 def test_reports_are_byte_deterministic():
