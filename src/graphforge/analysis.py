@@ -470,6 +470,17 @@ def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
     ``radius + 2``); the small window (word budget ``radius``) is narrowed
     from it by ``narrow_view``, at one step per edge of the small window's
     expanded vertices.
+
+    Because only the large window is built, a low ``max_vertices`` can
+    surface a different ``BudgetExceeded`` than building the small window
+    directly would: when an orbit's coset representatives are not exact,
+    the large build may hit the vertex cap before the small one would meet
+    an undecided equality.  At the cone vertex of F2 coned off over
+    <ab, ba>, with ``angle_bound`` 2 (hop radius 3), ``radius`` 4 and a
+    3,000-vertex cap, a direct small build raises "element equality
+    undecided in orbit 'cone:H'" while this probe raises "ball exceeded
+    3000 vertices".  Both are budget errors; at the default cap the two
+    messages agree on that graph for ``radius`` 1-5.
     """
     hops = min(radius, angle_bound + 1)
     large = ball_view(graph, [vertex], hops, word_budget=radius + 2,
@@ -849,15 +860,31 @@ def _finite_verdict(handle):
     return "inconclusive"
 
 
+def _same_subgroup(s, h):
+    """Equal schema keys, or each handle contains the other's generators
+    (``h`` is asked about ``s``'s generators first)."""
+    return s.schema_key() == h.schema_key() or (
+        all(h.contains(g) == YES for g in s.generators)
+        and all(s.contains(g) == YES for g in h.generators))
+
+
+def _peripherals_realized(graph, peripherals):
+    """Condition: every peripheral equals some vertex stabilizer."""
+    missing = [repr(h) for h in peripherals
+               if not any(_same_subgroup(o.stabilizer, h)
+                          for o in graph.vertices.orbits)]
+    return ConditionVerdict(
+        "peripherals-are-vertex-stabilizers",
+        "pass" if not missing else "fail",
+        "" if not missing else f"unrealized: {missing}")
+
+
 def _stab_matches_peripheral(graph, orbit, peripherals, budget):
     stab = orbit.stabilizer
     if stab.is_finite() is True:
         return "pass", "finite"
     for h in peripherals:
-        if stab.schema_key() == h.schema_key():
-            return "pass", "equals peripheral"
-        if all(h.contains(g) == YES for g in stab.generators) and \
-           all(stab.contains(g) == YES for g in h.generators):
+        if _same_subgroup(stab, h):
             return "pass", "equals peripheral"
     # bounded conjugacy probe of each stabilizer generator
     group = graph.group
@@ -913,20 +940,7 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
     conds.append(ConditionVerdict("vertex-stabilizers-finite-or-peripheral",
                                   worst, "; ".join(detail)))
 
-    missing = []
-    for h in peripherals:
-        hit = any(
-            o.stabilizer.schema_key() == h.schema_key()
-            or (all(h.contains(g) == YES for g in o.stabilizer.generators)
-                and all(o.stabilizer.contains(g) == YES for g in h.generators))
-            for o in graph.vertices.orbits
-        )
-        if not hit:
-            missing.append(repr(h))
-    conds.append(ConditionVerdict(
-        "peripherals-are-vertex-stabilizers",
-        "pass" if not missing else "fail",
-        "" if not missing else f"unrealized: {missing}"))
+    conds.append(_peripherals_realized(graph, peripherals))
 
     base = graph.vertices.elem(graph.vertices.orbits[0].orbit_id)
     try:
@@ -1020,20 +1034,7 @@ def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,
     conds.append(ConditionVerdict("vertex-stabilizers-finite-or-peripheral",
                                   worst))
 
-    missing = []
-    for h in peripherals:
-        hit = any(
-            o.stabilizer.schema_key() == h.schema_key()
-            or (all(h.contains(g) == YES for g in o.stabilizer.generators)
-                and all(o.stabilizer.contains(g) == YES for g in h.generators))
-            for o in graph.vertices.orbits
-        )
-        if not hit:
-            missing.append(repr(h))
-    conds.append(ConditionVerdict(
-        "peripherals-are-vertex-stabilizers",
-        "pass" if not missing else "fail",
-        "" if not missing else f"unrealized: {missing}"))
+    conds.append(_peripherals_realized(graph, peripherals))
 
     clash = []
     orbs = graph.vertices.orbits
@@ -1041,12 +1042,7 @@ def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,
         for b in orbs[i + 1:]:
             if a.stabilizer.is_finite() or b.stabilizer.is_finite():
                 continue
-            same = (a.stabilizer.schema_key() == b.stabilizer.schema_key()) or (
-                all(b.stabilizer.contains(g) == YES
-                    for g in a.stabilizer.generators)
-                and all(a.stabilizer.contains(g) == YES
-                        for g in b.stabilizer.generators))
-            if same:
+            if _same_subgroup(a.stabilizer, b.stabilizer):
                 clash.append((a.orbit_id, b.orbit_id))
     conds.append(ConditionVerdict(
         "same-infinite-stabilizer-same-orbit",

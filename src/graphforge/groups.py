@@ -9,7 +9,8 @@ of normal forms.
 Canonical forms, by class
 -------------------------
 * ``FiniteGroup``       -- shortlex-minimal word for each table element (BFS).
-* ``FreeGroup``         -- freely reduced word.
+* ``FreeGroup``         -- freely reduced word; a product of reduced
+                           factors cancels only at the junctions.
 * ``FreeAbelianGroup``  -- letters sorted by declared generator order.
 * ``FreeProductGroup``  -- alternating factor-canonical syllables.
 * ``AmalgamGroup``      -- left-to-right pinned alternating transversal
@@ -21,6 +22,14 @@ Canonical forms, by class
 Pinning is done left to right so that trailing carries flow rightward; left
 cosets of the distinguished subgroups then have representatives that are
 *prefix-stable* under right multiplication, which the orbit layer relies on.
+
+The normal-form cache maps each word ``normalize`` was given to its normal
+form.  ``multiply`` normalizes the concatenation of its factors, so the
+concatenation becomes a key, except in ``FreeGroup``: there each factor is
+normalized on its own (a cache hit for a normal form), the factors cancel
+only at the junctions, and the product is cached as its own key.  No
+free-group product adds an unreduced key, and equal products share one
+object.
 """
 
 from __future__ import annotations
@@ -94,6 +103,19 @@ class Group:
         return NormalForm()
 
     def multiply(self, *words) -> NormalForm:
+        """The normal form of the product of ``words`` (words, strings or
+        letter tuples), left to right.
+
+        Each class computes it in ``_multiply``.  By default that is the
+        normal form of the concatenation, so the normal-form cache gains the
+        concatenation as a key.  ``FreeGroup`` normalizes each factor and
+        cancels only at the junctions, and caches the product under itself
+        (see the module docstring).  Either way a foreign letter in any
+        factor raises ``MalformedWord``.
+        """
+        return self._multiply(words)
+
+    def _multiply(self, words) -> NormalForm:
         letters = ()
         for w in words:
             letters += w if isinstance(w, tuple) else Word.coerce(w)
@@ -263,6 +285,25 @@ class FiniteGroup(Group):
 class FreeGroup(Group):
     def _canonical(self, word):
         return free_reduce(word)
+
+    def _multiply(self, words) -> NormalForm:
+        # reduced factors cancel only at a junction: drop the last k letters
+        # of the product so far and the first k of the next factor, for the
+        # largest k with each ``out[~k]`` (``out[-1 - k]``) inverse to ``w[k]``
+        out = ()
+        for w in words:
+            w = self.normalize(w)
+            if not out:
+                out = w
+            elif w:
+                k, stop = 0, min(len(out), len(w))
+                while k < stop and out[~k][0] == w[k][0] \
+                        and out[~k][1] == -w[k][1]:
+                    k += 1
+                out = out[:len(out) - k] + w[k:]
+        if type(out) is not NormalForm:
+            out = NormalForm(out)
+        return self._nf_cache.setdefault(out, out)
 
     def is_finite(self):
         return len(self.generators) == 0

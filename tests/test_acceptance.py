@@ -7,8 +7,11 @@ comments) or produced by a pipeline whose verdicts assert the same thing.
 Stated wall-clock bounds are asserted as written.
 """
 
+import hashlib
 import itertools
+import json
 import time
+from pathlib import Path
 
 from graphforge.analysis import (
     ball_view,
@@ -36,6 +39,8 @@ from graphforge.subgroups import (
 from graphforge.words import Word
 
 import grouplib
+
+ANSWERS = Path(__file__).resolve().parent.parent / "bench" / "answers.json"
 
 
 def _line(number, ok, detail=""):
@@ -444,15 +449,22 @@ def test_criterion_10_dehn_table():
 
 
 def test_criterion_11_determinism():
+    # the recorded answers pin each built-in's exit code and report bytes
+    with open(ANSWERS, encoding="utf-8") as fh:
+        answers = json.load(fh)["builtins"]
     done = _timed(300)
     mismatched = []
     for name, spec in builtin_examples().items():
-        first = run_pipeline(spec).to_json()
+        report = run_pipeline(spec)
+        first = report.to_json()
         second = run_pipeline(spec).to_json()
         serial = run_pipeline(spec, overrides={"parallel": False}).to_json()
-        if not (first == second == serial):
+        digest = hashlib.sha256(first.encode("utf-8")).hexdigest()
+        if not (first == second == serial) or answers[name] != {
+                "exit_code": report.exit_code(), "sha256": digest}:
             mismatched.append(name)
     elapsed = done()
     _line(11, not mismatched,
-          f"{len(builtin_examples())} pipelines byte-stable ({elapsed:.1f}s)"
+          f"{len(builtin_examples())} pipelines byte-stable and as recorded "
+          f"({elapsed:.1f}s)"
           + (f"; mismatched: {mismatched}" if mismatched else ""))

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphforge.errors import MalformedWord
-from graphforge.groups import ball_enumerate, conjugacy_probe
+from graphforge.groups import FreeGroup, ball_enumerate, conjugacy_probe
 from graphforge.subgroups import generated
-from graphforge.words import Word, free_reduce
+from graphforge.words import NormalForm, Word, free_reduce
 
 import grouplib
 
@@ -258,6 +258,64 @@ def test_modular_normalize_matches_oracle_hypothesis(letters):
     g = grouplib.modular_amalgam()
     w = Word(letters)
     assert g.is_identity(w) == (sl2_of(w) == SL2_ID)
+
+
+# -- free-group products (oracle: free reduction of the concatenation) ------
+
+
+FREE_GROUPS = [
+    ("F2", grouplib.free2, ["a", "b"]),
+    ("F3", lambda: FreeGroup("F3", ["a", "b", "c"]), ["a", "b", "c"]),
+]
+
+
+def seeded_factor(rng, alphabet):
+    """A reduced or unreduced Word, its string, its plain tuple, or the
+    empty word."""
+    w = Word((rng.choice(alphabet), rng.choice((1, -1)))
+             for _ in range(rng.randrange(0, 7)))
+    return rng.choice([free_reduce(w), w, str(w), tuple(w), Word()])
+
+
+@pytest.mark.parametrize("tag,factory,alphabet", FREE_GROUPS)
+def test_free_multiply_is_the_reduced_concatenation(tag, factory, alphabet):
+    g = factory()
+    rng = random.Random(10 + len(alphabet))
+    cases = [[seeded_factor(rng, alphabet) for _ in range(rng.randint(1, 4))]
+             for _ in range(400)]
+    for w in random_words(alphabet, 30, 8, seed=len(alphabet)):
+        cases.append([w, w.inverse()])                      # cancels fully
+        cases.append([str(w), tuple(w.inverse()), free_reduce(w)])
+        cases.append([free_reduce(w), Word(), free_reduce(w).inverse()])
+    for ws in cases:
+        concat = Word(l for w in ws for l in Word.coerce(w))
+        nf = g.multiply(*ws)
+        assert nf == free_reduce(concat), ws
+        assert isinstance(nf, NormalForm)
+        assert g.normalize(nf) is nf
+
+
+@pytest.mark.parametrize("tag,factory,alphabet", FREE_GROUPS)
+def test_free_multiply_rejects_a_foreign_letter_in_any_factor(
+        tag, factory, alphabet):
+    g = factory()
+    rng = random.Random(20 + len(alphabet))
+    for _ in range(200):
+        ws = [seeded_factor(rng, alphabet) for _ in range(rng.randint(1, 4))]
+        # one or two factors get a foreign letter; the first one is named
+        for i in rng.sample(range(len(ws)), min(len(ws), rng.randint(1, 2))):
+            letters = list(Word.coerce(ws[i]))
+            letters.insert(rng.randrange(len(letters) + 1),
+                           (rng.choice(["x", "y"]), rng.choice((1, -1))))
+            # a NormalForm is not trusted: it may be another group's
+            ws[i] = rng.choice([Word(letters), str(Word(letters)),
+                                tuple(letters), NormalForm(letters)])
+        concat = Word(l for w in ws for l in Word.coerce(w))
+        first = next(name for name, _ in concat if name not in alphabet)
+        with pytest.raises(MalformedWord) as exc:
+            g.multiply(*ws)
+        assert str(exc.value) == \
+            f"letter {first!r} is not a generator of {g.name}"
 
 
 # -- balls -------------------------------------------------------------------
