@@ -131,9 +131,6 @@ class BallView:
     def edge_count(self):
         return len(self.edges)
 
-    def interior(self, idx) -> bool:
-        return self.vertices[idx].complete
-
     def distances_from(self, start, banned=None, cutoff=None):
         dist = {start: 0}
         queue = deque([start])
@@ -376,18 +373,6 @@ def angle(view: BallView, apex: int, x: int, y: int):
         return 0
     dist = view.distances_from(x, banned={apex})
     return dist.get(y, INFINITE)
-
-
-def angle_exact(view: BallView, apex: int, x: int, y: int) -> bool:
-    """True when the window certifies the angle value exactly: a witness
-    path (plus a one-vertex margin) lies strictly inside the window."""
-    val = angle(view, apex, x, y)
-    if val is INFINITE:
-        return False
-    dist_x = view.distances_from(x, banned={apex}, cutoff=int(val))
-    on_path = [u for u, d in dist_x.items() if d <= val]
-    return all(view.vertices[u].depth < view.radius
-               and view.vertices[u].complete for u in on_path)
 
 
 @dataclass

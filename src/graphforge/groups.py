@@ -25,11 +25,11 @@ cosets of the distinguished subgroups then have representatives that are
 
 The normal-form cache maps each word ``normalize`` was given to its normal
 form.  ``multiply`` normalizes the concatenation of its factors, so the
-concatenation becomes a key, except in ``FreeGroup``: there each factor is
-normalized on its own (a cache hit for a normal form), the factors cancel
-only at the junctions, and the product is cached as its own key.  No
-free-group product adds an unreduced key, and equal products share one
-object.
+concatenation becomes a key, except in ``FreeGroup``, where the factors'
+normal forms cancel only at the junctions, and ``HNNGroup``, where the
+Britton reduction of the left factor continues through the later ones.
+These two cache the product (and an HNN product's Britton form) under
+itself: no unreduced key, and equal products share one object.
 """
 
 from __future__ import annotations
@@ -42,6 +42,29 @@ from .errors import (
     StableLetterCollision,
 )
 from .words import NormalForm, Word, free_reduce
+
+
+def _syllables(word, owner, factor):
+    """The alternating list of (key, canonical nonempty subword): runs of
+    letters with one ``owner`` key, normalized in ``factor(key)``, and
+    merged with their neighbour once a run between them cancels."""
+    runs = []
+    for letter in Word.coerce(word):
+        key = owner(letter[0])
+        if runs and runs[-1][0] == key:
+            runs[-1][1].append(letter)
+        else:
+            runs.append((key, [letter]))
+    stack = []
+    for key, letters in runs:
+        cur = factor(key).normalize(Word(letters))
+        while cur:
+            if stack and stack[-1][0] == key:
+                cur = factor(key).normalize(stack.pop()[1] * cur)
+            else:
+                stack.append((key, cur))
+                break
+    return stack
 
 
 class Group:
@@ -108,10 +131,10 @@ class Group:
 
         Each class computes it in ``_multiply``.  By default that is the
         normal form of the concatenation, so the normal-form cache gains the
-        concatenation as a key.  ``FreeGroup`` normalizes each factor and
-        cancels only at the junctions, and caches the product under itself
-        (see the module docstring).  Either way a foreign letter in any
-        factor raises ``MalformedWord``.
+        concatenation as a key.  ``FreeGroup`` and ``HNNGroup`` normalize
+        each factor, combine the factors' forms and cache the product under
+        itself (see the module docstring).  Either way a foreign letter in
+        any factor raises ``MalformedWord``.
         """
         return self._multiply(words)
 
@@ -354,31 +377,10 @@ class FreeProductGroup(Group):
     def factor_of(self, name) -> int:
         return self._owner[name]
 
-    def raw_syllables(self, word):
-        runs = []
-        for letter in Word.coerce(word):
-            fi = self._owner[letter[0]]
-            if runs and runs[-1][0] == fi:
-                runs[-1][1].append(letter)
-            else:
-                runs.append([fi, [letter]])
-        return [(fi, Word(ls)) for fi, ls in runs]
-
     def syllables(self, word):
         """Alternating (factor index, canonical nonempty subword) list."""
-        stack = []
-        for fi, sub in self.raw_syllables(word):
-            cur = self.factors[fi].normalize(sub)
-            while True:
-                if not cur:
-                    break
-                if stack and stack[-1][0] == fi:
-                    prev = stack.pop()
-                    cur = self.factors[fi].normalize(prev[1] * cur)
-                    continue
-                stack.append((fi, cur))
-                break
-        return stack
+        return _syllables(word, self._owner.__getitem__,
+                          self.factors.__getitem__)
 
     def _canonical(self, word):
         out = Word()
@@ -432,31 +434,6 @@ class AmalgamGroup(Group):
     def edge_embedding(self, side: str):
         return self.into_left if side == "L" else self.into_right
 
-    def _raw_syllables(self, word):
-        runs = []
-        for letter in Word.coerce(word):
-            side = self.side_of(letter[0])
-            if runs and runs[-1][0] == side:
-                runs[-1][1].append(letter)
-            else:
-                runs.append([side, [letter]])
-        return [(side, Word(ls)) for side, ls in runs]
-
-    def _merge_syllables(self, raw):
-        stack = []
-        for side, sub in raw:
-            cur = self.factor(side).normalize(sub)
-            while True:
-                if not cur:
-                    break
-                if stack and stack[-1][0] == side:
-                    prev = stack.pop()
-                    cur = self.factor(side).normalize(prev[1] * cur)
-                    continue
-                stack.append((side, cur))
-                break
-        return stack
-
     def _split(self, side, factor_word):
         """factor_word = rep * k with rep a pinned coset rep, k in the edge image.
 
@@ -486,7 +463,7 @@ class AmalgamGroup(Group):
         if cached is not None:
             return cached
         self.check_word(word)
-        pend = deque(self._merge_syllables(self._raw_syllables(word)))
+        pend = deque(_syllables(word, self.side_of, self.factor))
         pinned = []
         carry = None  # word over the edge group, multiplies next syllable on the left
         tail = Word()
@@ -614,8 +591,14 @@ class HNNGroup(Group):
         if cached is not None:
             return cached
         self.check_word(word)
-        pinned = []
-        acc = Word()
+        result = self._fold([], Word(), word)
+        self._britton_cache[word] = result
+        return result
+
+    def _fold(self, pinned, acc, word):
+        """Continue the left-to-right reduction from the state ``pinned``
+        (a list, extended in place) and base accumulator ``acc`` through
+        the letters of ``word``; returns the finished Britton form."""
         for tok in self._tokens(word):
             if tok[0] == "b":
                 acc = self.base.multiply(acc, tok[1])
@@ -631,16 +614,30 @@ class HNNGroup(Group):
             else:
                 pinned.append((tau, eps))
                 acc = self.base.normalize(crossed)
-        result = (tuple(pinned), self.base.normalize(acc))
-        self._britton_cache[word] = result
-        return result
+        return (tuple(pinned), self.base.normalize(acc))
 
-    def _canonical(self, word):
-        pinned, tail = self.britton_form(word)
+    def _multiply(self, words) -> NormalForm:
+        # the Britton form of a product is the fold's state after its left
+        # factor, continued through the later factors' normal forms
+        first = Word.coerce(words[0]) if words else Word()
+        nf = self.normalize(first)
+        state = self.britton_form(first)
+        for w in words[1:]:
+            state = self._fold(list(state[0]), state[1], self.normalize(w))
+        if len(words) > 1:
+            nf = NormalForm(self._spell(*state))
+        nf = self._nf_cache.setdefault(nf, nf)
+        self._britton_cache.setdefault(nf, state)
+        return nf
+
+    def _spell(self, pinned, tail):
         out = Word()
         for tau, eps in pinned:
             out = out * tau * Word(((self.stable, eps),))
         return out * tail
+
+    def _canonical(self, word):
+        return self._spell(*self.britton_form(word))
 
     def base_word(self, word):
         """The element as a word of the base group, or None."""

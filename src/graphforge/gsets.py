@@ -103,12 +103,6 @@ class GSet:
     def elem_key(self, x: GSetElem):
         return (x.orbit_id, x.rep)
 
-    def point_stabilizer(self, x: GSetElem) -> Subgroup:
-        stab = self.stabilizer(x.orbit_id)
-        if not x.rep:
-            return stab
-        return ConjugateSubgroup(stab, x.rep)
-
     def stabilizes(self, g, x: GSetElem) -> bool:
         return self.elem_equal(self.act(g, x), x)
 
@@ -285,9 +279,6 @@ class GSetPushout:
     include_s: GMap
     include_t: GMap
     merges: list = field(default_factory=list)
-
-    def merged_orbit_ids(self):
-        return [m.class_id for m in self.merges]
 
 
 def joined_stabilizer(group: Group, parts, extra=()):

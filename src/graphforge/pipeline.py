@@ -35,6 +35,7 @@ from .errors import (
     GroupMismatch,
     MalformedWord,
     SpecError,
+    StableLetterCollision,
 )
 from .ggraphs import (
     GGraph,
@@ -155,6 +156,27 @@ def _known_keys(obj, allowed, where):
     _require(not extra, f"{where}: unknown keys {sorted(extra)}")
 
 
+def _natural(step, key, default=None):
+    """``step[key]`` (``default`` if given and absent), a natural number."""
+    value = step[key] if default is None else step.get(key, default)
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and value >= 0,
+             f"step {step.get('id', step['op'])!r}: {key} must be a "
+             "nonnegative integer")
+    return value
+
+
+def _words(texts, group, where):
+    """Parse the declared words and check their letters against group."""
+    try:
+        words = [Word.parse(t) for t in texts]
+        for w in words:
+            group.check_word(w)
+    except (ValueError, MalformedWord) as exc:
+        raise SpecError(f"{where}: {exc}") from None
+    return words
+
+
 class _Decl(dict):
     """A spec object whose missing required keys are spec errors."""
 
@@ -207,6 +229,17 @@ class SpecEnv:
         _require(gid not in self._building, f"cyclic declaration at group {gid!r}")
         self._building.add(gid)
         decl = _Decl(self.spec["groups"][gid], f"group {gid!r}")
+        try:
+            g = self._build_group(gid, decl)
+        except (ValueError, StableLetterCollision) as exc:
+            # constructors reject repeated or clashing generator names, a
+            # stable letter naming a base generator, and non-group tables
+            raise SpecError(f"group {gid!r}: {exc}") from None
+        self._building.discard(gid)
+        self.groups[gid] = g
+        return g
+
+    def _build_group(self, gid, decl):
         kind = decl.get("kind")
         if kind == "free":
             g = FreeGroup(gid, decl["generators"])
@@ -231,8 +264,6 @@ class SpecEnv:
                 trust_monomorphisms=self.budgets["trust_monomorphisms"])
         else:
             raise SpecError(f"group {gid!r}: unknown kind {kind!r}")
-        self._building.discard(gid)
-        self.groups[gid] = g
         return g
 
     def subgroup(self, sid):
@@ -248,11 +279,16 @@ class SpecEnv:
         elif kind == "whole":
             h = whole(amb)
         elif kind == "cyclic":
-            h = cyclic(amb, Word.parse(decl["generator"]))
+            h = cyclic(amb, _words([decl["generator"]], amb,
+                                   f"subgroup {sid!r}")[0])
         elif kind == "free_factor":
-            h = free_factor(amb, decl["generators"])
+            try:
+                h = free_factor(amb, decl["generators"])
+            except (ValueError, MalformedWord) as exc:
+                raise SpecError(f"subgroup {sid!r}: {exc}") from None
         elif kind == "generated":
-            h = generated(amb, [Word.parse(w) for w in decl["generators"]],
+            h = generated(amb, _words(decl["generators"], amb,
+                                      f"subgroup {sid!r}"),
                           budget=decl.get("budget", 12))
         elif kind == "restricted":
             inner = self.subgroup(decl["inner"])
@@ -276,7 +312,10 @@ class SpecEnv:
         else:
             dom = whole(self.group(decl["domain"]))
         cod = self.subgroup(decl["codomain_subgroup"])
-        images = [Word.parse(w) for w in decl["images"]]
+        images = _words(decl["images"], cod.ambient, f"monomorphism {mid!r}")
+        _require(len(images) == len(dom.generators),
+                 f"monomorphism {mid!r}: {len(dom.generators)} domain "
+                 f"generators but {len(images)} images")
         m = Monomorphism(dom, cod, images)
         self.monomorphisms[mid] = m
         return m
@@ -323,7 +362,10 @@ class SpecEnv:
         peripherals = {lab: self.subgroup(s)
                        for lab, s in decl.get("peripherals", {}).items()}
         pres = RelPresentation(tuple(decl.get("letters", [])), peripherals, [])
-        pres.relators = [pres.parse(r) for r in decl.get("relators", [])]
+        try:
+            pres.relators = [pres.parse(r) for r in decl.get("relators", [])]
+        except (ValueError, MalformedWord) as exc:
+            raise SpecError(f"presentation {pid!r}: {exc}") from None
         self.presentations[pid] = pres
         return pres
 
@@ -777,10 +819,11 @@ def _step_dehn(env, step, report):
     pres = env.presentation(step["presentation"])
     g = env.group(step["group"])
     table = dehn_bruteforce(
-        pres, g, step["max_length"],
-        fill_cap=step.get("fill_cap", env.budgets["fill_cap"]),
-        conjugator_cap=step.get("conjugator_cap", env.budgets["conjugator_cap"]),
-        h_ball=step.get("h_ball", env.budgets["h_ball"]))
+        pres, g, _natural(step, "max_length"),
+        fill_cap=_natural(step, "fill_cap", env.budgets["fill_cap"]),
+        conjugator_cap=_natural(step, "conjugator_cap",
+                                env.budgets["conjugator_cap"]),
+        h_ball=_natural(step, "h_ball", env.budgets["h_ball"]))
     env.constructions[step.get("id", "dehn")] = table
     values = [e.value for e in table.entries]
     flags = [e.flag() for e in table.entries]
@@ -798,12 +841,14 @@ def _step_hnn2(env, step, report):
     """Stable-letter-into-a-conjugate recipe: reduce to an amalgam with an
     HNN extension of the distinguished subgroup, and certify the natural
     isomorphism on a ball."""
+    check_radius = _natural(step, "check_radius", 3)
     g = env.group(step["group"])
     k_group = env.group(step["k_group"])
     k_embed = env.mono(step["k_embed"])
     c_in_g = env.subgroup(step["edge"])
     phi = env.mono(step["iso"])
-    s = g.normalize(Word.parse(step.get("conjugator", "1")))
+    s = g.normalize(_words([step.get("conjugator", "1")], g,
+                           f"step {step['id']!r}")[0])
     t_name = step.get("stable_letter", "t")
     u_name = step.get("recipe_letter", "u")
 
@@ -858,8 +903,7 @@ def _step_hnn2(env, step, report):
                           g.multiply(s.inverse(), phi.push(w), s).inverse())
         for w in c_in_g.generators
     )
-    ball = ball_enumerate(g_psi, g_psi.generator_words(),
-                          step.get("check_radius", 3))
+    ball = ball_enumerate(g_psi, g_psi.generator_words(), check_radius)
     images = {}
     injective = True
     for w in ball:

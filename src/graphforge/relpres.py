@@ -38,9 +38,6 @@ class HToken:
     peripheral: str
     value: tuple  # letters of a word in the peripheral's ambient group
 
-    def word(self) -> Word:
-        return Word(self.value)
-
     def inverse(self):
         return HToken(self.peripheral, tuple(Word(self.value).inverse()))
 
@@ -77,55 +74,51 @@ class RelPresentation:
 
     def normalize(self, word: FPWord) -> FPWord:
         """Free-product normal form: merge adjacent same-peripheral letters,
-        drop identities, cancel adjacent inverse plain letters."""
+        drop identities, cancel adjacent inverse plain letters.  One stack
+        pass suffices: it changes only the top of ``out``, so ``out`` stays
+        reduced and the result is a fixpoint of this method."""
         out = []
         for tok in word:
-            cur = tok
-            while True:
-                if isinstance(cur, HToken):
-                    handle = self.peripherals[cur.peripheral]
-                    value = handle.ambient.normalize(cur.word())
-                    if not value:
-                        break
-                    cur = HToken(cur.peripheral, tuple(value))
-                    if out and isinstance(out[-1], HToken) \
-                            and out[-1].peripheral == cur.peripheral:
-                        prev = out.pop()
-                        cur = HToken(cur.peripheral,
-                                     tuple(Word(prev.value) * Word(cur.value)))
-                        continue
-                    out.append(cur)
-                    break
-                else:
-                    if out and isinstance(out[-1], SToken) \
-                            and out[-1].name == cur.name \
-                            and out[-1].sign == -cur.sign:
-                        out.pop()
-                        break
-                    out.append(cur)
-                    break
-        # cancellations may expose new adjacencies; iterate to a fixpoint
-        result = FPWord(out)
-        if result != word:
-            return self.normalize(result)
-        return result
-
-    def is_trivial_in_free_product(self, word: FPWord) -> bool:
-        return len(self.normalize(word)) == 0
+            if isinstance(tok, HToken):
+                value = tok.value
+                if out and isinstance(out[-1], HToken) \
+                        and out[-1].peripheral == tok.peripheral:
+                    value = out.pop().value + value
+                handle = self.peripherals[tok.peripheral]
+                value = handle.ambient.normalize(Word(value))
+                if value:
+                    out.append(HToken(tok.peripheral, tuple(value)))
+            elif out and isinstance(out[-1], SToken) \
+                    and out[-1].name == tok.name and out[-1].sign == -tok.sign:
+                out.pop()
+            else:
+                out.append(tok)
+        return FPWord(out)
 
     def parse(self, text: str) -> FPWord:
-        """"b H(a a) b^-1" style: plain letters by name, peripheral letters
-        as label(word)."""
+        """"b H(a·a) b^-1" style: plain letters by name, peripheral letters
+        as label(word) with ``·`` between the word's letters.  Raises
+        ``ValueError`` for an unbalanced or undeclared letter or a bad
+        word, ``MalformedWord`` for a foreign letter in a peripheral word."""
         toks = []
         for chunk in text.split():
-            if "(" in chunk:
-                label, rest = chunk.split("(", 1)
-                inner = rest.rstrip(")")
-                toks.append(HToken(label, tuple(Word.parse(inner.replace("·", " ")))))
-            elif "^-1" in chunk:
-                toks.append(SToken(chunk[: -len("^-1")], -1))
-            else:
-                toks.append(SToken(chunk, 1))
+            if "(" in chunk or ")" in chunk:
+                label, _, rest = chunk.partition("(")
+                inner = rest[:-1]
+                if not label or not rest.endswith(")") \
+                        or "(" in inner or ")" in inner:
+                    raise ValueError(f"unbalanced peripheral letter {chunk!r}")
+                if label not in self.peripherals:
+                    raise ValueError(f"undeclared peripheral {label!r}")
+                word = Word.parse(inner.replace("·", " "))
+                self.peripherals[label].ambient.check_word(word)
+                toks.append(HToken(label, tuple(word)))
+                continue
+            tok = SToken(chunk[: -len("^-1")], -1) if chunk.endswith("^-1") \
+                else SToken(chunk, 1)
+            if tok.name not in self.letters:
+                raise ValueError(f"undeclared letter {tok.name!r}")
+            toks.append(tok)
         return FPWord(toks)
 
     def token_alphabet(self, h_ball: int):

@@ -91,10 +91,6 @@ class Subgroup:
         """Canonical representative of the left coset ``word * H``."""
         raise NotImplementedError
 
-    def right_coset_rep(self, word) -> NormalForm:
-        rep = self.coset_rep(Word.coerce(word).inverse())
-        return self.ambient.normalize(rep.inverse())
-
     # -- enumeration ----------------------------------------------------------
 
     def elements(self):
@@ -832,9 +828,12 @@ def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:
     gens = [g for g in gens if g]
     if not gens:
         return TrivialSubgroup(ambient)
-    closed = FiniteSubgroup.closure(ambient, gens, cap=512)
-    if closed is not None:
-        return closed
+    # free and free abelian groups are torsion-free: nontrivial generators
+    # generate an infinite subgroup, so a closure search could only fail
+    if not isinstance(ambient, (FreeGroup, FreeAbelianGroup)):
+        closed = FiniteSubgroup.closure(ambient, gens, cap=512)
+        if closed is not None:
+            return closed
     if len(gens) == 1:
         return cyclic(ambient, gens[0])
     names = {n for g in gens for n, _ in g}
@@ -962,6 +961,7 @@ def check_monomorphism(mono: Monomorphism, budget=None):
     except BudgetExceeded:
         return ("unknown", None)
     images = {}
+    pushed = []
     for e in elems:
         img = mono.push(e)
         if img is None:
@@ -969,17 +969,18 @@ def check_monomorphism(mono: Monomorphism, budget=None):
         if img in images and images[img] != e:
             return ("refuted", (images[img], e))
         images[img] = e
+        pushed.append(img)
     amb = mono.codomain.ambient
     pair_cap = 2500
     count = 0
-    for u in elems:
-        for v in elems:
+    for u, pu in zip(elems, pushed):
+        for v, pv in zip(elems, pushed):
             count += 1
             if count > pair_cap:
                 return ("verified" if finite is False else "unknown", None)
             prod = dom.ambient.multiply(u, v)
             lhs = mono.push(prod)
-            rhs = amb.multiply(mono.push(u), mono.push(v))
+            rhs = amb.multiply(pu, pv)
             if lhs is None:
                 return ("unknown", prod)
             if lhs != rhs:

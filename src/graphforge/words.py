@@ -24,7 +24,10 @@ class Word(tuple):
         for chunk in text.split():
             if "^" in chunk:
                 name, exp_s = chunk.split("^", 1)
-                exp = int(exp_s)
+                try:
+                    exp = int(exp_s)
+                except ValueError:
+                    raise ValueError(f"bad exponent in {chunk!r}") from None
             else:
                 name, exp = chunk, 1
             if not name:

@@ -5,17 +5,22 @@
   oracle for the amalgam scheme.
 * <F(a,b), t | t a t^-1 = b> is isomorphic to F(b,t) via a -> t^-1 b t,
   giving a free-reduction oracle for the Britton scheme.
+* ``example-hnn-point``'s <F(a,b), t | t a t^-1 = a, t b t^-1 = b> is
+  F(a,b) x Z, giving an exponent-plus-free-word oracle.
 * Z^2 *_Z Z^2 over maximal cyclic subgroups is Z x F(a2,b2) (the identified
   generator is central), giving an exponent-plus-free-word oracle.
 """
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphforge.errors import MalformedWord
+from graphforge.examples import builtin_examples
 from graphforge.groups import FreeGroup, ball_enumerate, conjugacy_probe
+from graphforge.pipeline import validate_spec
 from graphforge.subgroups import generated
 from graphforge.words import NormalForm, Word, free_reduce
 
@@ -72,6 +77,23 @@ def central_split(word):
         else:
             rest.append((name, sign))
     return k, free_reduce(Word(rest))
+
+
+def hnn_point():
+    """``example-hnn-point``'s group: F(a, b) with t commuting with all."""
+    return validate_spec(builtin_examples()["example-hnn-point"]).group("H")
+
+
+def split_central_t(word):
+    """F(a, b) x <t>: the exponent sum of t and the reduced rest."""
+    rest = Word(l for l in Word.coerce(word) if l[0] != "t")
+    return sum(s for n, s in Word.coerce(word) if n == "t"), free_reduce(rest)
+
+
+HNN_GROUPS = [
+    ("shift", grouplib.shift_hnn, ["a", "b", "t"], retract_to_free),
+    ("point", hnn_point, ["a", "b", "t"], split_central_t),
+]
 
 
 def random_words(alphabet, count, max_len, seed):
@@ -240,7 +262,8 @@ LAW_GROUPS = [
 @pytest.mark.parametrize("tag,factory,alphabet", LAW_GROUPS)
 def test_normalize_laws(tag, factory, alphabet):
     g = factory()
-    words = random_words(alphabet, 60, 7, seed=hash(tag) % 1000)
+    # a stable seed: str hashes are randomized per process
+    words = random_words(alphabet, 60, 7, seed=zlib.crc32(tag.encode()) % 1000)
     for w in words:
         nf = g.normalize(w)
         assert g.normalize(nf) == nf                      # idempotent
@@ -295,7 +318,8 @@ def test_free_multiply_is_the_reduced_concatenation(tag, factory, alphabet):
         assert g.normalize(nf) is nf
 
 
-@pytest.mark.parametrize("tag,factory,alphabet", FREE_GROUPS)
+@pytest.mark.parametrize("tag,factory,alphabet", FREE_GROUPS + [
+    (tag, factory, alphabet) for tag, factory, alphabet, _ in HNN_GROUPS])
 def test_free_multiply_rejects_a_foreign_letter_in_any_factor(
         tag, factory, alphabet):
     g = factory()
@@ -316,6 +340,29 @@ def test_free_multiply_rejects_a_foreign_letter_in_any_factor(
             g.multiply(*ws)
         assert str(exc.value) == \
             f"letter {first!r} is not a generator of {g.name}"
+
+
+# -- HNN products (oracle: a fresh group's normal form of the concatenation) --
+
+
+@pytest.mark.parametrize("tag,factory,alphabet,oracle", HNN_GROUPS)
+def test_hnn_multiply_is_the_normal_form_of_the_concatenation(
+        tag, factory, alphabet, oracle):
+    g, ref = factory(), factory()
+    rng = random.Random(zlib.crc32(tag.encode()))
+    cases = [[seeded_factor(rng, alphabet) for _ in range(rng.randint(1, 4))]
+             for _ in range(300)]
+    for w in random_words(alphabet, 30, 8, seed=5):
+        cases.append([w, w.inverse()])                      # cancels fully
+        cases.append([g.normalize(w), str(w.inverse()), tuple(w)])
+    for ws in cases:
+        concat = Word(l for w in ws for l in Word.coerce(w))
+        nf = g.multiply(*ws)
+        assert nf == ref.normalize(concat), ws
+        assert isinstance(nf, NormalForm)
+        assert g.normalize(nf) is nf
+        assert g.britton_form(nf) == ref.britton_form(concat)
+        assert oracle(nf) == oracle(concat)
 
 
 # -- balls -------------------------------------------------------------------

@@ -329,3 +329,56 @@ def test_normalize_check_on_a_wellformed_word_still_runs():
     report = run_pipeline(_normalize_spec("a b b^-1"))
     assert report.exit_code() == 0
     assert run_pipeline(_normalize_spec("b")).exit_code() == 1
+
+
+def _mutated(name, path, value):
+    """A deep copy of a built-in with the field at ``path`` set to value."""
+    spec = json.loads(json.dumps(builtin_examples()[name]))
+    obj = spec
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("example-hnn2", ("groups", "K", "generators"), ["k", "k"],
+     "group 'K': duplicate generator names in K"),
+    ("example-amalgam-2", ("groups", "A3", "generators"), ["a1"],
+     "group 'A': generator 'a1' appears in two factors"),
+    ("example-hnn-point", ("groups", "H", "stable_letter"), "a",
+     "group 'H': stable letter 'a' collides with a generator of F"),
+    ("example-hnn2", ("subgroups", "aF", "generator"), "a^",
+     "subgroup 'aF': bad exponent in 'a^'"),
+    ("example-tree-modular", ("subgroups", "K1", "generators"), ["a", "z"],
+     "subgroup 'K1': letter 'z' is not a generator of Z4"),
+    ("example-amalgam-2", ("subgroups", "KA", "generators"), ["a1", "z"],
+     "subgroup 'KA': 'z' is not a generator of A"),
+    ("example-hnn2", ("monomorphisms", "kEmbed", "images"), ["a^"],
+     "monomorphism 'kEmbed': bad exponent in 'a^'"),
+    ("example-hnn2", ("monomorphisms", "kEmbed", "images"), ["z"],
+     "monomorphism 'kEmbed': letter 'z' is not a generator of F"),
+    ("example-hnn2", ("monomorphisms", "kEmbed", "images"), ["a", "a"],
+     "monomorphism 'kEmbed': 1 domain generators but 2 images"),
+    ("example-dehn-flat", ("presentations", "P", "relators"), ["Q(a) b"],
+     "presentation 'P': undeclared peripheral 'Q'"),
+    ("example-dehn-flat", ("presentations", "P", "relators"), ["A(c) b"],
+     "presentation 'P': letter 'c' is not a generator of Z2"),
+    ("example-dehn-flat", ("presentations", "P", "relators"), ["A(a b"],
+     "presentation 'P': unbalanced peripheral letter 'A(a'"),
+    ("example-dehn-flat", ("presentations", "P", "relators"), ["A(a) z"],
+     "presentation 'P': undeclared letter 'z'"),
+    ("example-dehn-flat", ("pipeline", 1, "max_length"), "6",
+     "step 'table': max_length must be a nonnegative integer"),
+    ("example-dehn-flat", ("pipeline", 1, "h_ball"), -1,
+     "step 'table': h_ball must be a nonnegative integer"),
+    ("example-hnn2", ("pipeline", 0, "check_radius"), -1,
+     "step 'R': check_radius must be a nonnegative integer"),
+    ("example-hnn2", ("pipeline", 0, "conjugator"), "z",
+     "step 'R': letter 'z' is not a generator of F"),
+])
+def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
+                                            value, message):
+    spec = _mutated(name, path, value)
+    assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
+    assert capsys.readouterr().err == f"spec error: {message}\n"

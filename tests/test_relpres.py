@@ -5,13 +5,18 @@ The commutator presentation of Z^2 relative to one axis is the running
 example; its fill numbers were derived by hand (cyclic-word syllable
 comparison shows [a, b^2] needs two relators)."""
 
+import random
+import re
+
 import pytest
 
-from graphforge.errors import KLNotDistinct
+from graphforge.errors import KLNotDistinct, MalformedWord
 from graphforge.groups import FreeAbelianGroup
 from graphforge.relpres import (
     FPWord,
+    HToken,
     RelPresentation,
+    SToken,
     absorb,
     amalgam_presentation,
     dehn_bruteforce,
@@ -46,6 +51,97 @@ def test_normalize_merges_peripheral_letters():
     assert pres.normalize(w) == FPWord()
     w2 = pres.parse("A(a) b A(a)")
     assert len(pres.normalize(w2)) == 3
+
+
+def mixed_presentation():
+    """Plain letters x, y and peripherals over Z^2, F2 and the modular
+    amalgam, so merges run through abelian, free and pinned forms."""
+    z2 = FreeAbelianGroup("Z2", ["a", "b"])
+    return RelPresentation(("x", "y"), {
+        "A": free_factor(z2, ["a"]),
+        "B": cyclic(grouplib.free2(), "a b"),
+        "M": whole(grouplib.modular_amalgam()),
+    }, [])
+
+
+def seeded_fp_words(pres, count, seed):
+    """Random free-product words; short peripheral values, often trivial
+    or cancelling, so that merges expose new adjacencies."""
+    rng = random.Random(seed)
+    values = {"A": ["a", "a^-1", "a a", "1"], "B": ["a b", "b^-1 a^-1", "1"],
+              "M": ["a", "a^-1", "b b", "b^-2", "a a b^-3", "1"]}
+    plain = [SToken(n, s) for n in pres.letters for s in (1, -1)]
+    words = []
+    for _ in range(count):
+        toks = []
+        for _ in range(rng.randrange(0, 10)):
+            if rng.random() < 0.4:
+                toks.append(rng.choice(plain))
+            else:
+                label = rng.choice(sorted(values))
+                toks.append(HToken(label, tuple(Word.parse(
+                    rng.choice(values[label])))))
+        words.append(FPWord(toks))
+    return words
+
+
+def rewrite_to_fixpoint(pres, word):
+    """Naive oracle: apply one local rewrite at a time (normalize one
+    peripheral value, drop a trivial one, merge two adjacent letters of a
+    peripheral, cancel two inverse plain letters) until none applies."""
+    toks = list(word)
+    while True:
+        for i, tok in enumerate(toks):
+            if isinstance(tok, HToken):
+                amb = pres.peripherals[tok.peripheral].ambient
+                value = tuple(amb.normalize(Word(tok.value)))
+                if not value:
+                    del toks[i]
+                    break
+                if value != tok.value:
+                    toks[i] = HToken(tok.peripheral, value)
+                    break
+            if i + 1 < len(toks):
+                nxt = toks[i + 1]
+                if isinstance(tok, HToken) and isinstance(nxt, HToken) \
+                        and tok.peripheral == nxt.peripheral:
+                    toks[i:i + 2] = [HToken(tok.peripheral,
+                                            tok.value + nxt.value)]
+                    break
+                if isinstance(tok, SToken) and tok == nxt.inverse():
+                    del toks[i:i + 2]
+                    break
+        else:
+            return FPWord(toks)
+
+
+def test_normalize_is_a_one_pass_fixpoint():
+    pres = mixed_presentation()
+    words = seeded_fp_words(pres, 400, seed=53)
+    words += [w * w.inverse() for w in words[:40]]
+    for w in words:
+        nf = pres.normalize(w)
+        assert pres.normalize(nf) == nf, w
+        assert nf == rewrite_to_fixpoint(pres, w), w
+    assert any(len(pres.normalize(w)) < len(w) - 2 for w in words)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A(a b", "unbalanced peripheral letter 'A(a'"),
+    ("A(a)) x", "unbalanced peripheral letter 'A(a))'"),
+    ("(a) x", "unbalanced peripheral letter '(a)'"),
+    ("Q(a) x", "undeclared peripheral 'Q'"),
+    ("A(a) z", "undeclared letter 'z'"),
+    ("B(a^) x", "bad exponent in 'a^'"),
+])
+def test_parse_rejects_malformed_relators(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mixed_presentation().parse(text)
+
+
+def test_parse_rejects_a_foreign_peripheral_letter():
+    with pytest.raises(MalformedWord, match="'c' is not a generator of Z2"):
+        mixed_presentation().parse("A(c) x")
 
 
 def test_verify_relators_flat():

@@ -2,14 +2,24 @@
 handle is constant on cosets -- membership is the independent oracle for that.
 """
 
+import random
+
 import pytest
 
-from graphforge.errors import MismatchedAmbient, MonomorphismUnverified
-from graphforge.groups import FiniteGroup
+from graphforge.errors import (
+    BudgetExceeded,
+    MalformedWord,
+    MismatchedAmbient,
+    MonomorphismUnverified,
+)
+from graphforge.groups import FiniteGroup, FreeAbelianGroup
 from graphforge.subgroups import (
+    FiniteSubgroup,
+    FreeFactorSubgroup,
     JoinSubgroup,
     Monomorphism,
     RestrictedSubgroup,
+    SearchSubgroup,
     build_amalgam,
     build_hnn,
     check_monomorphism,
@@ -193,6 +203,114 @@ def test_monomorphism_checks():
     zline = grouplib.int_line()
     phi = Monomorphism(whole(zline), cyclic(f, "b"), ["b"])
     assert check_monomorphism(phi, budget=8)[0] == "verified"
+
+
+def pairwise_check_reference(mono, budget=None):
+    """The earlier ``check_monomorphism``, which pushed both factors again
+    for every pair; kept as the reference for the verdict and witness."""
+    budget = budget or mono.budget
+    dom = mono.domain
+    finite = dom.is_finite()
+    try:
+        elems = dom.elements() if finite else dom.ball(min(budget, 6))
+    except BudgetExceeded:
+        return ("unknown", None)
+    images = {}
+    for e in elems:
+        img = mono.push(e)
+        if img is None:
+            return ("unknown", e)
+        if img in images and images[img] != e:
+            return ("refuted", (images[img], e))
+        images[img] = e
+    count = 0
+    for u in elems:
+        for v in elems:
+            count += 1
+            if count > 2500:
+                return ("verified" if finite is False else "unknown", None)
+            prod = dom.ambient.multiply(u, v)
+            lhs = mono.push(prod)
+            rhs = mono.codomain.ambient.multiply(mono.push(u), mono.push(v))
+            if lhs is None:
+                return ("unknown", prod)
+            if lhs != rhs:
+                return ("refuted", (u, v))
+    return ("verified", None)
+
+
+def seeded_maps():
+    """(monomorphism, budget) pairs: seeded maps of finite, cyclic and free
+    domains, with homomorphisms, non-injective maps and non-maps."""
+    rng = random.Random(41)
+    z2 = FiniteGroup.cyclic(2, "c", "Z2")
+    z4 = FiniteGroup.cyclic(4, "a", "Z4")
+    s3 = grouplib.sym3()
+    f = grouplib.free2()
+    maps = [(Monomorphism(whole(z2), whole(z4), ["a"]), None)]  # not a map
+    for k in range(4):
+        maps.append((Monomorphism(whole(z4), whole(z4), [Word.parse("a").power(k)]),
+                     None))
+    s3_words = [s3.word_of(e) for e in s3.elements()]
+    for _ in range(8):
+        images = [rng.choice(s3_words) for _ in s3.generators]
+        maps.append((Monomorphism(whole(s3), whole(s3), images), None))
+    for w in random_words(["a", "b"], 3, 4, seed=43):
+        if f.normalize(w):
+            maps.append((Monomorphism(whole(grouplib.int_line()),
+                                      cyclic(f, w), [w]), 8))
+    maps.append((Monomorphism(whole(f), whole(f), ["a", "a"]), 2))  # collides
+    maps.append((Monomorphism(whole(f), whole(f), ["b a", "a^-1"]), 2))
+    return maps
+
+
+def test_check_monomorphism_matches_the_pairwise_reference():
+    verdicts = []
+    for mono, budget in seeded_maps():
+        got = check_monomorphism(mono, budget)
+        assert got == pairwise_check_reference(mono, budget), mono
+        verdicts.append(got[0])
+    assert "verified" in verdicts and "refuted" in verdicts
+
+
+def fallback_reference(ambient, gens, budget=12):
+    """The handle ``generated`` built once the finite closure failed."""
+    gens = [g for g in (ambient.normalize(g) for g in gens) if g]
+    if len(gens) == 1:
+        return cyclic(ambient, gens[0])
+    names = {n for g in gens for n, _ in g}
+    try:
+        handle = FreeFactorSubgroup(ambient, names)
+    except (ValueError, MalformedWord):
+        handle = None
+    if handle is not None and all(len(g) == 1 and g[0][1] == 1 for g in gens) \
+            and names == {g[0][0] for g in gens}:
+        return handle
+    return SearchSubgroup(ambient, gens, budget)
+
+
+@pytest.mark.parametrize("ambient,gens", [
+    (grouplib.free2, ["a"]),
+    (grouplib.free2, ["a b^-1 a"]),
+    (grouplib.free2, ["a", "b"]),
+    (grouplib.free2, ["a b", "b a"]),
+    (grouplib.free2, ["a a", "b", "1"]),
+    (lambda: FreeAbelianGroup("Z2", ["a", "b"]), ["a"]),
+    (lambda: FreeAbelianGroup("Z2", ["a", "b"]), ["a a b^-1"]),
+    (lambda: FreeAbelianGroup("Z2", ["a", "b"]), ["b", "a"]),
+    (lambda: FreeAbelianGroup("Z2", ["a", "b"]), ["a b", "b"]),
+])
+def test_generated_in_torsion_free_groups_matches_the_closure_fallback(
+        ambient, gens):
+    amb = ambient()
+    words = [Word.parse(g) for g in gens]
+    nontrivial = [g for g in words if amb.normalize(g)]
+    assert FiniteSubgroup.closure(amb, nontrivial, cap=512) is None
+    handle = generated(amb, words)
+    ref = fallback_reference(amb, words)
+    assert type(handle) is type(ref)
+    for w in random_words(["a", "b"], 60, 6, seed=47):
+        assert handle.contains(w) == ref.contains(w), w
 
 
 def test_build_amalgam_refuses_bad_injection():
