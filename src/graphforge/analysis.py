@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -35,20 +34,11 @@ from .words import Word
 
 INFINITE = math.inf
 
-_MAX_WORKERS = 4
 
-
-def pmap(fn, items, parallel=False):
-    """Order-preserving map; optionally fanned out over a thread pool.
-
-    Results must not depend on scheduling: callers only combine the returned
-    list positionally.
-    """
-    items = list(items)
-    if not parallel or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-        return list(pool.map(fn, items))
+def pmap(fn, items):
+    """``[fn(x) for x in items]``, under a name of its own so that the
+    benchmark tracer (``bench/hooks.py``) can time each row it runs."""
+    return [fn(x) for x in items]
 
 
 @dataclass(slots=True)
@@ -385,14 +375,14 @@ class AngleTable:
         return self.values[(min(x, y), max(x, y))]
 
 
-def angle_table(view: BallView, apex: int, bound=None, parallel=False) -> AngleTable:
+def angle_table(view: BallView, apex: int, bound=None) -> AngleTable:
     nbrs = sorted(view.adj[apex])
 
     def row(x):
         dist = view.distances_from(x, banned={apex}, cutoff=bound)
         return {y: dist.get(y, INFINITE) for y in nbrs if y >= x}
 
-    rows = pmap(row, nbrs, parallel)
+    rows = pmap(row, nbrs)
     values = {}
     for x, r in zip(nbrs, rows):
         for y, d in r.items():
@@ -419,7 +409,7 @@ class FinenessCertificate:
         return self.verdict.startswith("locally-finite")
 
 
-def _neighbor_counts(graph, view, apex_idx, bound, parallel=False):
+def _neighbor_counts(graph, view, apex_idx, bound):
     """For each neighbor x of the apex: how many neighbors lie within the
     angle bound of x (computed inside the window)."""
     nbrs = view.adj[apex_idx]
@@ -428,7 +418,7 @@ def _neighbor_counts(graph, view, apex_idx, bound, parallel=False):
         dist = view.distances_from(x, banned={apex_idx}, cutoff=bound)
         return [y for y in nbrs if dist.get(y, INFINITE) <= bound]
 
-    rows = pmap(close_set, nbrs, parallel)
+    rows = pmap(close_set, nbrs)
     counts = {}
     witnesses = {}
     for x, close in zip(nbrs, rows):
@@ -439,8 +429,8 @@ def _neighbor_counts(graph, view, apex_idx, bound, parallel=False):
 
 
 def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
-                   radius: int, threshold: int, max_vertices=200000,
-                   parallel=False) -> FinenessCertificate:
+                   radius: int, threshold: int,
+                   max_vertices=200000) -> FinenessCertificate:
     """Compare angle-bound neighbor counts across two windows.
 
     A family that already meets the threshold and keeps growing with the
@@ -475,10 +465,8 @@ def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
     apex_l = find_vertex(large, graph, vertex)
     if apex_s is None or apex_l is None:
         raise WindowTooSmall("probe vertex missing from its own window")
-    counts_s, _ = _neighbor_counts(graph, small, apex_s, angle_bound,
-                                   parallel=parallel)
-    counts_l, wit_l = _neighbor_counts(graph, large, apex_l, angle_bound,
-                                       parallel=parallel)
+    counts_s, _ = _neighbor_counts(graph, small, apex_s, angle_bound)
+    counts_l, wit_l = _neighbor_counts(graph, large, apex_l, angle_bound)
 
     # neighbors discovered near the enumeration rim have window-limited
     # counts; only those well inside the budget are compared across windows
@@ -606,7 +594,7 @@ class HyperbolicityEstimate:
     method: str = "thin-triangles-exhaustive"
 
 
-def delta_estimate(view: BallView, parallel=False) -> HyperbolicityEstimate:
+def delta_estimate(view: BallView) -> HyperbolicityEstimate:
     """Exact maximum thin-triangle defect over every geodesic triangle with
     corners in the window.
 
@@ -654,7 +642,7 @@ def delta_estimate(view: BallView, parallel=False) -> HyperbolicityEstimate:
                 rows[r] = list(map(min, dist[r], map(max, *succ)))
         return [array("I", col) for col in zip(*rows)]
 
-    far = pmap(far_table, range(n), parallel)
+    far = pmap(far_table, range(n))
 
     delta = 0
     for p in range(n):
@@ -887,8 +875,8 @@ def _stab_matches_peripheral(graph, orbit, peripherals, budget):
 
 def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
                    fineness_radius=8, threshold=8, delta_radius=2,
-                   conj_budget=2, delta_cap=140, fineness_cap=200000,
-                   parallel=False) -> AuditReport:
+                   conj_budget=2, delta_cap=140,
+                   fineness_cap=200000) -> AuditReport:
     """The six window-level conditions for a relatively presented action:
 
     1. finitely many vertex orbits (schema),
@@ -930,7 +918,7 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
     base = graph.vertices.elem(graph.vertices.orbits[0].orbit_id)
     try:
         probe = ball_view(graph, [base], delta_radius, max_vertices=delta_cap)
-        est = delta_estimate(probe, parallel=parallel)
+        est = delta_estimate(probe)
         conds.append(ConditionVerdict(
             "hyperbolicity-probe", "pass",
             f"delta={est.delta:g} on radius-{delta_radius} window"))
@@ -946,7 +934,7 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
         try:
             cert = fineness_probe(graph, graph.vertices.elem(orb.orbit_id),
                                   angle_bound, fineness_radius, threshold,
-                                  max_vertices=fineness_cap, parallel=parallel)
+                                  max_vertices=fineness_cap)
         except BudgetExceeded as exc:
             notes.append(f"{orb.orbit_id}: inconclusive ({exc})")
             if worst != "fail":
@@ -996,8 +984,7 @@ def _conjugate_pair_witness(group, h1, h2, budget):
 
 
 def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,
-                       conj_budget=2, max_vertices=5000,
-                       parallel=False) -> AuditReport:
+                       conj_budget=2, max_vertices=5000) -> AuditReport:
     """Window audit of the coset-graph conditions: finite edge stabilizers,
     prescribed vertex stabilizers, realization of every peripheral, the
     same-stabilizer/same-orbit condition, plus connectedness and

@@ -45,8 +45,6 @@ def _apply_overrides(args) -> dict:
         overrides["max_vertices"] = args.max_vertices
     if args.trust_monomorphisms:
         overrides["trust_monomorphisms"] = True
-    if args.no_parallel:
-        overrides["parallel"] = False
     return overrides
 
 
@@ -136,8 +134,6 @@ def _add_budget_flags(p):
     p.add_argument("--trust-monomorphisms", action="store_true",
                    dest="trust_monomorphisms",
                    help="skip injection certification on constructions")
-    p.add_argument("--no-parallel", action="store_true", dest="no_parallel",
-                   help="disable analysis thread pools")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock step timings in the report")
     p.add_argument("--out", default=None, help="write the report here")

@@ -34,6 +34,7 @@ from .errors import (
     ForgeError,
     GroupMismatch,
     MalformedWord,
+    MonomorphismUnverified,
     SpecError,
     StableLetterCollision,
 )
@@ -97,7 +98,6 @@ DEFAULT_BUDGETS = {
     "fill_cap": 3,
     "conjugator_cap": 3,
     "h_ball": 1,
-    "parallel": True,
     "trust_monomorphisms": False,
 }
 POSITIVE_BUDGETS = ("radius", "angle_bound", "threshold", "max_vertices")
@@ -123,6 +123,12 @@ class RunReport:
             "step": step_id, "name": name,
             "verdict": verdict, "detail": detail,
         })
+
+    def check(self, step_id, op, name, ok, detail, summary=""):
+        """A step that passes or fails: its ``ok``/``fail`` record and its
+        ``pass``/``fail`` verdict, both read off ``ok``."""
+        self.record(step_id, op, "ok" if ok else "fail", detail)
+        self.verdict(step_id, name, "pass" if ok else "fail", summary)
 
     @property
     def failed(self):
@@ -231,9 +237,11 @@ class SpecEnv:
         decl = _Decl(self.spec["groups"][gid], f"group {gid!r}")
         try:
             g = self._build_group(gid, decl)
-        except (ValueError, StableLetterCollision) as exc:
+        except (ValueError, StableLetterCollision,
+                MonomorphismUnverified) as exc:
             # constructors reject repeated or clashing generator names, a
-            # stable letter naming a base generator, and non-group tables
+            # stable letter naming a base generator, non-group tables, and
+            # declared injections they refute or cannot certify
             raise SpecError(f"group {gid!r}: {exc}") from None
         self._building.discard(gid)
         self.groups[gid] = g
@@ -333,11 +341,11 @@ class SpecEnv:
         amb = self.group(decl["group"])
         if kind == "coned_off":
             g = coned_off(amb, [self.subgroup(s) for s in decl["peripherals"]],
-                          [Word.parse(w) for w in decl["relative_generators"]],
+                          _words(decl["relative_generators"], amb, decl.where),
                           labels=decl.get("labels"))
         elif kind == "cayley":
             gens = decl.get("generators")
-            g = cayley_graph(amb, [Word.parse(w) for w in gens] if gens else None)
+            g = cayley_graph(amb, _words(gens, amb, decl.where) if gens else None)
         elif kind == "single_vertex":
             stab = self.subgroup(decl["stabilizer"]) if "stabilizer" in decl else None
             g = single_vertex_graph(amb, stab, label=decl.get("label", "pt"))
@@ -372,7 +380,9 @@ class SpecEnv:
     def vertex(self, graph: GGraph, ref) -> GSetElem:
         _require(isinstance(ref, dict) and "orbit" in ref,
                  "vertex references look like {'orbit': ..., 'rep': ...}")
-        return graph.vertices.elem(ref["orbit"], Word.parse(ref.get("rep", "1")))
+        rep, = _words([ref.get("rep", "1")], graph.group,
+                      f"vertex in orbit {ref['orbit']!r}")
+        return graph.vertices.elem(ref["orbit"], rep)
 
     def ball(self, bid):
         obj = self.constructions.get(bid)
@@ -487,12 +497,9 @@ def _step_validate(env, step, report):
     ok = rep.valid and \
         (rep.simplicial or not step.get("expect_simplicial", True)) and \
         (rep.no_inversions or not step.get("expect_no_inversions", True))
-    report.record(step.get("id", step["graph"]), "validate",
-                  "ok" if ok else "fail",
-                  {"violations": [str(v) for v in rep.violations]})
-    report.verdict(step.get("id", step["graph"]), "graph-valid",
-                   "pass" if ok else "fail",
-                   f"simplicial={rep.simplicial} no_inversions={rep.no_inversions}")
+    report.check(step.get("id", step["graph"]), "validate", "graph-valid", ok,
+                 {"violations": [str(v) for v in rep.violations]},
+                 f"simplicial={rep.simplicial} no_inversions={rep.no_inversions}")
 
 
 def _step_orbit_counts(env, step, report):
@@ -504,10 +511,8 @@ def _step_orbit_counts(env, step, report):
         ok &= graph.vertex_orbit_count == step["vertices"]
     if "edges" in step:
         ok &= graph.edge_orbit_count == step["edges"]
-    report.record(step.get("id", step["graph"]), "orbit_counts",
-                  "ok" if ok else "fail", detail)
-    report.verdict(step.get("id", step["graph"]), "orbit-counts",
-                   "pass" if ok else "fail", json.dumps(detail, sort_keys=True))
+    report.check(step.get("id", step["graph"]), "orbit_counts", "orbit-counts",
+                 ok, detail, json.dumps(detail, sort_keys=True))
 
 
 def _step_ball_counts(env, step, report):
@@ -518,23 +523,17 @@ def _step_ball_counts(env, step, report):
     if "edges" in step:
         ok &= view.edge_count == step["edges"]
     detail = {"vertices": view.vertex_count, "edges": view.edge_count}
-    report.record(step.get("id", step["ball"]), "ball_counts",
-                  "ok" if ok else "fail", detail)
-    report.verdict(step.get("id", step["ball"]), "ball-counts",
-                   "pass" if ok else "fail", json.dumps(detail, sort_keys=True))
+    report.check(step.get("id", step["ball"]), "ball_counts", "ball-counts",
+                 ok, detail, json.dumps(detail, sort_keys=True))
 
 
 def _step_audit_tree(env, step, report):
     view = env.ball(step["ball"])
     forest = view.is_forest()
     conn = view.connected()
-    ok = forest and conn
-    report.record(step.get("id", step["ball"]), "audit_tree",
-                  "ok" if ok else "fail",
-                  {"forest": forest, "connected": conn})
-    report.verdict(step.get("id", step["ball"]), "window-is-tree",
-                   "pass" if ok else "fail",
-                   f"forest={forest} connected={conn}")
+    report.check(step.get("id", step["ball"]), "audit_tree", "window-is-tree",
+                 forest and conn, {"forest": forest, "connected": conn},
+                 f"forest={forest} connected={conn}")
 
 
 def _step_audit_paths(env, step, report):
@@ -551,10 +550,9 @@ def _step_audit_paths(env, step, report):
         top = max(counts.values())
         worst = max(worst, top)
         ok = ok and top <= max_count
-    report.record(step.get("id", step["ball"]), "audit_paths",
-                  "ok" if ok else "fail", {"max_count": worst})
-    report.verdict(step.get("id", step["ball"]), "embedded-path-counts",
-                   "pass" if ok else "fail", f"max={worst}")
+    report.check(step.get("id", step["ball"]), "audit_paths",
+                 "embedded-path-counts", ok, {"max_count": worst},
+                 f"max={worst}")
 
 
 def _step_audit_fineness(env, step, report):
@@ -565,8 +563,7 @@ def _step_audit_fineness(env, step, report):
         step.get("angle_bound", env.budgets["angle_bound"]),
         step.get("radius", env.budgets["radius"]),
         step.get("threshold", env.budgets["threshold"]),
-        max_vertices=env.budgets["max_vertices"],
-        parallel=env.budgets["parallel"])
+        max_vertices=env.budgets["max_vertices"])
     verdict = "pass" if cert.ok else (
         "fail" if cert.verdict == "violation" else "inconclusive")
     report.record(step.get("id", "fineness"), "audit_fineness", verdict,
@@ -578,21 +575,17 @@ def _step_audit_fineness(env, step, report):
 
 def _step_audit_all_angles_infinite(env, step, report):
     view = env.ball(step["ball"])
-    parallel = env.budgets["parallel"]
     bad = []
     for v in range(view.vertex_count):
         if not view.vertices[v].complete:
             continue
-        table = angle_table(view, v, parallel=parallel)
+        table = angle_table(view, v)
         for (x, y), val in sorted(table.values.items()):
             if x != y and val is not INFINITE:
                 bad.append((v, x, y, val))
-    ok = not bad
-    report.record(step.get("id", step["ball"]), "audit_all_angles_infinite",
-                  "ok" if ok else "fail", {"finite_angles": bad[:5]})
-    report.verdict(step.get("id", step["ball"]), "all-angles-infinite",
-                   "pass" if ok else "fail",
-                   "" if ok else f"finite angle at {bad[0]}")
+    report.check(step.get("id", step["ball"]), "audit_all_angles_infinite",
+                 "all-angles-infinite", not bad, {"finite_angles": bad[:5]},
+                 f"finite angle at {bad[0]}" if bad else "")
 
 
 def _step_audit_cut_vertex(env, step, report):
@@ -612,28 +605,30 @@ def _step_audit_cut_vertex(env, step, report):
 
 def _step_audit_delta(env, step, report):
     view = env.ball(step["ball"])
-    est = delta_estimate(view, parallel=env.budgets["parallel"])
+    est = delta_estimate(view)
     ok = ("expect_delta" not in step) or (est.delta == step["expect_delta"])
-    report.record(step.get("id", step["ball"]), "audit_delta",
-                  "ok" if ok else "fail", {"delta": est.delta})
-    report.verdict(step.get("id", step["ball"]), "delta-estimate",
-                   "pass" if ok else "fail", f"delta={est.delta:g}")
+    report.check(step.get("id", step["ball"]), "audit_delta", "delta-estimate",
+                 ok, {"delta": est.delta}, f"delta={est.delta:g}")
+
+
+def _peripherals(env, graph, step):
+    """The step's peripherals: subgroup ids or ``{"orbit": ...}``
+    stabilizers of the graph."""
+    return [env.subgroup(s) if isinstance(s, str)
+            else graph.vertices.stabilizer(s["orbit"])
+            for s in step.get("peripherals", [])]
 
 
 def _step_audit_gh(env, step, report):
     graph = env.graph(step["graph"])
-    peripherals = [env.subgroup(s) if isinstance(s, str)
-                   else graph.vertices.stabilizer(s["orbit"])
-                   for s in step.get("peripherals", [])]
     rep = gh_graph_audit(
-        graph, peripherals,
+        graph, _peripherals(env, graph, step),
         angle_bound=step.get("angle_bound", env.budgets["angle_bound"]),
         fineness_radius=step.get("radius", env.budgets["radius"] + 4),
         threshold=step.get("threshold", env.budgets["threshold"]),
         delta_radius=step.get("delta_radius", env.budgets["delta_radius"]),
         delta_cap=env.budgets["delta_cap"],
-        conj_budget=env.budgets["conj_budget"],
-        parallel=env.budgets["parallel"])
+        conj_budget=env.budgets["conj_budget"])
     report.record(step.get("id", step["graph"]), "audit_gh", rep.verdict,
                   {"conditions": [c.as_tuple() for c in rep.conditions]})
     for c in rep.conditions:
@@ -643,14 +638,10 @@ def _step_audit_gh(env, step, report):
 
 def _step_audit_cayley_abels(env, step, report):
     graph = env.graph(step["graph"])
-    peripherals = [env.subgroup(s) if isinstance(s, str)
-                   else graph.vertices.stabilizer(s["orbit"])
-                   for s in step.get("peripherals", [])]
     rep = cayley_abels_audit(
-        graph, peripherals,
+        graph, _peripherals(env, graph, step),
         radius=step.get("radius", env.budgets["radius"]),
-        conj_budget=env.budgets["conj_budget"],
-        parallel=env.budgets["parallel"])
+        conj_budget=env.budgets["conj_budget"])
     report.record(step.get("id", step["graph"]), "audit_cayley_abels",
                   rep.verdict,
                   {"conditions": [c.as_tuple() for c in rep.conditions]})
@@ -664,7 +655,6 @@ def _step_audit_stabilizer_chains(env, step, report):
     prov = graph.provenance
     _require(prov is not None and prov.kind == "pushout",
              "stabilizer chains need a pushout graph")
-    result = env.constructions.get(f"{step['graph']}:result")
     po = prov.vertex_pushout
     group = graph.group
     z = prov.z
@@ -683,14 +673,11 @@ def _step_audit_stabilizer_chains(env, step, report):
             chain_factorize(po, w, z)  # raises on a bad certificate
             certified += 1
         checked += 1
-    ok = not mismatches
-    report.record(step.get("id", step["graph"]), "audit_stabilizer_chains",
-                  "ok" if ok else "fail",
-                  {"checked": checked, "certified": certified,
-                   "mismatches": mismatches[:5]})
-    report.verdict(step.get("id", step["graph"]), "stabilizer-chains",
-                   "pass" if ok else "fail",
-                   f"{certified} chain certificates over {checked} elements")
+    report.check(step.get("id", step["graph"]), "audit_stabilizer_chains",
+                 "stabilizer-chains", not mismatches,
+                 {"checked": checked, "certified": certified,
+                  "mismatches": mismatches[:5]},
+                 f"{certified} chain certificates over {checked} elements")
 
 
 def _step_audit_embedding(env, step, report):
@@ -711,30 +698,25 @@ def _step_audit_embedding(env, step, report):
         big_vertices.elem(v.elem.orbit_id, push(v.elem.rep))))
         for v in view.vertices)
     found = [(str(a), str(b)) for a, b in collisions(graph.vertices, images)]
-    ok = not found
-    report.record(step.get("id", step["graph"]), "audit_embedding",
-                  "ok" if ok else "fail",
-                  {"vertices": len(view.vertices), "collisions": found[:5]})
-    report.verdict(step.get("id", step["graph"]), "embedding-injective",
-                   "pass" if ok else "fail",
-                   f"{len(view.vertices)} vertices embedded")
+    report.check(step.get("id", step["graph"]), "audit_embedding",
+                 "embedding-injective", not found,
+                 {"vertices": len(view.vertices), "collisions": found[:5]},
+                 f"{len(view.vertices)} vertices embedded")
 
 
 def _step_stabilizer_check(env, step, report):
     graph = env.graph(step["graph"])
     stab = graph.vertices.stabilizer(step["orbit"])
+    sid = step.get("id", step["orbit"])
     bad = []
-    for w in step.get("contains", []):
-        if stab.contains(Word.parse(w)) != YES:
-            bad.append(("missing", w))
-    for w in step.get("excludes", []):
-        if stab.contains(Word.parse(w)) != NO:
-            bad.append(("present", w))
-    ok = not bad
-    report.record(step.get("id", step["orbit"]), "stabilizer_check",
-                  "ok" if ok else "fail", {"bad": bad})
-    report.verdict(step.get("id", step["orbit"]), "stabilizer-membership",
-                   "pass" if ok else "fail", str(bad) if bad else "")
+    for key, expected, label in (("contains", YES, "missing"),
+                                 ("excludes", NO, "present")):
+        texts = step.get(key, [])
+        words = _words(texts, graph.group, f"step {sid!r}: {key}")
+        bad += [(label, t) for t, w in zip(texts, words)
+                if stab.contains(w) != expected]
+    report.check(sid, "stabilizer_check", "stabilizer-membership", not bad,
+                 {"bad": bad}, str(bad) if bad else "")
 
 
 def _step_project_tree(env, step, report):
@@ -754,13 +736,10 @@ def _step_project_tree(env, step, report):
         if hits != graph.vertices.elem_equal(v, z):
             preimage_ok = False
             break
-    ok = commuting and preimage_ok
-    report.record(step.get("id", "tree"), "project_tree",
-                  "ok" if ok else "fail",
-                  {"commuting": commuting, "preimage_singleton": preimage_ok})
-    report.verdict(step.get("id", "tree"), "tree-projection",
-                   "pass" if ok else "fail",
-                   f"commuting={commuting} preimage={preimage_ok}")
+    report.check(step.get("id", "tree"), "project_tree", "tree-projection",
+                 commuting and preimage_ok,
+                 {"commuting": commuting, "preimage_singleton": preimage_ok},
+                 f"commuting={commuting} preimage={preimage_ok}")
 
 
 def _step_presentation_amalgam(env, step, report):
@@ -777,42 +756,39 @@ def _step_presentation_amalgam(env, step, report):
     env.constructions[step["id"]] = out
     count_ok = len(out.relators) == len(p1.relators) + len(p2.relators)
     rep = verify_relators(out, g)
-    ok = count_ok and rep.passed
-    report.record(step["id"], "presentation_amalgam", "ok" if ok else "fail",
-                  {"relators": len(out.relators), "count_ok": count_ok,
-                   "relators_pass": rep.passed})
-    report.verdict(step["id"], "amalgam-presentation", "pass" if ok else "fail",
-                   f"{len(out.relators)} relators")
+    report.check(step["id"], "presentation_amalgam", "amalgam-presentation",
+                 count_ok and rep.passed,
+                 {"relators": len(out.relators), "count_ok": count_ok,
+                  "relators_pass": rep.passed},
+                 f"{len(out.relators)} relators")
 
 
 def _step_presentation_hnn(env, step, report):
     g = env.group(step["group"])
     pres = env.presentation(step["presentation"])
-    join = generated(g, [Word.parse(w) for w in step["join_generators"]],
+    join = generated(g, _words(step["join_generators"], g,
+                               f"step {step['id']!r}"),
                      budget=step.get("budget", 4))
     out = hnn_presentation(pres, step["k_label"], step["l_label"], g, join,
                            join_label=step.get("join_label", "KtL"))
     env.constructions[step["id"]] = out
     count_ok = len(out.relators) == len(pres.relators)
     rep = verify_relators(out, g)
-    ok = count_ok and rep.passed
-    report.record(step["id"], "presentation_hnn", "ok" if ok else "fail",
-                  {"relators": len(out.relators), "count_ok": count_ok,
-                   "relators_pass": rep.passed})
-    report.verdict(step["id"], "hnn-presentation", "pass" if ok else "fail",
-                   f"{len(out.relators)} relators")
+    report.check(step["id"], "presentation_hnn", "hnn-presentation",
+                 count_ok and rep.passed,
+                 {"relators": len(out.relators), "count_ok": count_ok,
+                  "relators_pass": rep.passed},
+                 f"{len(out.relators)} relators")
 
 
 def _step_verify_relators(env, step, report):
     pres = env.presentation(step["presentation"])
     g = env.group(step["group"])
     rep = verify_relators(pres, g)
-    report.record(step.get("id", step["presentation"]), "verify_relators",
-                  "ok" if rep.passed else "fail",
-                  {"failures": [str(w) for _, w in rep.failures[:5]]})
-    report.verdict(step.get("id", step["presentation"]), "relators-trivial",
-                   "pass" if rep.passed else "fail",
-                   f"{len(rep.failures)} failures")
+    report.check(step.get("id", step["presentation"]), "verify_relators",
+                 "relators-trivial", rep.passed,
+                 {"failures": [str(w) for _, w in rep.failures[:5]]},
+                 f"{len(rep.failures)} failures")
 
 
 def _step_dehn(env, step, report):
@@ -830,11 +806,9 @@ def _step_dehn(env, step, report):
     ok = values == sorted(values)
     if "expect_values" in step:
         ok &= values == list(step["expect_values"])
-    report.record(step.get("id", "dehn"), "dehn", "ok" if ok else "fail",
-                  {"values": values, "flags": flags})
-    report.verdict(step.get("id", "dehn"), "dehn-table",
-                   "pass" if ok else "fail",
-                   f"values={values} flags={flags}")
+    report.check(step.get("id", "dehn"), "dehn", "dehn-table", ok,
+                 {"values": values, "flags": flags},
+                 f"values={values} flags={flags}")
 
 
 def _step_hnn2(env, step, report):
@@ -917,27 +891,20 @@ def _step_hnn2(env, step, report):
                           k_embed.push(psi_k.push(w)).inverse())
         for w in c_in_k_gens
     )
-    ok = relators_ok and injective and amalgam_ok
-    report.record(step["id"], "hnn2", "ok" if ok else "fail",
-                  {"relators_ok": relators_ok, "injective_on_ball": injective,
-                   "amalgam_relation": amalgam_ok, "ball": len(ball)})
-    report.verdict(step["id"], "hnn2-recipe", "pass" if ok else "fail",
-                   f"ball={len(ball)} injective={injective}")
+    report.check(step["id"], "hnn2", "hnn2-recipe",
+                 relators_ok and injective and amalgam_ok,
+                 {"relators_ok": relators_ok, "injective_on_ball": injective,
+                  "amalgam_relation": amalgam_ok, "ball": len(ball)},
+                 f"ball={len(ball)} injective={injective}")
 
 
 def _step_normalize_check(env, step, report):
     g = env.group(step["group"])
-    try:
-        lhs = g.normalize(Word.parse(step["word"]))
-        rhs = g.normalize(Word.parse(step.get("equals", "1")))
-    except (MalformedWord, ValueError) as exc:
-        raise SpecError(
-            f"step {step.get('id', 'normalize')!r}: {exc}") from None
-    ok = lhs == rhs
-    report.record(step.get("id", "normalize"), "normalize_check",
-                  "ok" if ok else "fail", {"lhs": str(lhs), "rhs": str(rhs)})
-    report.verdict(step.get("id", "normalize"), "normalize",
-                   "pass" if ok else "fail", f"{lhs} vs {rhs}")
+    sid = step.get("id", "normalize")
+    lhs, rhs = (g.normalize(w) for w in _words(
+        [step["word"], step.get("equals", "1")], g, f"step {sid!r}"))
+    report.check(sid, "normalize_check", "normalize", lhs == rhs,
+                 {"lhs": str(lhs), "rhs": str(rhs)}, f"{lhs} vs {rhs}")
 
 
 STEP_HANDLERS = {
@@ -989,12 +956,11 @@ def run_pipeline(spec: dict, *, overrides=None, audits_only=False,
             spec = json.loads(json.dumps(spec))
             spec.setdefault("budgets", {}).update(overrides)
         env = validate_spec(spec)
-        # the report echoes the numeric budgets; execution switches
-        # (parallelism, injection trust) change how answers are computed,
-        # never what they are, so they stay out of the byte-deterministic
-        # report
+        # the report echoes the numeric budgets; the one switch,
+        # trust_monomorphisms, says whether declared injections are
+        # certified, not how far anything is searched, so it is not echoed
         echoed = {k: v for k, v in env.budgets.items()
-                  if k not in ("parallel", "trust_monomorphisms")}
+                  if k != "trust_monomorphisms"}
         report = RunReport(env.name, budgets=echoed)
         report.audits_only = audits_only  # exports are skipped by the caller
         if timings:

@@ -988,20 +988,24 @@ def check_monomorphism(mono: Monomorphism, budget=None):
     return ("verified", None)
 
 
+def _certify(mono, budget):
+    status, witness = check_monomorphism(mono, budget)
+    if status == "refuted":
+        raise MonomorphismUnverified(f"injection refuted: witness {witness}")
+    if status == "unknown":
+        raise MonomorphismUnverified(
+            "injection not certified at budget; trust_monomorphisms skips "
+            "this check")
+
+
 def build_amalgam(name, left, right, into_left, into_right, *,
                   trust_monomorphisms=False, budget=DEFAULT_BUDGET):
     """Amalgamated product; refuses injections it cannot certify."""
     if into_left.domain_group is not into_right.domain_group:
         raise MonomorphismUnverified("edge injections must share their domain")
     if not trust_monomorphisms:
-        for mono in (into_left, into_right):
-            status, witness = check_monomorphism(mono, budget)
-            if status == "refuted":
-                raise MonomorphismUnverified(f"injection refuted: witness {witness}")
-            if status == "unknown":
-                raise MonomorphismUnverified(
-                    "injection not certified at budget; pass trust_monomorphisms=True"
-                )
+        _certify(into_left, budget)
+        _certify(into_right, budget)
     return AmalgamGroup(name, left, right, into_left.domain_group,
                         into_left, into_right)
 
@@ -1012,13 +1016,7 @@ def build_hnn(name, base, edge_handle, iso, stable, *,
     if iso.domain is not edge_handle:
         raise MonomorphismUnverified("the isomorphism must be defined on the edge handle")
     if not trust_monomorphisms:
-        status, witness = check_monomorphism(iso, budget)
-        if status == "refuted":
-            raise MonomorphismUnverified(f"injection refuted: witness {witness}")
-        if status == "unknown":
-            raise MonomorphismUnverified(
-                "injection not certified at budget; pass trust_monomorphisms=True"
-            )
+        _certify(iso, budget)
     return HNNGroup(name, base, edge_handle, iso, stable)
 
 

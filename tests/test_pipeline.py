@@ -100,8 +100,7 @@ def test_reports_are_byte_deterministic():
     spec = builtin_examples()["example-tree-modular"]
     a = run_pipeline(spec).to_json()
     b = run_pipeline(spec).to_json()
-    c = run_pipeline(spec, overrides={"parallel": False}).to_json()
-    assert a == b == c
+    assert a == b
 
 
 def test_unknown_top_level_key_rejected():
@@ -309,16 +308,52 @@ def _normalize_spec(word):
     }
 
 
+def _uncertified_hnn_spec():
+    # the edge subgroup <ab, ba> of F2 has no exact expression of its
+    # elements over its generators, so the injection stays uncertified
+    return {
+        "groups": {"F": {"kind": "free", "generators": ["a", "b"]},
+                   "H": {"kind": "hnn", "base": "F", "edge": "E",
+                         "iso": "phi", "stable_letter": "t"}},
+        "subgroups": {"E": {"group": "F", "generators": ["a b", "b a"]}},
+        "monomorphisms": {"phi": {"domain_subgroup": "E",
+                                  "codomain_subgroup": "E",
+                                  "images": ["a b", "b a"]}},
+    }
+
+
+def test_trusted_injection_skips_certification():
+    spec = {**_uncertified_hnn_spec(),
+            "budgets": {"trust_monomorphisms": True}}
+    assert validate_spec(spec).group("H").name == "H"
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"groups": {"F": {"kind": "free"}}},
      "group 'F': missing key 'generators'"),
     ({"budgets": {"radius": "x"}}, "budgets.radius must be a positive integer"),
     ({"budgets": {"delta_cap": -1}},
      "budgets.delta_cap must be a nonnegative integer"),
-    ({"budgets": {"parallel": 1}}, "budgets.parallel must be true or false"),
+    ({"budgets": {"trust_monomorphisms": 1}},
+     "budgets.trust_monomorphisms must be true or false"),
     (_normalize_spec("a z"), "step 'n': letter 'z' is not a generator of F"),
     ({**_normalize_spec("a"), "pipeline": [{"op": "normalize_check"}]},
      "pipeline[0]: missing key 'group'"),
+    ({"budgets": {"parallel": True}}, "budgets: unknown keys ['parallel']"),
+    (_normalize_spec("a^"), "step 'n': bad exponent in 'a^'"),
+    ({"groups": {"F": {"kind": "free", "generators": ["a", "b"]}},
+      "graphs": {"C": {"kind": "cayley", "group": "F",
+                       "generators": ["a", "z"]}}},
+     "graph 'C': letter 'z' is not a generator of F"),
+    ({"groups": {"F": {"kind": "free", "generators": ["a"]}},
+      "presentations": {"P": {"letters": ["a"]}},
+      "pipeline": [{"op": "presentation_hnn", "id": "J", "group": "F",
+                    "presentation": "P", "k_label": "K", "l_label": "L",
+                    "join_generators": ["z"]}]},
+     "step 'J': letter 'z' is not a generator of F"),
+    (_uncertified_hnn_spec(),
+     "group 'H': injection not certified at budget; trust_monomorphisms "
+     "skips this check"),
 ])
 def test_cli_rejects_malformed_spec(tmp_path, capsys, spec, message):
     assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
@@ -376,6 +411,16 @@ def _mutated(name, path, value):
      "step 'R': check_radius must be a nonnegative integer"),
     ("example-hnn2", ("pipeline", 0, "conjugator"), "z",
      "step 'R': letter 'z' is not a generator of F"),
+    ("example-hnn-coalesce", ("pipeline", 2, "contains"), ["p^"],
+     "step 'yH2': contains: bad exponent in 'p^'"),
+    ("example-hnn-coalesce", ("pipeline", 2, "excludes"), ["p", "z"],
+     "step 'yH2': excludes: letter 'z' is not a generator of G"),
+    ("example-hnn-coalesce", ("pipeline", 0, "x"), {"orbit": "xH1", "rep": "z"},
+     "vertex in orbit 'xH1': letter 'z' is not a generator of D"),
+    ("example-coned-free", ("graphs", "coned", "relative_generators"), ["z"],
+     "graph 'coned': letter 'z' is not a generator of F"),
+    ("example-tree-modular", ("monomorphisms", "d1", "images"), ["a"],
+     "group 'G': injection refuted: witness (Word('c'), Word('c'))"),
 ])
 def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
                                             value, message):
