@@ -244,19 +244,49 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
     The enumeration budget for a vertex's stabilizer decreases with its
     depth, so far-away cone points contribute fewer neighbors; vertices
     whose incident edges were only sampled carry ``complete=False``.
+
+    Each orbit's incident edges are listed once per budget, at its point
+    with the empty rep (``GGraph.base_incident_edges``: one
+    ``incident_edges`` call per (orbit, budget) pair), and translated: at a
+    vertex with rep ``r`` a listed edge or other end ``x0`` becomes
+    ``coset_rep(r x0)``.  That is the vertex's own ``incident_edges`` list,
+    in its order: it samples ``r u end^-1`` for the base point's
+    ``u end^-1``, a coset rep depends only on the coset (or, without exact
+    reps, is the normal form), and left translation permutes cosets.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     view = BallView(radius, word_budget)
-    edge_stab = graph.edges.stabilizer
+    edge_stab, vert_stab = graph.edges.stabilizer, graph.vertices.stabilizer
+    product = graph.group._product   # every rep here is a normal form
+    plans = {}
+
+    def rep_of(stab):
+        # a trivial stabilizer's coset rep is the product itself
+        return None if stab.is_trivial() else stab.coset_rep
 
     def incidence(v, depth):
-        found, complete = graph.incident_edges(v.elem,
-                                               _depth_budget(view, depth))
-        return complete, (
-            (e.orbit_id, others,
-             (e.orbit_id, e.rep) if edge_stab(e.orbit_id).rep_exact else None)
-            for e, others in found)
+        key = (v.elem.orbit_id, _depth_budget(view, depth))
+        if key not in plans:
+            found, complete = graph.base_incident_edges(*key)
+            plans[key] = complete, [
+                (e.orbit_id, e.rep, rep_of(edge_stab(e.orbit_id)),
+                 edge_stab(e.orbit_id).rep_exact,
+                 [(q.orbit_id, q.rep, rep_of(vert_stab(q.orbit_id)))
+                  for q in others])
+                for e, others in found]
+        complete, plan = plans[key]
+        r = v.elem.rep
+
+        def at(x0, rep):    # the rep of the coset of r x0
+            x = product((r, x0)) if x0 else r
+            return rep(x) if rep else x
+
+        return complete, [
+            (orbit_id, [GSetElem(q_orbit, at(q0, q_rep))
+                        for q_orbit, q0, q_rep in ends],
+             (orbit_id, at(e0, edge_rep)) if exact else None)
+            for orbit_id, e0, edge_rep, exact, ends in plan]
 
     return _grow(graph, view, bases, max_vertices, incidence)
 
@@ -272,19 +302,18 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
     vertex's edges at a smaller budget are among its edges at a larger one;
     (2) a vertex's depth in the wider window is at most its depth in the
     narrower one, so every vertex this search expands was expanded there,
-    with a budget at least as large; (3) at a vertex ``g . v0`` of an
-    orbit, ``incident_edges`` lists the ``g``-translates of the edges it
-    lists at the orbit's base point ``v0``, in the same order, so which of
-    its wide-budget edges survive at a smaller budget, and in what order,
-    is read once per orbit and budget pair at ``v0``; and an edge's other
-    endpoint does not depend on which stabilizer element found it.
+    with a budget at least as large; (3) each vertex's edges are the
+    translates of its orbit's base-point list, in order (see ``ball_view``),
+    so which wide-budget edges survive at a smaller budget, and in what
+    order, is read from those memoised lists; and an edge's other endpoint
+    does not depend on which stabilizer element found it.
 
     In an orbit whose stabilizer has no exact coset representatives, a
     vertex keeps the representative it has in ``wide``.
 
-    Cost: two ``incident_edges`` calls per (orbit, wide budget, budget)
-    triple, then one step per edge of the narrowed window's expanded
-    vertices.
+    Cost: one ``incident_edges`` call per (orbit, budget) pair whose list
+    ``ball_view`` has not made, then one step per edge of the narrowed
+    window's expanded vertices.
     """
     view = BallView(wide.radius, word_budget)
     if _depth_budget(view, 0) > _depth_budget(wide, 0):
@@ -298,9 +327,8 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
         at the budget, as indices into incident_edges' list, in order."""
         key = (orbit_id, wide_budget, budget)
         if key not in plans:
-            v0 = graph.vertices.elem(orbit_id)
-            wide_found, _ = graph.incident_edges(v0, wide_budget)
-            found, complete = graph.incident_edges(v0, budget)
+            wide_found, _ = graph.base_incident_edges(orbit_id, wide_budget)
+            found, complete = graph.base_incident_edges(orbit_id, budget)
             position = {(e.orbit_id, e.rep): k
                         for k, (e, _) in enumerate(wide_found)}
             kept = []

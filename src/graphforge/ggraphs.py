@@ -72,6 +72,7 @@ class GGraph:
                     eo.orbit_id, eo.stabilizer, end.rep.inverse(),
                     tuple(q for j, q in enumerate(ends) if j != i)))
         self.provenance = provenance
+        self._base_incidence = {}
 
     @property
     def vertex_orbit_count(self):
@@ -109,6 +110,14 @@ class GGraph:
                     continue
                 found.append((edge, [verts.act(h, q) for q in other_ends]))
         return found, complete
+
+    def base_incident_edges(self, orbit_id, word_budget: int):
+        """Memoised ``incident_edges`` at the orbit's point with rep 1."""
+        key = (orbit_id, word_budget)
+        if key not in self._base_incidence:
+            self._base_incidence[key] = self.incident_edges(
+                GSetElem(orbit_id, self.group.identity()), word_budget)
+        return self._base_incidence[key]
 
     def relabel(self, prefix: str) -> "GGraph":
         """A copy with every orbit id prefixed (used to disjoint-union graphs)."""
@@ -590,6 +599,7 @@ def project_to_tree(zgraph: GGraph):
     if prov is None:
         raise ProvenanceMissing("graph has no recorded construction")
     group = zgraph.group
+    vertex_images = {}
     if prov.kind == "pushout":
         if not (isinstance(prov.stab_x, RestrictedSubgroup)
                 and isinstance(prov.stab_y, RestrictedSubgroup)):
@@ -598,7 +608,6 @@ def project_to_tree(zgraph: GGraph):
             )
         tree = bass_serre(group, middle=(prov.stab_x.inner, prov.stab_y.inner))
         z_orbit = prov.z.orbit_id
-        vertex_images = {}
         for o in zgraph.vertices.orbits:
             if o.orbit_id == z_orbit:
                 vertex_images[o.orbit_id] = tree.vertices.elem("vM")
@@ -606,31 +615,23 @@ def project_to_tree(zgraph: GGraph):
                 vertex_images[o.orbit_id] = tree.vertices.elem("vA")
             else:
                 vertex_images[o.orbit_id] = tree.vertices.elem("vB")
-        vgm = GMap(zgraph.vertices, tree.vertices, vertex_images, check=False)
-        edge_images = {}
-        for eo in zgraph.edge_orbits:
-            imgs = [vgm.apply(p) for p in zgraph.attach[eo.orbit_id]]
-            edge_images[eo.orbit_id] = _match_tree_edge(tree, imgs)
-        return tree, GraphMorphism(zgraph, tree, vgm, edge_images)
-
-    if prov.kind == "coalescence":
+    elif prov.kind == "coalescence":
         tree = bass_serre(group)
         t = group.stable_word()
         z_orbit = prov.z.orbit_id
-        vertex_images = {}
         for o in zgraph.vertices.orbits:
             if o.orbit_id == z_orbit:
                 vertex_images[o.orbit_id] = tree.vertices.elem("vH", t)
             else:
                 vertex_images[o.orbit_id] = tree.vertices.elem("vA")
-        vgm = GMap(zgraph.vertices, tree.vertices, vertex_images, check=False)
-        edge_images = {}
-        for eo in zgraph.edge_orbits:
-            imgs = [vgm.apply(p) for p in zgraph.attach[eo.orbit_id]]
-            edge_images[eo.orbit_id] = _match_tree_edge(tree, imgs)
-        return tree, GraphMorphism(zgraph, tree, vgm, edge_images)
-
-    raise ProvenanceMissing(f"unknown provenance kind {prov.kind!r}")
+    else:
+        raise ProvenanceMissing(f"unknown provenance kind {prov.kind!r}")
+    vgm = GMap(zgraph.vertices, tree.vertices, vertex_images, check=False)
+    edge_images = {}
+    for eo in zgraph.edge_orbits:
+        imgs = [vgm.apply(p) for p in zgraph.attach[eo.orbit_id]]
+        edge_images[eo.orbit_id] = _match_tree_edge(tree, imgs)
+    return tree, GraphMorphism(zgraph, tree, vgm, edge_images)
 
 
 def _match_tree_edge(tree: GGraph, imgs):

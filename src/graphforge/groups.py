@@ -30,6 +30,10 @@ normal forms cancel only at the junctions, and ``HNNGroup``, where the
 Britton reduction of the left factor continues through the later ones.
 These two cache the product (and an HNN product's Britton form) under
 itself: no unreduced key, and equal products share one object.
+
+``_product(nfs)`` multiplies factors that must already be normal forms of
+the group, unchecked (any other word gives a wrong answer, not an error):
+in ``FreeGroup`` it is the junction cancellation alone, else ``_multiply``.
 """
 
 from __future__ import annotations
@@ -144,6 +148,9 @@ class Group:
             letters += w if isinstance(w, tuple) else Word.coerce(w)
         return self.normalize(Word(letters))
 
+    def _product(self, nfs) -> NormalForm:
+        return self._multiply(nfs)
+
     def inverse(self, word) -> NormalForm:
         return self.normalize(Word.coerce(word).inverse())
 
@@ -152,10 +159,6 @@ class Group:
 
     def equal(self, u, v) -> bool:
         return self.normalize(u) == self.normalize(v)
-
-    def conjugate(self, g, by) -> NormalForm:
-        by = Word.coerce(by)
-        return self.multiply(by, g, by.inverse())
 
     # -- size ----------------------------------------------------------------
 
@@ -310,12 +313,14 @@ class FreeGroup(Group):
         return free_reduce(word)
 
     def _multiply(self, words) -> NormalForm:
+        return self._product([self.normalize(w) for w in words])
+
+    def _product(self, nfs) -> NormalForm:
         # reduced factors cancel only at a junction: drop the last k letters
         # of the product so far and the first k of the next factor, for the
         # largest k with each ``out[~k]`` (``out[-1 - k]``) inverse to ``w[k]``
         out = ()
-        for w in words:
-            w = self.normalize(w)
+        for w in nfs:
             if not out:
                 out = w
             elif w:

@@ -67,9 +67,6 @@ class GSet:
     def orbit_ids(self):
         return [o.orbit_id for o in self.orbits]
 
-    def orbit(self, orbit_id) -> Orbit:
-        return self._by_id[orbit_id]
-
     def stabilizer(self, orbit_id) -> Subgroup:
         return self._by_id[orbit_id].stabilizer
 
@@ -123,10 +120,6 @@ class GSet:
 
     def __repr__(self):
         return f"<GSet over {self.group.name}: {', '.join(self.orbit_ids())}>"
-
-
-def act(gset: GSet, g, x: GSetElem) -> GSetElem:
-    return gset.act(g, x)
 
 
 def collisions(gset: GSet, items):
@@ -301,8 +294,6 @@ def joined_stabilizer(group: Group, parts, extra=()):
     for g, h in parts:
         for w in h.generators:
             gens.append(group.multiply(g, w, Word.coerce(g).inverse()) if g else w)
-    if any(h.is_whole() and not g for g, h in parts):
-        pass  # generated() below will still find the whole group quickly
     return generated(group, gens)
 
 

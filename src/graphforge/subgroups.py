@@ -283,6 +283,7 @@ class CyclicSubgroup(Subgroup):
             raise ValueError("cyclic handle needs a nontrivial generator")
         super().__init__(ambient, (gen,))
         self.u = gen
+        self._letter = self._letter_factor()
         self._rep_cache = {}
 
     def contains(self, word):
@@ -290,8 +291,8 @@ class CyclicSubgroup(Subgroup):
         return YES if power_of(self.ambient, self.u, w) is not None else NO
 
     def _letter_factor(self):
-        """(letter name, abelian-like owner group) when the generator is a
-        single letter inside an abelian or rank-one factor, else None."""
+        """The generator's letter name when it is a single letter inside an
+        abelian or rank-one factor, else None."""
         if len(self.u) != 1 or self.u[0][1] != 1:
             return None
         name = self.u[0][0]
@@ -308,7 +309,7 @@ class CyclicSubgroup(Subgroup):
         w = self.check_ambient(word)
         cached = self._rep_cache.get(w)
         if cached is None:
-            name = self._letter_factor()
+            name = self._letter
             if name is None:
                 cached = self._scan_rep(w)
             elif isinstance(self.ambient, FreeAbelianGroup):
@@ -816,10 +817,6 @@ def finite_table_subgroup(ambient: FiniteGroup, elements) -> FiniteSubgroup:
     words = [ambient.normalize(ambient.word_of(e)) for e in sorted(elems)]
     nontrivial = [w for w in words if w]
     return FiniteSubgroup.closure(ambient, nontrivial or [], cap=len(elems) + 1)
-
-
-def restricted(ambient, inner, side) -> RestrictedSubgroup:
-    return RestrictedSubgroup(ambient, inner, side)
 
 
 def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:

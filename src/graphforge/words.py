@@ -92,9 +92,6 @@ class NormalForm(Word):
     __slots__ = ()
 
 
-EMPTY = Word()
-
-
 def free_reduce(letters) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
     out = []

@@ -13,6 +13,8 @@ from graphforge.analysis import (
     INFINITE,
     BallView,
     FinenessCertificate,
+    _depth_budget,
+    _grow,
     _neighbor_counts,
     angle,
     angle_table,
@@ -124,9 +126,12 @@ def test_ball_monotone():
     assert small_keys <= large_keys
 
 
-# -- narrowed windows ----------------------------------------------------------
+# -- narrowed and translated windows -------------------------------------------
 #
 # The oracle for narrow_view is a direct ball_view at the smaller budget.
+# The oracle for ball_view is per_vertex_view, which calls incident_edges
+# at every frontier vertex instead of translating each orbit's base-point
+# list.
 
 NARROW_CAP = 1500
 
@@ -203,6 +208,22 @@ def built(build):
         return None, str(exc)
 
 
+def per_vertex_view(graph, bases, radius, word_budget=None,
+                    max_vertices=200000):
+    view = BallView(radius, word_budget)
+    edge_stab = graph.edges.stabilizer
+
+    def incidence(v, depth):
+        found, complete = graph.incident_edges(v.elem,
+                                               _depth_budget(view, depth))
+        return complete, [
+            (e.orbit_id, others,
+             (e.orbit_id, e.rep) if edge_stab(e.orbit_id).rep_exact else None)
+            for e, others in found]
+
+    return _grow(graph, view, bases, max_vertices, incidence)
+
+
 def assert_same_window(got, want):
     assert got.vertices == want.vertices
     assert got.adj == want.adj
@@ -213,15 +234,21 @@ def assert_same_window(got, want):
 
 
 def check_narrowing(graph, vertices, hops_range, budgets, cap=NARROW_CAP):
-    """narrow_view(ball_view(.., r + 2), r) against ball_view(.., r).
-    Returns how many windows were compared and how many direct builds
-    raised."""
+    """narrow_view(ball_view(.., r + 2), r) against ball_view(.., r), and
+    that against per_vertex_view(.., r).  Returns how many windows were
+    compared and how many direct builds raised."""
     compared = raised = 0
     for v in vertices:
         for r in budgets:
             for hops in hops_range:
                 direct, err = built(lambda: ball_view(
                     graph, [v], hops, word_budget=r, max_vertices=cap))
+                # the per-vertex build gives the same window or error
+                oracle, oerr = built(lambda: per_vertex_view(
+                    graph, [v], hops, word_budget=r, max_vertices=cap))
+                assert oerr == err, (v, r, hops)
+                if direct is not None:
+                    assert_same_window(direct, oracle)
                 wide, werr = built(lambda: ball_view(
                     graph, [v], hops, word_budget=r + 2, max_vertices=cap))
                 if wide is None:

@@ -365,6 +365,37 @@ def test_hnn_multiply_is_the_normal_form_of_the_concatenation(
         assert oracle(nf) == oracle(concat)
 
 
+# -- products of normal forms (oracle: a fresh group's multiply, normalize) --
+
+
+PRODUCT_GROUPS = LAW_GROUPS + [
+    ("F3", lambda: FreeGroup("F3", ["a", "b", "c"]), ["a", "b", "c"]),
+    ("lattice", grouplib.lattice_amalgam, ["a1", "a2", "b1", "b2"]),
+    ("coned", grouplib.coned_amalgam,
+     ["a1", "a2", "a3", "b1", "b2", "b3"]),
+    ("point", hnn_point, ["a", "b", "t"]),
+]
+
+
+@pytest.mark.parametrize("tag,factory,alphabet", PRODUCT_GROUPS)
+def test_product_of_normal_forms_is_multiply(tag, factory, alphabet):
+    g, ref = factory(), factory()
+    seed = zlib.crc32(tag.encode())
+    nfs = [g.normalize(w) for w in random_words(alphabet, 60, 8, seed % 1000)]
+    rng = random.Random(seed)
+    cases = [[rng.choice(nfs) for _ in range(rng.randint(0, 4))]
+             for _ in range(300)]
+    for nf in nfs:
+        inv = g.inverse(nf)
+        cases += [[nf, inv], [inv, nf, nf], [nf, g.identity(), inv, nf]]
+    for factors in cases:
+        got = g._product(factors)
+        concat = Word(l for nf in factors for l in nf)
+        assert got == ref.multiply(*factors) == ref.normalize(concat), factors
+        assert isinstance(got, NormalForm)
+        assert g.normalize(got) == got
+
+
 # -- balls -------------------------------------------------------------------
 
 
