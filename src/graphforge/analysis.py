@@ -68,6 +68,7 @@ class BallView:
         self.base: list[int] = []
         self.complete = True
         self._edge_index = {}          # edge key -> edge index
+        self._forest = None            # is_forest's answer until an add
         # what a narrower window is derived from (see narrow_view): for each
         # expanded vertex, in index order, the offset of its first entry in
         # _item_edge, which holds the window edge of every edge that
@@ -79,6 +80,7 @@ class BallView:
 
     def add_vertex(self, elem, depth, complete=True) -> int:
         idx = len(self.vertices)
+        self._forest = None
         self.vertices.append(BallVertex(idx, elem, depth, complete))
         self.adj.append([])
         return idx
@@ -93,6 +95,7 @@ class BallView:
         if idx is not None:
             return idx
         idx = self._edge_index[key] = len(self.edges)
+        self._forest = None
         self.edges.append(BallEdge(idx, orbit_id, (i, j)))
         if j not in self.adj[i]:
             self.adj[i].append(j)
@@ -142,21 +145,24 @@ class BallView:
         return len(self.distances_from(0)) == len(self.vertices)
 
     def is_forest(self) -> bool:
-        parent = list(range(len(self.vertices)))
+        """No cycle, loop or parallel edge: the adjacency lists form a simple
+        forest.  One O(E) union-find pass, kept until the next add."""
+        if self._forest is None:
+            parent = list(range(len(self.vertices)))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+            def find(i):
+                while parent[i] != i:
+                    parent[i] = parent[parent[i]]
+                    i = parent[i]
+                return i
 
-        for e in self.edges:
-            i, j = e.endpoints
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                return False
-            parent[rj] = ri
-        return True
+            def joins(e):
+                ri, rj = map(find, e.endpoints)
+                parent[rj] = ri
+                return ri != rj
+
+            self._forest = all(map(joins, self.edges))
+        return self._forest
 
 
 def _depth_budget(view: BallView, depth: int) -> int:
@@ -549,6 +555,11 @@ def embedded_path_counts(view: BallView, x: int, targets, length_bound: int,
     ``x`` shorter than the bound and Q(y) those among them that visit
     ``y``.  CombinatorialBlowup is raised as soon as any target's count
     passes ``cap``.
+
+    In a forest a target counts 1 iff its distance from ``x`` is within
+    the bound, found by a breadth-first search that stops once every
+    target is reached.  A pair's search there takes at most n steps, so
+    this runs only while n is within the cap, where the guard cannot fire.
     """
     counts = dict.fromkeys(targets, 0)
     if x in counts:
@@ -559,6 +570,14 @@ def embedded_path_counts(view: BallView, x: int, targets, length_bound: int,
     if cap < 1:   # the first step alone passes the cap
         raise CombinatorialBlowup(f"more than {cap} search steps")
     adj = view.adj
+    if view.is_forest() and view.vertex_count <= cap:
+        seen, level = {x}, [x]
+        for _ in range(max(length_bound, 1)):
+            level = [v for u in level for v in adj[u] if v not in seen]
+            seen.update(level)
+            if not level or seen.issuperset(want):
+                break
+        return {y: int(y in seen) for y in counts}
     full = len(want)
     # a target's steps are 1 + the pushes made while it is off the path:
     # ``done[y]`` counts the pushes of finished visits to y and ``entry[y]``
@@ -638,6 +657,9 @@ def delta_estimate(view: BallView) -> HyperbolicityEstimate:
     one breadth-first search and n whole-row steps of the DP per corner,
     then ~g·n²/2 element-wise min/max sweeps of length n; the far tables
     take 4·n³ bytes.
+
+    A connected window with n - 1 edges is a tree, where every triangle is
+    a tripod, so it answers 0 after the first breadth-first search.
     """
     n = view.vertex_count
     if n == 0:
@@ -647,6 +669,8 @@ def delta_estimate(view: BallView) -> HyperbolicityEstimate:
         found = view.distances_from(i)
         if len(found) != n:
             raise WindowTooSmall("delta estimate needs a connected window")
+        if view.edge_count == n - 1:
+            return HyperbolicityEstimate(0.0, view.radius)
         row = [0] * n
         for v, d in found.items():
             row[v] = d

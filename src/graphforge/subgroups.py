@@ -316,10 +316,11 @@ class CyclicSubgroup(Subgroup):
                 cached = self.ambient.normalize(Word(
                     l for l in w if l[0] != name))
             elif isinstance(self.ambient, FreeGroup):
-                letters = list(w)
-                while letters and letters[-1][0] == name:
-                    letters.pop()
-                cached = self.ambient.normalize(Word(letters))
+                # a prefix of a reduced word is reduced: intern it as it is
+                k = len(w)
+                while k and w[k - 1][0] == name:
+                    k -= 1
+                cached = self.ambient._product((w[:k],))
             else:
                 cached = self._strip_trailing_syllable(w, name)
             self._rep_cache[w] = cached
@@ -714,8 +715,6 @@ class JoinSubgroup(Subgroup):
 class ConjugateSubgroup(Subgroup):
     """g H g^{-1} for an existing handle H."""
 
-    rep_exact = True
-
     def __init__(self, base: Subgroup, by):
         self.base = base
         self.by = base.ambient.normalize(by)
@@ -726,6 +725,10 @@ class ConjugateSubgroup(Subgroup):
     @property
     def strategy(self):
         return self.base.strategy
+
+    @property
+    def rep_exact(self):
+        return self.base.rep_exact
 
     def _pull(self, word):
         return self.ambient.multiply(self.by.inverse(), word, self.by)

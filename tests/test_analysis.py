@@ -479,6 +479,12 @@ def random_graph(rng, n, p):
     return edges, BallView.from_edges(n, edges)
 
 
+def random_forest(rng, n):
+    # each vertex joins an earlier one or starts a new tree
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+    return edges, BallView.from_edges(n, edges)
+
+
 def brute_path_count(n, edges, x, y, length_bound):
     """Simple vertex sequences x .. y with 1..length_bound edges."""
     adjacent = {frozenset(e) for e in edges}
@@ -516,17 +522,27 @@ def reference_path_count(view, x, y, length_bound, cap):
 
 def test_path_counts_match_brute_force():
     rng = random.Random(20261018)
+    cases = []
     for _ in range(60):
         n = rng.randint(2, 8)
         edges, view = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-        x = rng.randrange(n)
-        for bound in range(1, 9):
+        cases.append((n, edges, view, rng.randrange(n), range(1, 9)))
+    # forests, some of them disconnected, are answered by breadth-first
+    # search; a bound below 1 still counts a single edge
+    rng = random.Random(20261019)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        edges, view = random_forest(rng, n)
+        assert view.is_forest()
+        cases.append((n, edges, view, rng.randrange(n), range(0, 9)))
+    for n, edges, view, x, bounds in cases:
+        for bound in bounds:
             counts = embedded_path_counts(view, x, range(n), bound)
             assert counts[x] == 1
             for y in range(n):
                 if y == x:
                     continue
-                expected = brute_path_count(n, edges, x, y, bound)
+                expected = brute_path_count(n, edges, x, y, max(bound, 1))
                 assert counts[y] == expected, (edges, x, y, bound)
                 assert embedded_path_count(view, x, y, bound) == expected
 
@@ -534,9 +550,12 @@ def test_path_counts_match_brute_force():
 def test_path_counts_guard_parity():
     rng = random.Random(7)
     raised = quiet = 0
-    for _ in range(400):
+    for k in range(600):
         n = rng.randint(2, 8)
-        _, view = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        if k < 400:
+            _, view = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        else:   # forests: the search runs whenever n is above the cap
+            _, view = random_forest(rng, n)
         x = rng.randrange(n)
         targets = rng.sample(range(n), rng.randint(1, n))
         bound = rng.randint(1, 8)
@@ -561,6 +580,50 @@ def test_path_counts_guard_parity():
             assert embedded_path_counts(view, x, targets, bound, cap) == \
                 expected
     assert raised and quiet
+
+
+def test_forest_above_the_cap_keeps_the_search_guard():
+    view = path_graph(10)
+    # the search for (0, 9) takes 9 steps
+    with pytest.raises(CombinatorialBlowup):
+        embedded_path_counts(view, 0, range(10), 9, cap=8)
+    with pytest.raises(CombinatorialBlowup):
+        embedded_path_count(view, 0, 9, 9, cap=8)
+    for cap in (9, 10):
+        assert embedded_path_counts(view, 0, range(10), 9, cap=cap) == \
+            dict.fromkeys(range(10), 1)
+
+
+def test_tree_that_gains_an_edge_counts_both_paths():
+    view = path_graph(5)
+    assert view.is_forest()
+    assert embedded_path_count(view, 0, 4, 4) == 1
+    assert delta_estimate(view).delta == 0.0
+    view.add_edge("e", 4, 0)
+    assert not view.is_forest()
+    assert embedded_path_counts(view, 0, range(5), 4) == \
+        {0: 1, 1: 2, 2: 2, 3: 2, 4: 2}
+    assert delta_estimate(view).delta == delta_estimate(cycle(5)).delta
+
+
+@pytest.mark.parametrize("extra", [("f", 1, 2), ("e", 3, 3)],
+                         ids=["parallel-edge", "loop"])
+def test_tree_with_a_parallel_edge_or_loop_is_not_a_forest(extra):
+    edges = [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)]
+    view = BallView.from_edges(6, edges)
+    view.add_edge(*extra)
+    assert view.edge_count == 6
+    assert not view.is_forest()
+    for x in range(6):
+        counts = embedded_path_counts(view, x, range(6), 3)
+        for y in range(6):
+            expected = 1 if y == x else brute_path_count(6, edges, x, y, 3)
+            assert counts[y] == expected
+    rows = []
+    real = view.distances_from
+    view.distances_from = lambda i: rows.append(i) or real(i)
+    assert delta_estimate(view).delta == 0.0
+    assert rows == list(range(6))   # every row: the tree rule is not taken
 
 
 # -- fineness ----------------------------------------------------------------
@@ -676,6 +739,8 @@ def delta_oracle_cases():
     for _ in range(25):
         n = rng.randint(1, 9)
         cases.append((n, random_connected(rng, n)))
+    for n in range(1, 13):   # trees, where δ is answered without the DP
+        cases.append((n, [(rng.randrange(v), v) for v in range(1, n)]))
     return cases
 
 

@@ -361,6 +361,22 @@ def test_conjugate_handle():
     rep_constant_on_cosets(h, random_words(["a", "b"], 20, 5, seed=31))
 
 
+def test_conjugate_of_handle_without_exact_reps():
+    from graphforge.gsets import GSet, Orbit
+    from graphforge.subgroups import ConjugateSubgroup
+    f = grouplib.free2()
+    h = generated(f, ["a b", "b a"])
+    assert not h.rep_exact
+    c = ConjugateSubgroup(h, "a")
+    assert not c.rep_exact
+    g = "a a b a^-1"
+    assert c.contains(g) == YES
+    # the reps differ, so equality must go through membership
+    assert c.coset_rep("1") != c.coset_rep(g)
+    gs = GSet(f, [Orbit("c", c)])
+    assert gs.elem_equal(gs.elem("c", "1"), gs.elem("c", g))
+
+
 def test_unknown_from_budgeted_search():
     f = grouplib.free2()
     h = generated(f, ["a a", "b b"], budget=3)
