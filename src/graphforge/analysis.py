@@ -20,17 +20,11 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import (
-    BudgetExceeded,
-    CombinatorialBlowup,
-    NotNeighbors,
-    WindowTooSmall,
-)
+from .errors import BudgetExceeded, CombinatorialBlowup, WindowTooSmall
 from .ggraphs import GGraph
 from .groups import ball_enumerate, conjugacy_probe
 from .gsets import GSetElem
 from .subgroups import YES
-from .words import Word
 
 INFINITE = math.inf
 
@@ -102,17 +96,6 @@ class BallView:
         if i not in self.adj[j]:
             self.adj[j].append(i)
         return idx
-
-    @classmethod
-    def from_edges(cls, n, edges, base=(0,)):
-        """A bare finite graph given by vertex count and index pairs."""
-        view = cls(radius=n, word_budget=n)
-        for i in range(n):
-            view.add_vertex(GSetElem(f"v{i}", Word()), depth=0, complete=True)
-        for i, j in edges:
-            view.add_edge("e", i, j)
-        view.base = list(base)
-        return view
 
     # -- queries --------------------------------------------------------------
 
@@ -387,18 +370,6 @@ def find_vertex(view: BallView, graph: GGraph, elem: GSetElem):
 # -- angles ------------------------------------------------------------------
 
 
-def angle(view: BallView, apex: int, x: int, y: int):
-    """Length of the shortest path between two neighbors of the apex in the
-    window with the apex deleted; INFINITE when no such path exists inside
-    the window."""
-    if x not in view.adj[apex] or y not in view.adj[apex]:
-        raise NotNeighbors(f"{x} and {y} must neighbor {apex}")
-    if x == y:
-        return 0
-    dist = view.distances_from(x, banned={apex})
-    return dist.get(y, INFINITE)
-
-
 @dataclass
 class AngleTable:
     apex: int
@@ -409,20 +380,20 @@ class AngleTable:
         return self.values[(min(x, y), max(x, y))]
 
 
-def angle_table(view: BallView, apex: int, bound=None) -> AngleTable:
+def angle_table(view: BallView, apex: int) -> AngleTable:
+    """The angle at the apex between each pair of its neighbors: the length
+    of the shortest path between them in the window with the apex deleted,
+    INFINITE when there is none inside the window (0 from a neighbor to
+    itself)."""
     nbrs = sorted(view.adj[apex])
 
     def row(x):
-        dist = view.distances_from(x, banned={apex}, cutoff=bound)
-        return {y: dist.get(y, INFINITE) for y in nbrs if y >= x}
+        dist = view.distances_from(x, banned={apex})
+        return {(x, y): dist.get(y, INFINITE) for y in nbrs if y >= x}
 
-    rows = pmap(row, nbrs)
     values = {}
-    for x, r in zip(nbrs, rows):
-        for y, d in r.items():
-            if bound is not None and d is not INFINITE and d > bound:
-                d = INFINITE
-            values[(x, y)] = d
+    for r in pmap(row, nbrs):
+        values.update(r)
     return AngleTable(apex, nbrs, values)
 
 
@@ -441,6 +412,13 @@ class FinenessCertificate:
     @property
     def ok(self):
         return self.verdict.startswith("locally-finite")
+
+    @property
+    def condition(self):
+        """The verdict as an audit condition reads it."""
+        if self.ok:
+            return "pass"
+        return "fail" if self.verdict == "violation" else "inconclusive"
 
 
 def _neighbor_counts(graph, view, apex_idx, bound):
@@ -707,7 +685,7 @@ def delta_estimate(view: BallView) -> HyperbolicityEstimate:
     return HyperbolicityEstimate(float(delta), view.radius)
 
 
-# -- cut vertices and decompositions -----------------------------------------
+# -- cut vertices -------------------------------------------------------------
 
 
 @dataclass
@@ -769,84 +747,18 @@ def cut_vertex_audit(zgraph: GGraph, view: BallView, z: GSetElem) -> CutVertexRe
     return CutVertexReport(passed, len(classes), details, inconclusive=sampled)
 
 
-@dataclass
-class DecompositionReport:
-    passed: bool
-    checks: list
-
-
-def decomposition_audit(view: BallView, cut_indices, angle_bound: int) -> DecompositionReport:
-    """Window form of the piecewise-fineness equivalence: across distinct
-    pieces at a cut vertex all angles are infinite, and angle-bound counts
-    at any vertex agree with the counts inside its pieces."""
-    checks = []
-    passed = True
-    cut = set(cut_indices)
-    comp = {}
-    for v in range(view.vertex_count):
-        if v in cut or v in comp:
-            continue
-        queue = deque([v])
-        seen = {v}
-        while queue:
-            u = queue.popleft()
-            comp[u] = v
-            for w in view.adj[u]:
-                if w not in cut and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-
-    def piece_of(u):
-        return comp.get(u)
-
-    for c in cut:
-        nbrs = view.adj[c]
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1:]:
-                px, py = piece_of(x), piece_of(y)
-                if px is not None and py is not None and px != py:
-                    val = angle(view, c, x, y)
-                    ok = val is INFINITE
-                    passed &= ok
-                    checks.append(("cross-piece-angle", c, x, y, val, ok))
-    # counts within the whole window equal counts within the piece
-    for v in range(view.vertex_count):
-        if v in cut:
-            continue
-        allowed = {u for u in range(view.vertex_count)
-                   if u in cut or piece_of(u) == piece_of(v)}
-        for x in view.adj[v]:
-            dist_full = view.distances_from(x, banned={v}, cutoff=angle_bound)
-            close_full = [y for y in view.adj[v]
-                          if dist_full.get(y, INFINITE) <= angle_bound]
-            sub = _restricted_distances(view, x, banned={v},
-                                        allowed=allowed, cutoff=angle_bound)
-            close_piece = [y for y in view.adj[v]
-                           if sub.get(y, INFINITE) <= angle_bound]
-            ok = close_full == close_piece
-            passed &= ok
-            if not ok:
-                checks.append(("piece-count-mismatch", v, x,
-                               len(close_full), len(close_piece)))
-    return DecompositionReport(passed, checks)
-
-
-def _restricted_distances(view, start, banned, allowed, cutoff):
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= cutoff:
-            continue
-        for v in view.adj[u]:
-            if v in banned or v not in allowed or v in dist:
-                continue
-            dist[v] = dist[u] + 1
-            queue.append(v)
-    return dist
-
-
 # -- audits --------------------------------------------------------------------
+
+# the largest window the Cayley-Abels connectedness condition builds
+CONNECTEDNESS_CAP = 5000
+
+_SEVERITY = {"pass": 0, "inconclusive": 1, "fail": 2}
+
+
+def _worst(verdicts):
+    """``fail`` if any verdict fails, else ``inconclusive`` if any is, else
+    ``pass`` (also when there are none)."""
+    return max(verdicts, key=_SEVERITY.__getitem__, default="pass")
 
 
 @dataclass
@@ -866,14 +778,7 @@ class AuditReport:
 
     @classmethod
     def from_conditions(cls, conditions):
-        worst = "pass"
-        for c in conditions:
-            if c.verdict == "fail":
-                worst = "fail"
-                break
-            if c.verdict == "inconclusive":
-                worst = "inconclusive"
-        return cls(conditions, worst)
+        return cls(conditions, _worst(c.verdict for c in conditions))
 
 
 def _finite_verdict(handle):
@@ -893,15 +798,17 @@ def _same_subgroup(s, h):
         and all(s.contains(g) == YES for g in h.generators))
 
 
-def _peripherals_realized(graph, peripherals):
-    """Condition: every peripheral equals some vertex stabilizer."""
-    missing = [repr(h) for h in peripherals
-               if not any(_same_subgroup(o.stabilizer, h)
-                          for o in graph.vertices.orbits)]
-    return ConditionVerdict(
-        "peripherals-are-vertex-stabilizers",
-        "pass" if not missing else "fail",
-        "" if not missing else f"unrealized: {missing}")
+def _finite_edge_stabilizers(graph):
+    """Condition: every edge stabilizer is finite.  It fails on an infinite
+    one and is inconclusive while some stabilizer's finiteness is
+    undecided; the detail names the edge orbits behind the verdict."""
+    found = [(eo.orbit_id, _finite_verdict(eo.stabilizer))
+             for eo in graph.edge_orbits]
+    worst = _worst(v for _, v in found)
+    named = [orbit_id for orbit_id, v in found if v == worst]
+    detail = {"pass": "", "fail": f"infinite: {named}",
+              "inconclusive": f"undetermined: {named}"}[worst]
+    return ConditionVerdict("finite-edge-stabilizers", worst, detail)
 
 
 def _stab_matches_peripheral(graph, orbit, peripherals, budget):
@@ -925,10 +832,32 @@ def _stab_matches_peripheral(graph, orbit, peripherals, budget):
     return "inconclusive", "no conjugacy certificate at budget"
 
 
+def _stabilizers_finite_or_peripheral(graph, peripherals, budget):
+    """Condition: every vertex stabilizer is finite or conjugate into a
+    peripheral; the detail gives each vertex orbit's reason."""
+    found = [(orb.orbit_id, *_stab_matches_peripheral(graph, orb, peripherals,
+                                                      budget))
+             for orb in graph.vertices.orbits]
+    return ConditionVerdict("vertex-stabilizers-finite-or-peripheral",
+                            _worst(v for _, v, _ in found),
+                            "; ".join(f"{o}: {why}" for o, _, why in found))
+
+
+def _peripherals_realized(graph, peripherals):
+    """Condition: every peripheral equals some vertex stabilizer."""
+    missing = [repr(h) for h in peripherals
+               if not any(_same_subgroup(o.stabilizer, h)
+                          for o in graph.vertices.orbits)]
+    return ConditionVerdict(
+        "peripherals-are-vertex-stabilizers",
+        "pass" if not missing else "fail",
+        "" if not missing else f"unrealized: {missing}")
+
+
 def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
                    fineness_radius=8, threshold=8, delta_radius=2,
                    conj_budget=2, delta_cap=140,
-                   fineness_cap=200000) -> AuditReport:
+                   max_vertices=200000) -> AuditReport:
     """The six window-level conditions for a relatively presented action:
 
     1. finitely many vertex orbits (schema),
@@ -936,36 +865,15 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
     3. vertex stabilizers finite or conjugate into a peripheral,
     4. every peripheral realized as a vertex stabilizer (schema),
     5. hyperbolicity probe (window delta; never refutable from a window),
-    6. fineness at infinite-stabilizer vertices.
+    6. fineness at infinite-stabilizer vertices, each probe's windows
+       capped at ``max_vertices``.
     """
     conds = [ConditionVerdict("finitely-many-vertex-orbits", "pass",
-                              f"{graph.vertex_orbit_count} orbits")]
-
-    edge_fail = [eo.orbit_id for eo in graph.edge_orbits
-                 if _finite_verdict(eo.stabilizer) == "fail"]
-    edge_unknown = [eo.orbit_id for eo in graph.edge_orbits
-                    if _finite_verdict(eo.stabilizer) == "inconclusive"]
-    if edge_fail:
-        conds.append(ConditionVerdict("finite-edge-stabilizers", "fail",
-                                      f"infinite: {edge_fail}"))
-    elif edge_unknown:
-        conds.append(ConditionVerdict("finite-edge-stabilizers", "inconclusive",
-                                      f"undetermined: {edge_unknown}"))
-    else:
-        conds.append(ConditionVerdict("finite-edge-stabilizers", "pass"))
-
-    worst = "pass"
-    detail = []
-    for orb in graph.vertices.orbits:
-        verdict, why = _stab_matches_peripheral(graph, orb, peripherals,
-                                                conj_budget)
-        detail.append(f"{orb.orbit_id}: {why}")
-        if verdict == "inconclusive":
-            worst = "inconclusive"
-    conds.append(ConditionVerdict("vertex-stabilizers-finite-or-peripheral",
-                                  worst, "; ".join(detail)))
-
-    conds.append(_peripherals_realized(graph, peripherals))
+                              f"{graph.vertex_orbit_count} orbits"),
+             _finite_edge_stabilizers(graph),
+             _stabilizers_finite_or_peripheral(graph, peripherals,
+                                               conj_budget),
+             _peripherals_realized(graph, peripherals)]
 
     base = graph.vertices.elem(graph.vertices.orbits[0].orbit_id)
     try:
@@ -978,7 +886,7 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
         conds.append(ConditionVerdict("hyperbolicity-probe", "inconclusive",
                                       str(exc)))
 
-    worst = "pass"
+    verdicts = []
     notes = []
     for orb in graph.vertices.orbits:
         if orb.stabilizer.is_finite() is not False:
@@ -986,36 +894,32 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
         try:
             cert = fineness_probe(graph, graph.vertices.elem(orb.orbit_id),
                                   angle_bound, fineness_radius, threshold,
-                                  max_vertices=fineness_cap)
+                                  max_vertices=max_vertices)
         except BudgetExceeded as exc:
+            verdicts.append("inconclusive")
             notes.append(f"{orb.orbit_id}: inconclusive ({exc})")
-            if worst != "fail":
-                worst = "inconclusive"
             continue
+        verdicts.append(cert.condition)
         notes.append(f"{orb.orbit_id}: {cert.verdict}")
-        if cert.verdict == "violation":
-            worst = "fail"
-        elif cert.verdict == "inconclusive" and worst != "fail":
-            worst = "inconclusive"
-    conds.append(ConditionVerdict("fine-at-infinite-stabilizers", worst,
+    conds.append(ConditionVerdict("fine-at-infinite-stabilizers",
+                                  _worst(verdicts),
                                   "; ".join(notes) or "no infinite stabilizers"))
 
     # the peripheral collection must not repeat an infinite subgroup up to
     # conjugacy; only refutations are decidable, so absent a witness the
     # verdict for a genuinely ambiguous pair stays inconclusive
     infinite = [h for h in peripherals if h.is_finite() is False]
-    pair_verdict = "pass"
-    pair_note = "at most one infinite peripheral"
-    for i, h1 in enumerate(infinite):
-        for h2 in infinite[i + 1:]:
-            witness = _conjugate_pair_witness(graph.group, h1, h2, conj_budget)
-            if witness is not None:
-                pair_verdict = "fail"
-                pair_note = f"conjugator witness {witness}"
-            elif pair_verdict != "fail":
-                pair_verdict = "inconclusive"
-                pair_note = "distinct infinite peripherals; no refutation at budget"
-    conds.append(ConditionVerdict("proper-pair", pair_verdict, pair_note))
+    witnesses = [_conjugate_pair_witness(graph.group, h1, h2, conj_budget)
+                 for i, h1 in enumerate(infinite) for h2 in infinite[i + 1:]]
+    found = [w for w in witnesses if w is not None]
+    if found:
+        pair = ("fail", f"conjugator witness {found[-1]}")
+    elif witnesses:
+        pair = ("inconclusive",
+                "distinct infinite peripherals; no refutation at budget")
+    else:
+        pair = ("pass", "at most one infinite peripheral")
+    conds.append(ConditionVerdict("proper-pair", *pair))
     return AuditReport.from_conditions(conds)
 
 
@@ -1036,29 +940,18 @@ def _conjugate_pair_witness(group, h1, h2, budget):
 
 
 def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,
-                       conj_budget=2, max_vertices=5000) -> AuditReport:
+                       conj_budget=2) -> AuditReport:
     """Window audit of the coset-graph conditions: finite edge stabilizers,
     prescribed vertex stabilizers, realization of every peripheral, the
-    same-stabilizer/same-orbit condition, plus connectedness and
-    cocompactness read off the schema."""
-    conds = []
-    edge_fail = [eo.orbit_id for eo in graph.edge_orbits
-                 if _finite_verdict(eo.stabilizer) == "fail"]
-    conds.append(ConditionVerdict(
-        "finite-edge-stabilizers",
-        "fail" if edge_fail else "pass",
-        f"infinite: {edge_fail}" if edge_fail else ""))
-
-    worst = "pass"
-    for orb in graph.vertices.orbits:
-        verdict, _ = _stab_matches_peripheral(graph, orb, peripherals,
-                                              conj_budget)
-        if verdict == "inconclusive":
-            worst = "inconclusive"
-    conds.append(ConditionVerdict("vertex-stabilizers-finite-or-peripheral",
-                                  worst))
-
-    conds.append(_peripherals_realized(graph, peripherals))
+    same-stabilizer/same-orbit condition, plus connectedness (on a window
+    of at most ``CONNECTEDNESS_CAP`` vertices) and cocompactness read off
+    the schema."""
+    conds = [_finite_edge_stabilizers(graph)]
+    # the verdict alone: this report carries no per-orbit reasons
+    stabilizers = _stabilizers_finite_or_peripheral(graph, peripherals,
+                                                    conj_budget)
+    conds += [ConditionVerdict(stabilizers.name, stabilizers.verdict),
+              _peripherals_realized(graph, peripherals)]
 
     clash = []
     orbs = graph.vertices.orbits
@@ -1077,16 +970,16 @@ def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,
                                   f"{graph.vertex_orbit_count} vertex / "
                                   f"{graph.edge_orbit_count} edge orbits"))
 
-    conds.append(_connectedness_verdict(graph, radius, max_vertices))
+    conds.append(_connectedness_verdict(graph, radius))
     return AuditReport.from_conditions(conds)
 
 
-def _connectedness_verdict(graph, radius, max_vertices):
+def _connectedness_verdict(graph, radius):
     base = [graph.vertices.elem(o.orbit_id) for o in graph.vertices.orbits[:1]]
     if not base:
         return ConditionVerdict("connected", "pass", "empty graph")
     try:
-        view = ball_view(graph, base, radius, max_vertices=max_vertices)
+        view = ball_view(graph, base, radius, max_vertices=CONNECTEDNESS_CAP)
     except BudgetExceeded as exc:
         return ConditionVerdict("connected", "inconclusive", str(exc))
     orbits_seen = {v.elem.orbit_id for v in view.vertices}

@@ -57,10 +57,6 @@ class ProvenanceMissing(ForgeError):
     """The graph was not produced by a construction that records provenance."""
 
 
-class NotNeighbors(ForgeError):
-    """Angle queries require both endpoints adjacent to the apex."""
-
-
 class WindowTooSmall(ForgeError):
     """The materialized ball is too small for the requested audit."""
 
@@ -71,10 +67,6 @@ class CombinatorialBlowup(ForgeError):
 
 class KLNotDistinct(ForgeError):
     """The HNN presentation rewrite requires K and L to be distinct."""
-
-
-class SubPresentationUnverified(ForgeError):
-    """absorb() was given sub-presentation data that failed verification."""
 
 
 class SpecError(ForgeError):

@@ -191,9 +191,9 @@ class GraphReport:
         return self.valid
 
 
-def validate_graph(graph: GGraph, word_budget: int = 3) -> GraphReport:
+def validate_graph(graph: GGraph) -> GraphReport:
     """Check equivariance of the attaching data, simpliciality, and the
-    absence of inversions on stabilizer samples."""
+    absence of inversions on stabilizer samples of word budget 3."""
     violations = []
     simplicial = True
     no_inversions = True
@@ -202,7 +202,7 @@ def validate_graph(graph: GGraph, word_budget: int = 3) -> GraphReport:
         if len(ends) == 1 or graph.vertices.elem_equal(ends[0], ends[-1]):
             simplicial = False
             violations.append(("degenerate-edge", eo.orbit_id))
-        sample, _complete = eo.stabilizer.sample(word_budget)
+        sample, _complete = eo.stabilizer.sample(3)
         for s in sample:
             moved = [graph.vertices.act(s, p) for p in ends]
             fixes_setwise = all(
@@ -372,7 +372,7 @@ def _check_fixed(vertices: GSet, point: GSetElem, words, who: str):
 
 
 def c_pushout(group: AmalgamGroup, left_graph: GGraph, right_graph: GGraph,
-              x: GSetElem, y: GSetElem, word_budget: int = 6) -> PushoutResult:
+              x: GSetElem, y: GSetElem) -> PushoutResult:
     """Glue the induced graphs along the orbits of one fixed vertex on each
     side.  The identified vertex inherits the subgroup generated by the two
     point stabilizers.

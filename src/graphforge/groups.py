@@ -157,9 +157,6 @@ class Group:
     def is_identity(self, word) -> bool:
         return len(self.normalize(word)) == 0
 
-    def equal(self, u, v) -> bool:
-        return self.normalize(u) == self.normalize(v)
-
     # -- size ----------------------------------------------------------------
 
     def is_finite(self):
@@ -292,20 +289,6 @@ class FiniteGroup(Group):
                 frontier.append(self.mult(x, y))
                 frontier.append(self.mult(y, x))
         return frozenset(elems)
-
-    def all_subgroups(self):
-        """Every subgroup, as frozensets of elements (small groups only)."""
-        found = {frozenset([0])}
-        frontier = [frozenset([0])]
-        while frontier:
-            h = frontier.pop()
-            for x in range(1, self.n):
-                if x not in h:
-                    h2 = self.subgroup_closure(h | {x})
-                    if h2 not in found:
-                        found.add(h2)
-                        frontier.append(h2)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 class FreeGroup(Group):
@@ -658,10 +641,10 @@ class HNNGroup(Group):
         return False
 
 
-def ball_enumerate(group: Group, gens, radius: int, cap=None):
+def ball_enumerate(group: Group, gens, radius: int):
     """All distinct elements expressible as products of at most ``radius``
     of the listed generators and their inverses, as canonical forms sorted
-    shortlex.  Raises BudgetExceeded when ``cap`` elements are exceeded.
+    shortlex.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -682,11 +665,6 @@ def ball_enumerate(group: Group, gens, radius: int, cap=None):
                 if f not in seen:
                     seen.add(f)
                     nxt.append(f)
-                    if cap is not None and len(seen) > cap:
-                        raise BudgetExceeded(
-                            f"ball of {group.name} exceeded {cap} elements",
-                            budget=cap,
-                        )
         frontier = nxt
         if not frontier:
             break

@@ -464,27 +464,3 @@ def _finite_chain(pushout, record, g):
     if target in best:
         return _verified(pushout, record, g, best[target])
     raise BudgetExceeded(f"chain search exhausted for {g}")
-
-
-def factor_through_pushout(pushout: GSetPushout, j1: GMap, j2: GMap) -> GMap:
-    """The universal map out of a pushout, given a commuting cocone."""
-    Z = pushout.gset
-    W = j1.codomain
-    if j2.codomain is not W:
-        raise GroupMismatch("cocone legs must share their target")
-    for m in pushout.merges:
-        a = j1.apply(m.s_point)
-        b = j2.apply(m.t_point)
-        if not W.elem_equal(a, b):
-            raise ValueError(f"cocone does not commute at {m.class_id}: {a} vs {b}")
-    images = {}
-    for side, inc, leg in (("S", pushout.include_s, j1),
-                           ("T", pushout.include_t, j2)):
-        for o in leg.domain.orbits:
-            z_img = inc.images[o.orbit_id]
-            if z_img.orbit_id in images:
-                continue
-            # class base = shift^{-1} . (slot base)
-            images[z_img.orbit_id] = W.act(z_img.rep.inverse(),
-                                           leg.images[o.orbit_id])
-    return GMap(Z, W, images, check=False)

@@ -564,12 +564,10 @@ def _step_audit_fineness(env, step, report):
         step.get("radius", env.budgets["radius"]),
         step.get("threshold", env.budgets["threshold"]),
         max_vertices=env.budgets["max_vertices"])
-    verdict = "pass" if cert.ok else (
-        "fail" if cert.verdict == "violation" else "inconclusive")
-    report.record(step.get("id", "fineness"), "audit_fineness", verdict,
+    report.record(step.get("id", "fineness"), "audit_fineness", cert.condition,
                   {"verdict": cert.verdict,
                    "witnesses": len(cert.witness)})
-    report.verdict(step.get("id", "fineness"), "fineness", verdict,
+    report.verdict(step.get("id", "fineness"), "fineness", cert.condition,
                    cert.verdict)
 
 
@@ -619,35 +617,35 @@ def _peripherals(env, graph, step):
             for s in step.get("peripherals", [])]
 
 
+def _report_audit(step, report, op, prefix, audit):
+    """An audit step's record, then one ``prefix:name`` verdict per
+    condition of the audit report."""
+    sid = step.get("id", step["graph"])
+    report.record(sid, op, audit.verdict,
+                  {"conditions": [c.as_tuple() for c in audit.conditions]})
+    for c in audit.conditions:
+        report.verdict(sid, f"{prefix}:{c.name}", c.verdict, c.detail)
+
+
 def _step_audit_gh(env, step, report):
     graph = env.graph(step["graph"])
-    rep = gh_graph_audit(
+    _report_audit(step, report, "audit_gh", "gh", gh_graph_audit(
         graph, _peripherals(env, graph, step),
         angle_bound=step.get("angle_bound", env.budgets["angle_bound"]),
         fineness_radius=step.get("radius", env.budgets["radius"] + 4),
         threshold=step.get("threshold", env.budgets["threshold"]),
         delta_radius=step.get("delta_radius", env.budgets["delta_radius"]),
         delta_cap=env.budgets["delta_cap"],
-        conj_budget=env.budgets["conj_budget"])
-    report.record(step.get("id", step["graph"]), "audit_gh", rep.verdict,
-                  {"conditions": [c.as_tuple() for c in rep.conditions]})
-    for c in rep.conditions:
-        report.verdict(step.get("id", step["graph"]), f"gh:{c.name}",
-                       c.verdict, c.detail)
+        conj_budget=env.budgets["conj_budget"],
+        max_vertices=env.budgets["max_vertices"]))
 
 
 def _step_audit_cayley_abels(env, step, report):
     graph = env.graph(step["graph"])
-    rep = cayley_abels_audit(
+    _report_audit(step, report, "audit_cayley_abels", "ca", cayley_abels_audit(
         graph, _peripherals(env, graph, step),
         radius=step.get("radius", env.budgets["radius"]),
-        conj_budget=env.budgets["conj_budget"])
-    report.record(step.get("id", step["graph"]), "audit_cayley_abels",
-                  rep.verdict,
-                  {"conditions": [c.as_tuple() for c in rep.conditions]})
-    for c in rep.conditions:
-        report.verdict(step.get("id", step["graph"]), f"ca:{c.name}",
-                       c.verdict, c.detail)
+        conj_budget=env.budgets["conj_budget"]))
 
 
 def _step_audit_stabilizer_chains(env, step, report):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import KLNotDistinct, SubPresentationUnverified
+from .errors import KLNotDistinct
 from .groups import Group
 from .subgroups import Subgroup
 from .words import Word
@@ -136,19 +136,13 @@ class RelPresentation:
         return letters
 
 
-def evaluate(pres: RelPresentation, group: Group, word: FPWord,
-             letter_map=None) -> Word:
-    """Evaluate a free-product word in the presented group.
-
-    Plain letters map through ``letter_map`` (by default to the same-named
-    generator); peripheral letters evaluate to their stored words.
-    """
-    letter_map = letter_map or {}
+def evaluate(pres: RelPresentation, group: Group, word: FPWord) -> Word:
+    """Evaluate a free-product word in the presented group: a plain letter
+    is the same-named generator, a peripheral letter its stored word."""
     acc = Word()
     for tok in word:
         if isinstance(tok, SToken):
-            img = Word.coerce(letter_map.get(tok.name, Word(((tok.name, 1),))))
-            acc = acc * (img if tok.sign > 0 else img.inverse())
+            acc = acc * Word(((tok.name, tok.sign),))
         else:
             acc = acc * Word(tok.value)
     return group.normalize(acc)
@@ -160,63 +154,34 @@ class RelatorReport:
     failures: list
 
 
-def verify_relators(pres: RelPresentation, group: Group,
-                    letter_map=None) -> RelatorReport:
+def verify_relators(pres: RelPresentation, group: Group) -> RelatorReport:
     """Soundness half: every relator evaluates to the identity."""
     failures = []
     for rel in pres.relators:
-        value = evaluate(pres, group, rel, letter_map)
+        value = evaluate(pres, group, rel)
         if value:
             failures.append((rel, value))
     return RelatorReport(not failures, failures)
 
 
-def absorb(pres: RelPresentation, sub_labels, sub_letters, sub_relators,
-           target_label: str, target_handle: Subgroup,
-           letter_images=None, verified=True) -> RelPresentation:
-    """Collapse a sub-presentation into a single peripheral.
-
-    The peripherals in ``sub_labels`` and the plain letters in
-    ``sub_letters`` present the subgroup named ``target_label``; relators in
-    ``sub_relators`` (indices) become redundant and are dropped, and every
-    remaining relator is rewritten by retagging absorbed letters into the
-    new peripheral.  ``letter_images`` supplies the value of each absorbed
-    plain letter inside the target handle's ambient group.
-    """
-    if not verified:
-        raise SubPresentationUnverified("sub-presentation not certified")
+def absorb(pres: RelPresentation, sub_labels, target_label: str,
+           target_handle: Subgroup) -> RelPresentation:
+    """Collapse the peripherals in ``sub_labels`` into the single peripheral
+    ``target_label``, the subgroup they present: every relator is rewritten
+    by retagging their letters into the new peripheral."""
     sub_labels = set(sub_labels)
-    sub_letters = set(sub_letters)
-    letter_images = letter_images or {}
-    for name in sub_letters:
-        if name not in letter_images:
-            raise SubPresentationUnverified(
-                f"absorbed letter {name!r} needs an image in the subgroup")
-    drop = set(sub_relators)
-
     peripherals = {lab: h for lab, h in pres.peripherals.items()
                    if lab not in sub_labels}
     peripherals[target_label] = target_handle
-    letters = tuple(n for n in pres.letters if n not in sub_letters)
 
     def retag(tok):
-        if isinstance(tok, SToken):
-            if tok.name in sub_letters:
-                img = Word.coerce(letter_images[tok.name])
-                return HToken(target_label,
-                              tuple(img if tok.sign > 0 else img.inverse()))
-            return tok
-        if tok.peripheral in sub_labels:
+        if isinstance(tok, HToken) and tok.peripheral in sub_labels:
             return HToken(target_label, tok.value)
         return tok
 
-    out = RelPresentation(letters, peripherals, [])
-    relators = []
-    for i, rel in enumerate(pres.relators):
-        if i in drop:
-            continue
-        relators.append(out.normalize(FPWord(retag(t) for t in rel)))
-    out.relators = relators
+    out = RelPresentation(pres.letters, peripherals, [])
+    out.relators = [out.normalize(FPWord(retag(t) for t in rel))
+                    for rel in pres.relators]
     return out
 
 
@@ -252,14 +217,8 @@ def amalgam_presentation(pres_left: RelPresentation, left_label: str,
         return out
 
     combined.relators = import_side(pres_left, "L") + import_side(pres_right, "R")
-    return absorb(
-        combined,
-        sub_labels=[f"L:{left_label}", f"R:{right_label}"],
-        sub_letters=[],
-        sub_relators=[],
-        target_label=join_label,
-        target_handle=join_handle,
-    )
+    return absorb(combined, [f"L:{left_label}", f"R:{right_label}"],
+                  join_label, join_handle)
 
 
 def hnn_presentation(pres: RelPresentation, k_label: str, l_label: str,
@@ -293,14 +252,7 @@ def hnn_presentation(pres: RelPresentation, k_label: str, l_label: str,
             toks.extend(rewrite(tok))
         rewritten.append(FPWord(toks))
     out.relators = rewritten
-    absorbed = absorb(
-        out,
-        sub_labels=[k_label, l_label],
-        sub_letters=[],
-        sub_relators=[],
-        target_label=join_label,
-        target_handle=join_handle,
-    )
+    absorbed = absorb(out, [k_label, l_label], join_label, join_handle)
     assert len(absorbed.relators) == len(pres.relators)
     return absorbed
 
@@ -331,8 +283,7 @@ class DehnTable:
 
 
 def dehn_bruteforce(pres: RelPresentation, group: Group, max_length: int,
-                    *, fill_cap=3, conjugator_cap=3, h_ball=1,
-                    letter_map=None) -> DehnTable:
+                    *, fill_cap=3, conjugator_cap=3, h_ball=1) -> DehnTable:
     """Minimal relator-fill counts for every short trivial word.
 
     Words are enumerated over plain letters and peripheral letters from a
@@ -410,7 +361,7 @@ def dehn_bruteforce(pres: RelPresentation, group: Group, max_length: int,
         capped = 0
         for combo in itertools.product(alphabet, repeat=n):
             word = FPWord(combo)
-            if evaluate(pres, group, word, letter_map):
+            if evaluate(pres, group, word):
                 continue  # not trivial in the group
             nf = pres.normalize(word)
             if not nf:

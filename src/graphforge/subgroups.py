@@ -988,8 +988,8 @@ def check_monomorphism(mono: Monomorphism, budget=None):
     return ("verified", None)
 
 
-def _certify(mono, budget):
-    status, witness = check_monomorphism(mono, budget)
+def _certify(mono):
+    status, witness = check_monomorphism(mono)
     if status == "refuted":
         raise MonomorphismUnverified(f"injection refuted: witness {witness}")
     if status == "unknown":
@@ -999,24 +999,24 @@ def _certify(mono, budget):
 
 
 def build_amalgam(name, left, right, into_left, into_right, *,
-                  trust_monomorphisms=False, budget=DEFAULT_BUDGET):
+                  trust_monomorphisms=False):
     """Amalgamated product; refuses injections it cannot certify."""
     if into_left.domain_group is not into_right.domain_group:
         raise MonomorphismUnverified("edge injections must share their domain")
     if not trust_monomorphisms:
-        _certify(into_left, budget)
-        _certify(into_right, budget)
+        _certify(into_left)
+        _certify(into_right)
     return AmalgamGroup(name, left, right, into_left.domain_group,
                         into_left, into_right)
 
 
 def build_hnn(name, base, edge_handle, iso, stable, *,
-              trust_monomorphisms=False, budget=DEFAULT_BUDGET):
+              trust_monomorphisms=False):
     """HNN extension; refuses injections it cannot certify."""
     if iso.domain is not edge_handle:
         raise MonomorphismUnverified("the isomorphism must be defined on the edge handle")
     if not trust_monomorphisms:
-        _certify(iso, budget)
+        _certify(iso)
     return HNNGroup(name, base, edge_handle, iso, stable)
 
 

@@ -1,11 +1,14 @@
-"""Shared group constructions used across the test suite."""
+"""Shared group constructions and bare windows used across the test
+suite."""
 
+from graphforge.analysis import BallView
 from graphforge.groups import (
     FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
     FreeProductGroup,
 )
+from graphforge.gsets import GSetElem
 from graphforge.subgroups import (
     Monomorphism,
     build_amalgam,
@@ -14,6 +17,7 @@ from graphforge.subgroups import (
     generated,
     whole,
 )
+from graphforge.words import Word
 
 
 def int_line():
@@ -80,3 +84,30 @@ def dihedral_product():
     h1 = FiniteGroup.cyclic(2, "p", "H1")
     h2 = FiniteGroup.cyclic(2, "q", "H2")
     return FreeProductGroup("D", [h1, h2])
+
+
+def all_subgroups(group):
+    """Every subgroup of a finite group, as frozensets of elements (small
+    groups only)."""
+    found = {frozenset([0])}
+    frontier = [frozenset([0])]
+    while frontier:
+        h = frontier.pop()
+        for x in range(1, group.n):
+            if x not in h:
+                h2 = group.subgroup_closure(h | {x})
+                if h2 not in found:
+                    found.add(h2)
+                    frontier.append(h2)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def view_from_edges(n, edges, base=(0,)):
+    """A bare finite window given by vertex count and index pairs."""
+    view = BallView(radius=n, word_budget=n)
+    for i in range(n):
+        view.add_vertex(GSetElem(f"v{i}", Word()), depth=0, complete=True)
+    for i, j in edges:
+        view.add_edge("e", i, j)
+    view.base = list(base)
+    return view

@@ -13,7 +13,6 @@ from graphforge.gsets import (
     Orbit,
     chain_factorize,
     collisions,
-    factor_through_pushout,
     induce_gset,
     pushout_gsets,
 )
@@ -300,25 +299,6 @@ def test_chain_factorize_trivial_cases():
     factors = chain_factorize(po, "y", z)
     assert ("t", grouplib.sym3().normalize("y")) in factors or \
         any(leg == "t" for leg, _ in factors)
-
-
-def test_universal_property():
-    s3 = grouplib.sym3()
-    c = finite_table_subgroup(s3, [s3.element_of("y")])
-    R = GSet(s3, [Orbit("r", c)])
-    S = GSet(s3, [Orbit("s", c)])
-    T = GSet(s3, [Orbit("t", c)])
-    phi = GMap(R, S, {"r": S.elem("s")})
-    psi = GMap(R, T, {"r": T.elem("t")})
-    po = pushout_gsets(phi, psi)
-    W = GSet(s3, [Orbit("w", c)])
-    j1 = GMap(S, W, {"s": W.elem("w")})
-    j2 = GMap(T, W, {"t": W.elem("w")})
-    u = factor_through_pushout(po, j1, j2)
-    for p in all_points(S):
-        assert W.elem_equal(u.apply(po.include_s.apply(p)), j1.apply(p))
-    for p in all_points(T):
-        assert W.elem_equal(u.apply(po.include_t.apply(p)), j2.apply(p))
 
 
 def test_equivariance_of_maps_under_action():

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,12 @@ from graphforge.cli import main as cli_main
 from graphforge.dot import export_dot
 from graphforge.errors import SpecError
 from graphforge.examples import builtin_examples
-from graphforge.pipeline import run_pipeline, validate_spec
+from graphforge.pipeline import (
+    DEFAULT_BUDGETS,
+    STEP_HANDLERS,
+    run_pipeline,
+    validate_spec,
+)
 
 
 def test_builtin_catalog():
@@ -101,6 +107,38 @@ def test_reports_are_byte_deterministic():
     a = run_pipeline(spec).to_json()
     b = run_pipeline(spec).to_json()
     assert a == b
+
+
+def test_audit_gh_probes_honour_max_vertices():
+    spec = builtin_examples()["example-coned-free"]
+    cut = dict(spec, pipeline=[s for s in spec["pipeline"]
+                               if s["op"] == "audit_gh"])
+    report = run_pipeline(cut, overrides={"max_vertices": 1000})
+    fine, = [v for v in report.verdicts
+             if v["name"] == "gh:fine-at-infinite-stabilizers"]
+    assert fine["verdict"] == "inconclusive"
+    assert "ball exceeded 1000 vertices" in fine["detail"]
+
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "pipeline-schema.md"
+
+
+def schema_section(title):
+    text = SCHEMA.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_schema_doc_lists_every_step_op():
+    ops = re.findall(r"^\* `(\w+)` --", schema_section("pipeline steps"),
+                     re.MULTILINE)
+    assert sorted(ops) == sorted(STEP_HANDLERS)
+    assert len(ops) == len(set(ops))
+
+
+def test_schema_doc_names_every_budget():
+    # the section opens with one sentence naming every budget key
+    first = schema_section("budgets").strip().split(". ", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", first)) == sorted(DEFAULT_BUDGETS)
 
 
 def test_unknown_top_level_key_rejected():

@@ -167,7 +167,7 @@ def test_verify_relators_empty():
 
 def test_absorb_identity():
     z2, pres = flat_pair()
-    out = absorb(pres, [], [], [], "A", pres.peripherals["A"])
+    out = absorb(pres, [], "A", pres.peripherals["A"])
     assert out.letters == pres.letters
     assert [tuple(r) for r in out.relators] == \
         [tuple(pres.normalize(r)) for r in pres.relators]
@@ -179,8 +179,8 @@ def test_absorb_disjoint_order_irrelevant():
     hb = free_factor(z2, ["b"])
     pres = RelPresentation((), {"A": ha, "B": hb}, [])
     pres.relators = [pres.parse("A(a) B(b) A(a^-1) B(b^-1)")]
-    one = absorb(absorb(pres, ["A"], [], [], "A2", ha), ["B"], [], [], "B2", hb)
-    two = absorb(absorb(pres, ["B"], [], [], "B2", hb), ["A"], [], [], "A2", ha)
+    one = absorb(absorb(pres, ["A"], "A2", ha), ["B"], "B2", hb)
+    two = absorb(absorb(pres, ["B"], "B2", hb), ["A"], "A2", ha)
     assert [tuple(r) for r in one.relators] == [tuple(r) for r in two.relators]
 
 
