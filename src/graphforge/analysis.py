@@ -234,19 +234,44 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
     depth, so far-away cone points contribute fewer neighbors; vertices
     whose incident edges were only sampled carry ``complete=False``.
 
-    Each orbit's incident edges are listed once per budget, at its point
-    with the empty rep (``GGraph.base_incident_edges``: one
+    The window is built around the bases moved by ``r^-1``, where ``r`` is
+    the first base's rep, and then moved back by ``r``.  So the window
+    around a vertex ``v`` is exactly ``v``'s rep times the window around
+    its orbit's point with rep 1: the same vertices in the same order, with
+    the same edges, depths and flags, and every count read off it depends
+    on the orbit alone.
+
+    In the moved window each orbit's incident edges are listed once per
+    budget, at its point with rep 1 (``GGraph.base_incident_edges``: one
     ``incident_edges`` call per (orbit, budget) pair), and translated: at a
-    vertex with rep ``r`` a listed edge or other end ``x0`` becomes
-    ``coset_rep(r x0)``.  That is the vertex's own ``incident_edges`` list,
-    in its order: it samples ``r u end^-1`` for the base point's
+    vertex with rep ``f`` a listed edge or other end ``x0`` becomes
+    ``coset_rep(f x0)``.  That is the vertex's own ``incident_edges`` list,
+    in its order: it samples ``f u end^-1`` for the base point's
     ``u end^-1``, a coset rep depends only on the coset (or, without exact
-    reps, is the normal form), and left translation permutes cosets.
+    reps, is the normal form), and left translation permutes cosets.  A
+    vertex ``w`` of the finished window therefore has the edges that
+    ``incident_edges`` lists at the element ``r coset_rep(r^-1 w)``.
+    Sampling at ``w``'s own rep instead would not commute with translation:
+    the rep of ``g w`` is ``g rep(w) h`` for some ``h`` in the stabilizer,
+    and ``h`` times the stabilizer's ball of a budget is not that ball.
+    Sampling at the element that first reached ``w`` would commute, but
+    which element that is can depend on the budget, and ``narrow_view``
+    needs it not to.
+
+    Cost: one product for each listed edge and each of its other ends at
+    every expanded vertex, and, when ``r`` is not 1, one ``act`` per vertex
+    to move the window back.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     view = BallView(radius, word_budget)
-    edge_stab, vert_stab = graph.edges.stabilizer, graph.vertices.stabilizer
+    verts = graph.vertices
+    bases = [verts.elem(b.orbit_id, b.rep) for b in bases]
+    frame = bases[0].rep if bases else None
+    if frame:
+        back = frame.inverse()
+        bases = [verts.act(back, b) for b in bases]
+    edge_stab, vert_stab = graph.edges.stabilizer, verts.stabilizer
     product = graph.group._product   # every rep here is a normal form
     plans = {}
 
@@ -277,7 +302,11 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
              (orbit_id, at(e0, edge_rep)) if exact else None)
             for orbit_id, e0, edge_rep, exact, ends in plan]
 
-    return _grow(graph, view, bases, max_vertices, incidence)
+    _grow(graph, view, bases, max_vertices, incidence)
+    if frame:
+        for v in view.vertices:
+            v.elem = verts.act(frame, v.elem)
+    return view
 
 
 def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
@@ -292,10 +321,12 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
     (2) a vertex's depth in the wider window is at most its depth in the
     narrower one, so every vertex this search expands was expanded there,
     with a budget at least as large; (3) each vertex's edges are the
-    translates of its orbit's base-point list, in order (see ``ball_view``),
-    so which wide-budget edges survive at a smaller budget, and in what
-    order, is read from those memoised lists; and an edge's other endpoint
-    does not depend on which stabilizer element found it.
+    translates of its orbit's base-point list, in order, by an element fixed
+    by the vertex and the first base alone, not by the budget or by the
+    path that reached the vertex (``r coset_rep(r^-1 w)``, see
+    ``ball_view``), so which wide-budget edges survive at a smaller budget,
+    and in what order, is read from those memoised lists; and an edge's
+    other endpoint does not depend on which stabilizer element found it.
 
     In an orbit whose stabilizer has no exact coset representatives, a
     vertex keeps the representative it has in ``wide``.
@@ -440,45 +471,20 @@ def _neighbor_counts(graph, view, apex_idx, bound):
     return counts, witnesses
 
 
-def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
-                   radius: int, threshold: int,
-                   max_vertices=200000) -> FinenessCertificate:
-    """Compare angle-bound neighbor counts across two windows.
-
-    A family that already meets the threshold and keeps growing with the
-    window is a violation (its witnesses are real vertices, so this is
-    exact); stable counts certify local finiteness at the window size.
-
-    A path of length at most the angle bound between two neighbors of the
-    apex stays within hop-depth ``angle_bound + 1``, so the windows use that
-    hop radius; the requested radius only widens the enumeration budgets.
-
-    Cost: one ``ball_view`` build, of the large window (word budget
-    ``radius + 2``); the small window (word budget ``radius``) is narrowed
-    from it by ``narrow_view``, at one step per edge of the small window's
-    expanded vertices.
-
-    Because only the large window is built, a low ``max_vertices`` can
-    surface a different ``BudgetExceeded`` than building the small window
-    directly would: when an orbit's coset representatives are not exact,
-    the large build may hit the vertex cap before the small one would meet
-    an undecided equality.  At the cone vertex of F2 coned off over
-    <ab, ba>, with ``angle_bound`` 2 (hop radius 3), ``radius`` 4 and a
-    3,000-vertex cap, a direct small build raises "element equality
-    undecided in orbit 'cone:H'" while this probe raises "ball exceeded
-    3000 vertices".  Both are budget errors; at the default cap the two
-    messages agree on that graph for ``radius`` 1-5.
-    """
+def _orbit_fineness(graph, orbit_id, angle_bound, radius, max_vertices):
+    """What ``fineness_probe`` finds at the orbit's point with rep 1, before
+    a threshold is applied: the trusted neighbors whose counts grow from the
+    small window to the large one, as ``(key, small count, large count)``;
+    the large window's close neighbors of each; and the counts a
+    certificate without a violation carries."""
+    vertex = graph.vertices.elem(orbit_id)
     hops = min(radius, angle_bound + 1)
     large = ball_view(graph, [vertex], hops, word_budget=radius + 2,
                       max_vertices=max_vertices)
     small = narrow_view(graph, large, radius)
-    apex_s = find_vertex(small, graph, vertex)
-    apex_l = find_vertex(large, graph, vertex)
-    if apex_s is None or apex_l is None:
-        raise WindowTooSmall("probe vertex missing from its own window")
-    counts_s, _ = _neighbor_counts(graph, small, apex_s, angle_bound)
-    counts_l, wit_l = _neighbor_counts(graph, large, apex_l, angle_bound)
+    # the apex is the first vertex of both windows
+    counts_s, _ = _neighbor_counts(graph, small, 0, angle_bound)
+    counts_l, wit_l = _neighbor_counts(graph, large, 0, angle_bound)
 
     # neighbors discovered near the enumeration rim have window-limited
     # counts; only those well inside the budget are compared across windows
@@ -499,20 +505,79 @@ def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
         c_large = counts_l.get(key, c_small)
         if c_large > c_small:
             grown.append((key, c_small, c_large))
+    witnesses = {key: [large.vertices[i].elem for i in wit_l[key]]
+                 for key, _, _ in grown}
+    return grown, witnesses, counts_l if grown else counts_s
+
+
+def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
+                   radius: int, threshold: int,
+                   max_vertices=200000) -> FinenessCertificate:
+    """Compare angle-bound neighbor counts across two windows.
+
+    A family that already meets the threshold and keeps growing with the
+    window is a violation (its witnesses are real vertices, so this is
+    exact); stable counts certify local finiteness at the window size.
+
+    A path of length at most the angle bound between two neighbors of the
+    apex stays within hop-depth ``angle_bound + 1``, so the windows use that
+    hop radius; the requested radius only widens the enumeration budgets.
+
+    The window around a vertex with rep ``r`` is ``r`` times the window
+    around its orbit's point with rep 1 (see ``ball_view``), and so is every
+    count and witness read off it.  So the probe runs once per (orbit,
+    angle bound, radius, ``max_vertices``), at that point, and is kept in
+    ``graph.fineness_probes``; each call applies its threshold to the kept
+    findings and moves them to its vertex with ``graph.vertices.act``.  A
+    ``BudgetExceeded`` is kept as its message and budget and raised afresh
+    on each call.
+
+    Cost of a probe: one ``ball_view`` build, of the large window (word
+    budget ``radius + 2``); the small window (word budget ``radius``) is
+    narrowed from it by ``narrow_view``, at one step per edge of the small
+    window's expanded vertices.  A later call with the same key costs one
+    ``act`` per count and witness it returns.
+
+    Because only the large window is built, a low ``max_vertices`` can
+    surface a different ``BudgetExceeded`` than building the small window
+    directly would: when an orbit's coset representatives are not exact,
+    the large build may hit the vertex cap before the small one would meet
+    an undecided equality.  At the cone vertex of F2 coned off over
+    <ab, ba>, with ``angle_bound`` 2 (hop radius 3), ``radius`` 4 and a
+    3,000-vertex cap, a direct small build raises "element equality
+    undecided in orbit 'cone:H'" while this probe raises "ball exceeded
+    3000 vertices".  Both are budget errors; at the default cap the two
+    messages agree on that graph for ``radius`` 1-5.
+    """
+    verts = graph.vertices
+    key = (vertex.orbit_id, angle_bound, radius, max_vertices)
+    if key not in graph.fineness_probes:
+        try:
+            graph.fineness_probes[key] = None, _orbit_fineness(graph, *key)
+        except BudgetExceeded as exc:
+            # not the exception itself: its traceback would keep the
+            # build's frames alive in a reference cycle
+            graph.fineness_probes[key] = (str(exc), exc.budget), None
+    error, found = graph.fineness_probes[key]
+    if error is not None:
+        raise BudgetExceeded(error[0], budget=error[1])
+    grown, witnesses, counts = found
+    r = verts.elem(vertex.orbit_id, vertex.rep).rep
+
+    def moved(found_key):
+        return verts.elem_key(verts.act(r, GSetElem(*found_key)))
+
     violating = [entry for entry in grown if entry[2] >= threshold]
     if violating:
         key = max(violating, key=lambda e: e[2])[0]
-        witness = [large.vertices[i].elem for i in wit_l[key]]
-        return FinenessCertificate(vertex, angle_bound, radius,
-                                   "violation", witness,
-                                   {k: c for k, _, c in violating})
-    if not grown:
-        return FinenessCertificate(
-            vertex, angle_bound, radius,
-            f"locally-finite-at-({angle_bound},{radius})",
-            counts=dict(counts_s))
-    return FinenessCertificate(vertex, angle_bound, radius, "inconclusive",
-                               counts=dict(counts_l))
+        return FinenessCertificate(vertex, angle_bound, radius, "violation",
+                                   [verts.act(r, w) for w in witnesses[key]],
+                                   {moved(k): c for k, _, c in violating})
+    verdict = ("inconclusive" if grown
+               else f"locally-finite-at-({angle_bound},{radius})")
+    return FinenessCertificate(vertex, angle_bound, radius, verdict,
+                               counts={moved(k): c
+                                       for k, c in counts.items()})
 
 
 # -- embedded paths ---------------------------------------------------------
@@ -866,7 +931,9 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
     4. every peripheral realized as a vertex stabilizer (schema),
     5. hyperbolicity probe (window delta; never refutable from a window),
     6. fineness at infinite-stabilizer vertices, each probe's windows
-       capped at ``max_vertices``.
+       capped at ``max_vertices``; each orbit is probed at its point with
+       rep 1, and ``fineness_probe`` keeps the probe for any later call
+       with the same parameters.
     """
     conds = [ConditionVerdict("finitely-many-vertex-orbits", "pass",
                               f"{graph.vertex_orbit_count} orbits"),

@@ -73,6 +73,9 @@ class GGraph:
                     tuple(q for j, q in enumerate(ends) if j != i)))
         self.provenance = provenance
         self._base_incidence = {}
+        # analysis.fineness_probe's findings at each orbit's point with rep
+        # 1, by (orbit id, angle bound, radius, vertex cap)
+        self.fineness_probes = {}
 
     @property
     def vertex_orbit_count(self):

@@ -136,7 +136,7 @@ class RelPresentation:
         return letters
 
 
-def evaluate(pres: RelPresentation, group: Group, word: FPWord) -> Word:
+def evaluate(group: Group, word: FPWord) -> Word:
     """Evaluate a free-product word in the presented group: a plain letter
     is the same-named generator, a peripheral letter its stored word."""
     acc = Word()
@@ -158,7 +158,7 @@ def verify_relators(pres: RelPresentation, group: Group) -> RelatorReport:
     """Soundness half: every relator evaluates to the identity."""
     failures = []
     for rel in pres.relators:
-        value = evaluate(pres, group, rel)
+        value = evaluate(group, rel)
         if value:
             failures.append((rel, value))
     return RelatorReport(not failures, failures)
@@ -361,7 +361,7 @@ def dehn_bruteforce(pres: RelPresentation, group: Group, max_length: int,
         capped = 0
         for combo in itertools.product(alphabet, repeat=n):
             word = FPWord(combo)
-            if evaluate(pres, group, word):
+            if evaluate(group, word):
                 continue  # not trivial in the group
             nf = pres.normalize(word)
             if not nf:

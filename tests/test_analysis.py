@@ -45,7 +45,7 @@ from graphforge.ggraphs import (
     single_vertex_graph,
 )
 from graphforge.groups import FreeAbelianGroup, FreeGroup
-from graphforge.gsets import GSet, Orbit
+from graphforge.gsets import GSet, GSetElem, Orbit
 from graphforge.pipeline import run_pipeline
 from graphforge.subgroups import (
     Monomorphism,
@@ -127,8 +127,8 @@ def test_ball_monotone():
 #
 # The oracle for narrow_view is a direct ball_view at the smaller budget.
 # The oracle for ball_view is per_vertex_view, which calls incident_edges
-# at every frontier vertex instead of translating each orbit's base-point
-# list.
+# at the element that reached each frontier vertex instead of translating
+# each orbit's base-point list.
 
 NARROW_CAP = 1500
 
@@ -207,11 +207,17 @@ def built(build):
 
 def per_vertex_view(graph, bases, radius, word_budget=None,
                     max_vertices=200000):
+    """ball_view's window, with incident_edges called at every frontier
+    vertex w, at the element r c(r^-1 w) of its coset: r is the first
+    base's rep and c the canonical coset rep."""
     view = BallView(radius, word_budget)
+    verts, group = graph.vertices, graph.group
+    r = verts.elem(bases[0].orbit_id, bases[0].rep).rep if bases else Word()
     edge_stab = graph.edges.stabilizer
 
     def incidence(v, depth):
-        found, complete = graph.incident_edges(v.elem,
+        at = group.multiply(r, verts.act(r.inverse(), v.elem).rep)
+        found, complete = graph.incident_edges(GSetElem(v.elem.orbit_id, at),
                                                _depth_budget(view, depth))
         return complete, [
             (e.orbit_id, others,
@@ -312,10 +318,67 @@ def test_narrow_view_rejects_a_larger_budget():
         narrow_view(graph, wide, 5)
 
 
+def coned_f2_over_both_generators():
+    """F2 = <x, y> coned off over <x> and <y>, with relative generators
+    y x and x.  Which element of a cone vertex's coset is the first to reach
+    it depends on the word budget here: a window sampled at that element
+    could not be narrowed exactly (cone:Y[1], hop radius 4, budget 1
+    narrowed from budget 3)."""
+    f = FreeGroup("F", ["x", "y"])
+    return coned_off(f, [cyclic(f, "x"), cyclic(f, "y")],
+                     [Word.parse("y x"), Word.parse("x")], labels=["X", "Y"])
+
+
+def test_narrowed_window_matches_direct_build_where_first_reaches_differ():
+    graph = coned_f2_over_both_generators()
+    compared, _ = check_narrowing(graph, probe_vertices(graph, "xy", 1),
+                                  range(1, 6), range(1, 4))
+    assert compared >= 40
+
+
+def window_facts(graph, view, apex):
+    """What the audits read off a window around ``apex``: its shape, the
+    angle table at the apex and the cut-vertex components of its orbit."""
+    cut = cut_vertex_audit(graph, view, apex)
+    return ([(v.depth, v.complete) for v in view.vertices], view.adj,
+            [(e.orbit_id, e.endpoints) for e in view.edges],
+            angle_table(view, 0).values,
+            (cut.passed, cut.component_count, cut.details, cut.inconclusive))
+
+
+@pytest.mark.parametrize("name, gid, hops, budget", [
+    ("example-amalgam-2", "Z", 3, 3),
+    ("example-coned-free", "coned", 4, 4),
+    ("example-tree-modular", "T", 5, 5),
+])
+def test_window_at_a_translate_is_the_translated_base_window(name, gid,
+                                                             hops, budget):
+    graph = builtin_graph(name, gid)
+    verts = graph.vertices
+    moved = probe_vertices(graph, f"translate:{name}", count=2, length=5)
+    if name == "example-amalgam-2":
+        # the self-test's translate, whose window grew by one vertex when
+        # each vertex was sampled at its own coset rep
+        moved.append(verts.act(Word.parse("b2^-1 a1 a2^-1 b2^-1 b3^-1"),
+                               verts.elem("X:cone:KA")))
+    for v in moved:
+        base = verts.elem(v.orbit_id)
+        assert not base.rep
+        at_base = ball_view(graph, [base], hops, word_budget=budget)
+        at_v = ball_view(graph, [v], hops, word_budget=budget)
+        assert [u.elem for u in at_v.vertices] == [
+            verts.act(v.rep, u.elem) for u in at_base.vertices]
+        assert window_facts(graph, at_v, v) == window_facts(graph, at_base,
+                                                            base)
+        assert delta_estimate(ball_view(graph, [v], 2, word_budget=2)) \
+            == delta_estimate(ball_view(graph, [base], 2, word_budget=2))
+
+
 def two_build_probe(graph, vertex, angle_bound, radius, threshold,
                     max_vertices=200000):
-    """fineness_probe as it was when it built both windows directly; the
-    reference for the one-build probe."""
+    """fineness_probe as it was when it built both windows directly, at
+    the vertex itself; the reference for the one-build probe kept per
+    orbit.  It never reads ``graph.fineness_probes``."""
     hops = min(radius, angle_bound + 1)
     small = ball_view(graph, [vertex], hops, word_budget=radius,
                       max_vertices=max_vertices)
@@ -382,6 +445,8 @@ def probe_outcome(probe, *args, **kwargs):
     (lambda: builtin_graph("example-coned-free", "coned"), [(4, 6, 10)], 500),
 ])
 def test_fineness_probe_matches_two_build_probe(graph, params, cap):
+    # one graph for every probe, so that each orbit's later probes are
+    # answered from the memo of its first
     g = graph()
     seen = set()
     for v in probe_vertices(g, "probe", count=1, length=3):

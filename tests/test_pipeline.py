@@ -120,6 +120,45 @@ def test_audit_gh_probes_honour_max_vertices():
     assert "ball exceeded 1000 vertices" in fine["detail"]
 
 
+def only_steps(spec, op):
+    return dict(spec, pipeline=[s for s in spec["pipeline"] if s["op"] == op])
+
+
+def test_audit_fineness_and_audit_gh_end_on_the_same_budget_message():
+    spec = builtin_examples()["example-coned-free"]
+    small = {"max_vertices": 1000}
+    fineness = run_pipeline(only_steps(spec, "audit_fineness"),
+                            overrides=small)
+    assert fineness.exit_code() == 2
+    message = fineness.steps[-1]["detail"]["budget_exceeded"]
+    report = run_pipeline(only_steps(spec, "audit_gh"), overrides=small)
+    fine, = [v for v in report.verdicts
+             if v["name"] == "gh:fine-at-infinite-stabilizers"]
+    assert f"cone:A: inconclusive ({message})" in fine["detail"]
+
+
+def test_coned_free_builds_its_cone_window_once(monkeypatch):
+    built = []
+    ball_view = graphforge.analysis.ball_view
+
+    def counted(graph, bases, radius, word_budget=None, **kwargs):
+        built.append(([b.orbit_id for b in bases], radius, word_budget))
+        return ball_view(graph, bases, radius, word_budget, **kwargs)
+
+    monkeypatch.setattr(graphforge.analysis, "ball_view", counted)
+    spec = builtin_examples()["example-coned-free"]
+    text = run_pipeline(spec).to_json()
+    assert built.count((["cone:A"], 7, 10)) == 1
+    # audit_fineness at a translate of the cone vertex shares the probe
+    # and the report bytes
+    moved = json.loads(json.dumps(spec))
+    step, = [s for s in moved["pipeline"] if s["op"] == "audit_fineness"]
+    step["vertex"]["rep"] = "b a^-2 b"
+    built.clear()
+    assert run_pipeline(moved).to_json() == text
+    assert built.count((["cone:A"], 7, 10)) == 1
+
+
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "pipeline-schema.md"
 
 
