@@ -150,7 +150,7 @@ class BallView:
 
 def _depth_budget(view: BallView, depth: int) -> int:
     """The stabilizer enumeration budget at a hop depth of the window."""
-    return max(1, (view.word_budget or view.radius) - depth)
+    return max(1, view.word_budget - depth)
 
 
 def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):

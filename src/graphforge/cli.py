@@ -33,52 +33,47 @@ def _load_spec(ref: str) -> dict:
         raise SpecError(f"{ref}: not valid JSON ({exc})")
 
 
-def _apply_overrides(args) -> dict:
-    overrides = {}
-    if args.radius is not None:
-        overrides["radius"] = args.radius
-    if args.angle_bound is not None:
-        overrides["angle_bound"] = args.angle_bound
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.max_vertices is not None:
-        overrides["max_vertices"] = args.max_vertices
-    if args.trust_monomorphisms:
-        overrides["trust_monomorphisms"] = True
-    return overrides
+BUDGET_FLAGS = ("radius", "angle_bound", "threshold", "max_vertices",
+                "trust_monomorphisms")
 
 
-def _write_exports(spec, report, audits_only=False):
-    if audits_only:
-        return
-    env = getattr(report, "env", None)
-    for exp in spec.get("exports", []):
-        if exp["format"] == "json":
-            with open(exp["path"], "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-        elif exp["format"] == "dot" and env is not None:
-            view = env.ball(exp["source"])
-            with open(exp["path"], "w", encoding="utf-8") as fh:
-                fh.write(export_dot(view, name=exp["source"],
-                                    cut_orbits=exp.get("cut_orbits", ())))
-
-
-def _run(args, audits_only=False) -> int:
-    try:
-        spec = _load_spec(args.spec)
-        report = run_pipeline(spec, overrides=_apply_overrides(args),
-                              audits_only=audits_only, timings=args.timings)
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return 3
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(path, text):
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _render(exp, report):
+    if exp["format"] == "json":
+        return report.to_json()
+    return export_dot(report.env.ball(exp["source"]), name=exp["source"],
+                      cut_orbits=exp.get("cut_orbits", ()))
+
+
+def _run(args) -> int:
+    """Run the spec, then write the report and the spec's exports (``run``),
+    the report alone (``verify``) or the one asked artifact (``export``).
+    Nothing is written unless every output renders."""
     try:
-        _write_exports(spec, report, audits_only)
+        spec = _load_spec(args.spec)
+        report = run_pipeline(spec, timings=args.timings, overrides={
+            key: getattr(args, key) for key in BUDGET_FLAGS
+            if getattr(args, key) is not None})
+        if args.command == "export":
+            outputs = [(args.out, {"format": args.format, "source": args.source})]
+        else:
+            outputs = [(args.out, {"format": "json"})]
+            if args.command == "run":
+                outputs += [(exp["path"], exp) for exp in spec.get("exports", [])]
+        texts = [(path, _render(exp, report)) for path, exp in outputs]
+    except SpecError as exc:
+        print(f"spec error: {exc}", file=sys.stderr)
+        return 3
+    try:
+        for path, text in texts:
+            _write(path, text)
     except OSError as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return 3
@@ -98,31 +93,6 @@ def _examples(args) -> int:
     return 0
 
 
-def _export(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-        report = run_pipeline(spec, overrides=_apply_overrides(args))
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return 3
-    if args.format == "json":
-        payload = report.to_json()
-    else:
-        env = report.env
-        try:
-            view = env.ball(args.source)
-        except SpecError as exc:
-            print(f"export error: {exc}", file=sys.stderr)
-            return 3
-        payload = export_dot(view, name=args.source)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return report.exit_code()
-
-
 def _add_budget_flags(p):
     p.add_argument("--radius", type=int, default=None,
                    help="window radius budget override")
@@ -131,7 +101,7 @@ def _add_budget_flags(p):
                    help="fineness violation threshold override")
     p.add_argument("--max-vertices", dest="max_vertices", type=int,
                    default=None)
-    p.add_argument("--trust-monomorphisms", action="store_true",
+    p.add_argument("--trust-monomorphisms", action="store_const", const=True,
                    dest="trust_monomorphisms",
                    help="skip injection certification on constructions")
     p.add_argument("--timings", action="store_true",
@@ -163,17 +133,11 @@ def main(argv=None) -> int:
     _add_budget_flags(p_exp)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _run(args)
-    if args.command == "verify":
-        return _run(args, audits_only=True)
     if args.command == "examples":
         return _examples(args)
-    if args.command == "export":
-        if args.format == "dot" and not args.source:
-            parser.error("--source is required for dot export")
-        return _export(args)
-    return 3
+    if args.command == "export" and args.format == "dot" and not args.source:
+        parser.error("--source is required for dot export")
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -243,12 +243,20 @@ def validate_graph(graph: GGraph) -> GraphReport:
 # -- constructions -----------------------------------------------------------
 
 
+def _labels(labels, handles, prefix):
+    """One orbit label per handle: ``labels``, or numbered from ``prefix``."""
+    labels = labels or [f"{prefix}{i}" for i in range(len(handles))]
+    if len(labels) != len(handles):
+        raise ValueError(f"{len(handles)} subgroups but {len(labels)} labels")
+    return labels
+
+
 def coned_off(group: Group, peripherals, rel_gens, labels=None) -> GGraph:
     """Coned-off Cayley graph: group elements plus one cone vertex per
     peripheral coset; edges join g to gs and each coset member to its cone.
     """
     rel_gens = [group.normalize(s) for s in rel_gens]
-    labels = labels or [f"H{i}" for i in range(len(peripherals))]
+    labels = _labels(labels, peripherals, "H")
     orbits = [Orbit("el", trivial(group))]
     for lab, handle in zip(labels, peripherals):
         orbits.append(Orbit(f"cone:{lab}", handle))
@@ -275,7 +283,7 @@ def single_vertex_graph(group: Group, stabilizer=None, label="pt") -> GGraph:
 
 
 def edgeless_cosets(group: Group, handles, labels=None) -> GGraph:
-    labels = labels or [f"c{i}" for i in range(len(handles))]
+    labels = _labels(labels, handles, "c")
     verts = GSet(group, [Orbit(lab, h) for lab, h in zip(labels, handles)])
     return GGraph(group, verts, [])
 

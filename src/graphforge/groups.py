@@ -567,7 +567,7 @@ class HNNGroup(Group):
             if c is None:
                 raise BudgetExceeded(f"{self.name}: no preimage for {k}")
             return c
-        img = self.iso.push_on_ambient(k)  # k in edge_handle
+        img = self.iso.push(k)  # k in edge_handle
         if img is None:
             raise BudgetExceeded(f"{self.name}: cannot push {k} through the injection")
         return img

@@ -15,6 +15,7 @@ import gc
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partialmethod
 
 from . import analysis
 from .analysis import (
@@ -112,23 +113,20 @@ class RunReport:
     timings_ms: dict = None
     budget_exhausted: bool = False
 
-    def record(self, step_id, op, outcome, detail=None):
+    def record(self, step_id, op, outcome, detail=None, verdicts=()):
+        """A step's outcome, then its ``(name, verdict, detail)`` verdicts."""
         self.steps.append({
             "id": step_id, "op": op, "outcome": outcome,
             "detail": detail if detail is not None else {},
         })
-
-    def verdict(self, step_id, name, verdict, detail=""):
-        self.verdicts.append({
-            "step": step_id, "name": name,
-            "verdict": verdict, "detail": detail,
-        })
+        self.verdicts.extend({"step": step_id, "name": name, "verdict": v,
+                              "detail": d} for name, v, d in verdicts)
 
     def check(self, step_id, op, name, ok, detail, summary=""):
         """A step that passes or fails: its ``ok``/``fail`` record and its
         ``pass``/``fail`` verdict, both read off ``ok``."""
-        self.record(step_id, op, "ok" if ok else "fail", detail)
-        self.verdict(step_id, name, "pass" if ok else "fail", summary)
+        self.record(step_id, op, "ok" if ok else "fail", detail,
+                    [(name, "pass" if ok else "fail", summary)])
 
     @property
     def failed(self):
@@ -162,11 +160,13 @@ def _known_keys(obj, allowed, where):
     _require(not extra, f"{where}: unknown keys {sorted(extra)}")
 
 
-def _natural(step, key, default=None):
-    """``step[key]`` (``default`` if given and absent), a natural number."""
-    value = step[key] if default is None else step.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             and value >= 0,
+def _natural(step, key, default=...):
+    """``step[key]``, or ``default`` when absent and a default is given: a
+    natural number, or ``None`` where the default is ``None``."""
+    value = step[key] if default is ... else step.get(key, default)
+    _require((value is None and default is None)
+             or (isinstance(value, int) and not isinstance(value, bool)
+                 and value >= 0),
              f"step {step.get('id', step['op'])!r}: {key} must be a "
              "nonnegative integer")
     return value
@@ -203,11 +203,7 @@ class SpecEnv:
         _known_keys(spec, TOP_KEYS, "top level")
         self.spec = spec
         self.name = spec.get("name", "pipeline")
-        self.groups = {}
-        self.subgroups = {}
-        self.monomorphisms = {}
-        self.graphs = {}
-        self.presentations = {}
+        self.memo = {}            # (section, id) -> the declared object
         self.constructions = {}   # step products: graphs, balls, tables ...
         self.budgets = dict(DEFAULT_BUDGETS)
         budgets = spec.get("budgets", {})
@@ -228,26 +224,50 @@ class SpecEnv:
 
     # -- declarations ---------------------------------------------------------
 
-    def group(self, gid):
-        if gid in self.groups:
-            return self.groups[gid]
-        _require(gid in self.spec.get("groups", {}), f"undeclared group {gid!r}")
-        _require(gid not in self._building, f"cyclic declaration at group {gid!r}")
-        self._building.add(gid)
-        decl = _Decl(self.spec["groups"][gid], f"group {gid!r}")
-        try:
-            g = self._build_group(gid, decl)
-        except (ValueError, StableLetterCollision,
-                MonomorphismUnverified) as exc:
-            # constructors reject repeated or clashing generator names, a
-            # stable letter naming a base generator, non-group tables, and
-            # declared injections they refute or cannot certify
-            raise SpecError(f"group {gid!r}: {exc}") from None
-        self._building.discard(gid)
-        self.groups[gid] = g
-        return g
+    def _declared(self, section, did):
+        """The object declared as ``did`` in ``section``, built once.
 
-    def _build_group(self, gid, decl):
+        Constructors reject repeated or clashing generator names, a stable
+        letter naming a base generator, non-group tables, unreadable words,
+        objects over the wrong group, and declared injections they refute
+        or cannot certify: each is a spec error naming the declaration.
+        """
+        key = (section, did)
+        if key in self.memo:
+            return self.memo[key]
+        where = f"{section[:-1]} {did!r}"
+        _require(did in self.spec.get(section, {}), f"undeclared {where}")
+        _require(key not in self._building, f"cyclic declaration at {where}")
+        self._building.add(key)
+        decl = _Decl(self.spec[section][did], where)
+        try:
+            obj = SECTIONS[section](self, did, decl)
+        except (ValueError, MalformedWord, GroupMismatch,
+                StableLetterCollision, MonomorphismUnverified) as exc:
+            raise SpecError(f"{where}: {exc}") from None
+        self._building.discard(key)
+        self.memo[key] = obj
+        return obj
+
+    group = partialmethod(_declared, "groups")
+    subgroup = partialmethod(_declared, "subgroups")
+    mono = partialmethod(_declared, "monomorphisms")
+
+    def graph(self, gid) -> GGraph:
+        return self._built(gid, GGraph, "graphs")
+
+    def presentation(self, pid) -> RelPresentation:
+        return self._built(pid, RelPresentation, "presentations")
+
+    def _built(self, cid, cls, section):
+        """The step product ``cid`` if a step made one, else the declaration."""
+        if cid not in self.constructions:
+            return self._declared(section, cid)
+        obj = self.constructions[cid]
+        _require(isinstance(obj, cls), f"{cid!r} is not a {section[:-1]}")
+        return obj
+
+    def _group(self, gid, decl):
         kind = decl.get("kind")
         if kind == "free":
             g = FreeGroup(gid, decl["generators"])
@@ -271,15 +291,10 @@ class SpecEnv:
                 self.mono(decl["iso"]), decl["stable_letter"],
                 trust_monomorphisms=self.budgets["trust_monomorphisms"])
         else:
-            raise SpecError(f"group {gid!r}: unknown kind {kind!r}")
+            raise SpecError(f"{decl.where}: unknown kind {kind!r}")
         return g
 
-    def subgroup(self, sid):
-        if sid in self.subgroups:
-            return self.subgroups[sid]
-        _require(sid in self.spec.get("subgroups", {}),
-                 f"undeclared subgroup {sid!r}")
-        decl = _Decl(self.spec["subgroups"][sid], f"subgroup {sid!r}")
+    def _subgroup(self, sid, decl):
         amb = self.group(decl["group"])
         kind = decl.get("kind", "generated")
         if kind == "trivial":
@@ -287,56 +302,32 @@ class SpecEnv:
         elif kind == "whole":
             h = whole(amb)
         elif kind == "cyclic":
-            h = cyclic(amb, _words([decl["generator"]], amb,
-                                   f"subgroup {sid!r}")[0])
+            h = cyclic(amb, _words([decl["generator"]], amb, decl.where)[0])
         elif kind == "free_factor":
-            try:
-                h = free_factor(amb, decl["generators"])
-            except (ValueError, MalformedWord) as exc:
-                raise SpecError(f"subgroup {sid!r}: {exc}") from None
+            h = free_factor(amb, decl["generators"])
         elif kind == "generated":
-            h = generated(amb, _words(decl["generators"], amb,
-                                      f"subgroup {sid!r}"),
+            h = generated(amb, _words(decl["generators"], amb, decl.where),
                           budget=decl.get("budget", 12))
         elif kind == "restricted":
-            inner = self.subgroup(decl["inner"])
-            try:
-                h = RestrictedSubgroup(amb, inner, decl["side"])
-            except GroupMismatch as exc:
-                raise SpecError(f"subgroup {sid!r}: {exc}") from None
+            h = RestrictedSubgroup(amb, self.subgroup(decl["inner"]),
+                                   decl["side"])
         else:
-            raise SpecError(f"subgroup {sid!r}: unknown kind {kind!r}")
-        self.subgroups[sid] = h
+            raise SpecError(f"{decl.where}: unknown kind {kind!r}")
         return h
 
-    def mono(self, mid):
-        if mid in self.monomorphisms:
-            return self.monomorphisms[mid]
-        _require(mid in self.spec.get("monomorphisms", {}),
-                 f"undeclared monomorphism {mid!r}")
-        decl = _Decl(self.spec["monomorphisms"][mid], f"monomorphism {mid!r}")
+    def _mono(self, mid, decl):
         if "domain_subgroup" in decl:
             dom = self.subgroup(decl["domain_subgroup"])
         else:
             dom = whole(self.group(decl["domain"]))
         cod = self.subgroup(decl["codomain_subgroup"])
-        images = _words(decl["images"], cod.ambient, f"monomorphism {mid!r}")
+        images = _words(decl["images"], cod.ambient, decl.where)
         _require(len(images) == len(dom.generators),
-                 f"monomorphism {mid!r}: {len(dom.generators)} domain "
+                 f"{decl.where}: {len(dom.generators)} domain "
                  f"generators but {len(images)} images")
-        m = Monomorphism(dom, cod, images)
-        self.monomorphisms[mid] = m
-        return m
+        return Monomorphism(dom, cod, images)
 
-    def graph(self, gid) -> GGraph:
-        if gid in self.constructions:
-            obj = self.constructions[gid]
-            _require(isinstance(obj, GGraph), f"{gid!r} is not a graph")
-            return obj
-        if gid in self.graphs:
-            return self.graphs[gid]
-        _require(gid in self.spec.get("graphs", {}), f"undeclared graph {gid!r}")
-        decl = _Decl(self.spec["graphs"][gid], f"graph {gid!r}")
+    def _graph(self, gid, decl):
         kind = decl.get("kind")
         amb = self.group(decl["group"])
         if kind == "coned_off":
@@ -353,33 +344,28 @@ class SpecEnv:
             g = edgeless_cosets(amb, [self.subgroup(s) for s in decl["subgroups"]],
                                 labels=decl.get("labels"))
         else:
-            raise SpecError(f"graph {gid!r}: unknown kind {kind!r}")
-        self.graphs[gid] = g
+            raise SpecError(f"{decl.where}: unknown kind {kind!r}")
         return g
 
-    def presentation(self, pid) -> RelPresentation:
-        if pid in self.constructions:
-            obj = self.constructions[pid]
-            _require(isinstance(obj, RelPresentation), f"{pid!r} is not a presentation")
-            return obj
-        if pid in self.presentations:
-            return self.presentations[pid]
-        _require(pid in self.spec.get("presentations", {}),
-                 f"undeclared presentation {pid!r}")
-        decl = self.spec["presentations"][pid]
+    def _presentation(self, pid, decl):
         peripherals = {lab: self.subgroup(s)
                        for lab, s in decl.get("peripherals", {}).items()}
         pres = RelPresentation(tuple(decl.get("letters", [])), peripherals, [])
-        try:
-            pres.relators = [pres.parse(r) for r in decl.get("relators", [])]
-        except (ValueError, MalformedWord) as exc:
-            raise SpecError(f"presentation {pid!r}: {exc}") from None
-        self.presentations[pid] = pres
+        pres.relators = [pres.parse(r) for r in decl.get("relators", [])]
         return pres
+
+    def orbit(self, graph: GGraph, oid):
+        """The stabilizer of the vertex orbit ``oid`` of ``graph``."""
+        try:
+            return graph.vertices.stabilizer(oid)
+        except (KeyError, TypeError):
+            raise SpecError(f"no vertex orbit {oid!r} among "
+                            f"{graph.vertices.orbit_ids()}") from None
 
     def vertex(self, graph: GGraph, ref) -> GSetElem:
         _require(isinstance(ref, dict) and "orbit" in ref,
                  "vertex references look like {'orbit': ..., 'rep': ...}")
+        self.orbit(graph, ref["orbit"])
         rep, = _words([ref.get("rep", "1")], graph.group,
                       f"vertex in orbit {ref['orbit']!r}")
         return graph.vertices.elem(ref["orbit"], rep)
@@ -391,30 +377,32 @@ class SpecEnv:
         return obj
 
 
+# declaration section -> the SpecEnv method that builds one declaration of it
+SECTIONS = {"groups": SpecEnv._group, "subgroups": SpecEnv._subgroup,
+            "monomorphisms": SpecEnv._mono, "graphs": SpecEnv._graph,
+            "presentations": SpecEnv._presentation}
+
+
 def validate_spec(spec: dict) -> SpecEnv:
     """Parse and build every declaration; raises SpecError on nonsense."""
     env = SpecEnv(spec)
-    for gid in spec.get("groups", {}):
-        env.group(gid)
-    for sid in spec.get("subgroups", {}):
-        env.subgroup(sid)
-    for mid in spec.get("monomorphisms", {}):
-        env.mono(mid)
-    for gid in spec.get("graphs", {}):
-        env.graph(gid)
-    for pid in spec.get("presentations", {}):
-        env.presentation(pid)
+    for section in SECTIONS:
+        for did in spec.get(section, {}):
+            env._declared(section, did)
     _require(isinstance(spec.get("pipeline", []), list), "pipeline must be a list")
     for i, step in enumerate(spec.get("pipeline", [])):
         _require(isinstance(step, dict) and "op" in step,
                  f"pipeline[{i}] needs an 'op'")
         _require(step["op"] in STEP_HANDLERS,
                  f"pipeline[{i}]: unknown op {step['op']!r}")
+        _require(isinstance(step.get("id", ""), str),
+                 f"pipeline[{i}]: id must be a string")
     for i, exp in enumerate(spec.get("exports", [])):
         _known_keys(exp, {"format", "source", "path", "cut_orbits"},
                     f"exports[{i}]")
         _require(exp.get("format") in ("dot", "json"),
                  f"exports[{i}]: format must be dot or json")
+        _require("path" in exp, f"exports[{i}]: missing key 'path'")
     return env
 
 
@@ -471,12 +459,8 @@ def _step_bass_serre(env, step, report):
 
 def _step_ball(env, step, report):
     graph = env.graph(step["graph"])
-    radius = step.get("radius", env.budgets["radius"])
-    budget = step.get("word_budget", env.budgets["word_budget"])
-    _require(isinstance(radius, int) and radius >= 0,
-             f"ball {step['id']!r}: radius must be a nonnegative integer")
-    _require(budget is None or (isinstance(budget, int) and budget >= 0),
-             f"ball {step['id']!r}: word_budget must be a nonnegative integer")
+    radius = _natural(step, "radius", env.budgets["radius"])
+    budget = _natural(step, "word_budget", env.budgets["word_budget"])
     bases = [env.vertex(graph, ref) for ref in step.get("base", [])]
     if not bases:
         prov = graph.provenance
@@ -508,9 +492,9 @@ def _step_orbit_counts(env, step, report):
     detail = {"vertex_orbits": graph.vertex_orbit_count,
               "edge_orbits": graph.edge_orbit_count}
     if "vertices" in step:
-        ok &= graph.vertex_orbit_count == step["vertices"]
+        ok &= graph.vertex_orbit_count == _natural(step, "vertices")
     if "edges" in step:
-        ok &= graph.edge_orbit_count == step["edges"]
+        ok &= graph.edge_orbit_count == _natural(step, "edges")
     report.check(step.get("id", step["graph"]), "orbit_counts", "orbit-counts",
                  ok, detail, json.dumps(detail, sort_keys=True))
 
@@ -519,9 +503,9 @@ def _step_ball_counts(env, step, report):
     view = env.ball(step["ball"])
     ok = True
     if "vertices" in step:
-        ok &= view.vertex_count == step["vertices"]
+        ok &= view.vertex_count == _natural(step, "vertices")
     if "edges" in step:
-        ok &= view.edge_count == step["edges"]
+        ok &= view.edge_count == _natural(step, "edges")
     detail = {"vertices": view.vertex_count, "edges": view.edge_count}
     report.check(step.get("id", step["ball"]), "ball_counts", "ball-counts",
                  ok, detail, json.dumps(detail, sort_keys=True))
@@ -539,9 +523,9 @@ def _step_audit_tree(env, step, report):
 def _step_audit_paths(env, step, report):
     """Exhaustive embedded-path counts over a window pair sample."""
     view = env.ball(step["ball"])
-    bound = step.get("length_bound", 2 * view.radius)
-    limit = step.get("pair_limit", 40)
-    max_count = step.get("max_count", 1)
+    bound = _natural(step, "length_bound", 2 * view.radius)
+    limit = _natural(step, "pair_limit", 40)
+    max_count = _natural(step, "max_count", 1)
     m = min(limit, view.vertex_count)
     ok = True
     worst = 0
@@ -560,15 +544,13 @@ def _step_audit_fineness(env, step, report):
     vertex = env.vertex(graph, step["vertex"])
     cert = fineness_probe(
         graph, vertex,
-        step.get("angle_bound", env.budgets["angle_bound"]),
-        step.get("radius", env.budgets["radius"]),
-        step.get("threshold", env.budgets["threshold"]),
+        _natural(step, "angle_bound", env.budgets["angle_bound"]),
+        _natural(step, "radius", env.budgets["radius"]),
+        _natural(step, "threshold", env.budgets["threshold"]),
         max_vertices=env.budgets["max_vertices"])
     report.record(step.get("id", "fineness"), "audit_fineness", cert.condition,
-                  {"verdict": cert.verdict,
-                   "witnesses": len(cert.witness)})
-    report.verdict(step.get("id", "fineness"), "fineness", cert.condition,
-                   cert.verdict)
+                  {"verdict": cert.verdict, "witnesses": len(cert.witness)},
+                  [("fineness", cert.condition, cert.verdict)])
 
 
 def _step_audit_all_angles_infinite(env, step, report):
@@ -589,16 +571,16 @@ def _step_audit_all_angles_infinite(env, step, report):
 def _step_audit_cut_vertex(env, step, report):
     graph = env.graph(step["graph"])
     view = env.ball(step["ball"])
-    z = graph.provenance.z if "vertex" not in step \
+    prov = graph.provenance
+    z = prov.z if prov is not None and "vertex" not in step \
         else env.vertex(graph, step["vertex"])
     rep = cut_vertex_audit(graph, view, z)
     verdict = "pass" if rep.passed else "fail"
     report.record(step.get("id", "cut"), "audit_cut_vertex", verdict,
                   {"components": rep.component_count,
                    "details": [str(d) for d in rep.details[:6]],
-                   "sampled": rep.inconclusive})
-    report.verdict(step.get("id", "cut"), "cut-vertex", verdict,
-                   f"components={rep.component_count}")
+                   "sampled": rep.inconclusive},
+                  [("cut-vertex", verdict, f"components={rep.component_count}")])
 
 
 def _step_audit_delta(env, step, report):
@@ -613,28 +595,27 @@ def _peripherals(env, graph, step):
     """The step's peripherals: subgroup ids or ``{"orbit": ...}``
     stabilizers of the graph."""
     return [env.subgroup(s) if isinstance(s, str)
-            else graph.vertices.stabilizer(s["orbit"])
+            else env.orbit(graph, s["orbit"])
             for s in step.get("peripherals", [])]
 
 
 def _report_audit(step, report, op, prefix, audit):
-    """An audit step's record, then one ``prefix:name`` verdict per
+    """An audit step's record, with one ``prefix:name`` verdict per
     condition of the audit report."""
-    sid = step.get("id", step["graph"])
-    report.record(sid, op, audit.verdict,
-                  {"conditions": [c.as_tuple() for c in audit.conditions]})
-    for c in audit.conditions:
-        report.verdict(sid, f"{prefix}:{c.name}", c.verdict, c.detail)
+    report.record(step.get("id", step["graph"]), op, audit.verdict,
+                  {"conditions": [c.as_tuple() for c in audit.conditions]},
+                  [(f"{prefix}:{c.name}", c.verdict, c.detail)
+                   for c in audit.conditions])
 
 
 def _step_audit_gh(env, step, report):
     graph = env.graph(step["graph"])
     _report_audit(step, report, "audit_gh", "gh", gh_graph_audit(
         graph, _peripherals(env, graph, step),
-        angle_bound=step.get("angle_bound", env.budgets["angle_bound"]),
-        fineness_radius=step.get("radius", env.budgets["radius"] + 4),
-        threshold=step.get("threshold", env.budgets["threshold"]),
-        delta_radius=step.get("delta_radius", env.budgets["delta_radius"]),
+        angle_bound=_natural(step, "angle_bound", env.budgets["angle_bound"]),
+        fineness_radius=_natural(step, "radius", env.budgets["radius"] + 4),
+        threshold=_natural(step, "threshold", env.budgets["threshold"]),
+        delta_radius=_natural(step, "delta_radius", env.budgets["delta_radius"]),
         delta_cap=env.budgets["delta_cap"],
         conj_budget=env.budgets["conj_budget"],
         max_vertices=env.budgets["max_vertices"]))
@@ -644,7 +625,7 @@ def _step_audit_cayley_abels(env, step, report):
     graph = env.graph(step["graph"])
     _report_audit(step, report, "audit_cayley_abels", "ca", cayley_abels_audit(
         graph, _peripherals(env, graph, step),
-        radius=step.get("radius", env.budgets["radius"]),
+        radius=_natural(step, "radius", env.budgets["radius"]),
         conj_budget=env.budgets["conj_budget"]))
 
 
@@ -657,7 +638,7 @@ def _step_audit_stabilizer_chains(env, step, report):
     group = graph.group
     z = prov.z
     stab = graph.vertices.stabilizer(z.orbit_id)
-    radius = step.get("radius", 3)
+    radius = _natural(step, "radius", 3)
     checked = 0
     certified = 0
     mismatches = []
@@ -687,7 +668,7 @@ def _step_audit_embedding(env, step, report):
     result = env.constructions.get(f"{step['graph']}:result")
     _require(result is not None, "missing coalescence result")
     source = prov.graph
-    radius = step.get("radius", 4)
+    radius = _natural(step, "radius", 4)
     view = ball_view(source, [prov.x, prov.y], radius,
                      max_vertices=env.budgets["max_vertices"])
     big_vertices = result.embedding.codomain.vertices
@@ -704,7 +685,7 @@ def _step_audit_embedding(env, step, report):
 
 def _step_stabilizer_check(env, step, report):
     graph = env.graph(step["graph"])
-    stab = graph.vertices.stabilizer(step["orbit"])
+    stab = env.orbit(graph, step["orbit"])
     sid = step.get("id", step["orbit"])
     bad = []
     for key, expected, label in (("contains", YES, "missing"),
@@ -721,7 +702,7 @@ def _step_project_tree(env, step, report):
     graph = env.graph(step["graph"])
     tree, pi = project_to_tree(graph)
     env.constructions[step.get("id", "tree")] = tree
-    radius = step.get("check_radius", 3)
+    radius = _natural(step, "check_radius", 3)
     group = graph.group
     z = graph.provenance.z
     distinguished = tree.hooks.distinguished
@@ -766,7 +747,7 @@ def _step_presentation_hnn(env, step, report):
     pres = env.presentation(step["presentation"])
     join = generated(g, _words(step["join_generators"], g,
                                f"step {step['id']!r}"),
-                     budget=step.get("budget", 4))
+                     budget=_natural(step, "budget", 4))
     out = hnn_presentation(pres, step["k_label"], step["l_label"], g, join,
                            join_label=step.get("join_label", "KtL"))
     env.constructions[step["id"]] = out
@@ -790,6 +771,9 @@ def _step_verify_relators(env, step, report):
 
 
 def _step_dehn(env, step, report):
+    sid = step.get("id", "dehn")
+    _require(isinstance(step.get("expect_values", []), list),
+             f"step {sid!r}: expect_values must be a list")
     pres = env.presentation(step["presentation"])
     g = env.group(step["group"])
     table = dehn_bruteforce(
@@ -798,13 +782,13 @@ def _step_dehn(env, step, report):
         conjugator_cap=_natural(step, "conjugator_cap",
                                 env.budgets["conjugator_cap"]),
         h_ball=_natural(step, "h_ball", env.budgets["h_ball"]))
-    env.constructions[step.get("id", "dehn")] = table
+    env.constructions[sid] = table
     values = [e.value for e in table.entries]
     flags = [e.flag() for e in table.entries]
     ok = values == sorted(values)
     if "expect_values" in step:
-        ok &= values == list(step["expect_values"])
-    report.check(step.get("id", "dehn"), "dehn", "dehn-table", ok,
+        ok &= values == step["expect_values"]
+    report.check(sid, "dehn", "dehn-table", ok,
                  {"values": values, "flags": flags},
                  f"values={values} flags={flags}")
 
@@ -850,12 +834,10 @@ def _step_hnn2(env, step, report):
     amalg = build_amalgam(f"{step['id']}:amalgam", g, ell, into_left,
                           into_right, trust_monomorphisms=True)
 
-    env.constructions[f"{step['id']}:hnn_phi"] = g_phi
-    env.constructions[f"{step['id']}:hnn_psi"] = g_psi
-    env.constructions[f"{step['id']}:amalgam"] = amalg
-    env.groups[f"{step['id']}:hnn_phi"] = g_phi
-    env.groups[f"{step['id']}:hnn_psi"] = g_psi
-    env.groups[f"{step['id']}:amalgam"] = amalg
+    for name, built in (("hnn_phi", g_phi), ("hnn_psi", g_psi),
+                        ("amalgam", amalg)):
+        env.constructions[f"{step['id']}:{name}"] = built
+        env.memo["groups", f"{step['id']}:{name}"] = built
 
     t = Word(((t_name, 1),))
     u = Word(((u_name, 1),))
@@ -935,8 +917,7 @@ STEP_HANDLERS = {
 }
 
 
-def run_pipeline(spec: dict, *, overrides=None, audits_only=False,
-                 timings=False) -> RunReport:
+def run_pipeline(spec: dict, *, overrides=None, timings=False) -> RunReport:
     """Execute a validated spec; determinism holds for fixed spec+budgets.
 
     The cyclic garbage collector is paused for the whole run, spec
@@ -960,7 +941,6 @@ def run_pipeline(spec: dict, *, overrides=None, audits_only=False,
         echoed = {k: v for k, v in env.budgets.items()
                   if k != "trust_monomorphisms"}
         report = RunReport(env.name, budgets=echoed)
-        report.audits_only = audits_only  # exports are skipped by the caller
         if timings:
             report.timings_ms = {}
         for i, step in enumerate(spec.get("pipeline", [])):
@@ -976,10 +956,9 @@ def run_pipeline(spec: dict, *, overrides=None, audits_only=False,
             except SpecError:
                 raise
             except ForgeError as exc:
+                error = f"{type(exc).__name__}: {exc}"
                 report.record(step.get("id", f"step{i}"), op, "error",
-                              {"error": f"{type(exc).__name__}: {exc}"})
-                report.verdict(step.get("id", f"step{i}"), op, "fail",
-                               f"{type(exc).__name__}: {exc}")
+                              {"error": error}, [(op, "fail", error)])
             if timings:
                 key = f"{i}:{op}"
                 report.timings_ms[key] = round(

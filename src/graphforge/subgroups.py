@@ -887,8 +887,6 @@ class Monomorphism:
             acc = acc * (self.images[i] if sign > 0 else self.images[i].inverse())
         return self.codomain.ambient.normalize(acc)
 
-    push_on_ambient = push
-
     def _build_finite_map(self):
         table = {}
         for e in self.domain.elements():
@@ -927,20 +925,6 @@ class Monomorphism:
                     break
         self._preimage_cache[w] = result
         return result
-
-    def image_handle(self) -> Subgroup:
-        """A handle for the image, simplified when the structure allows."""
-        cod = self.codomain.ambient
-        if self.domain.is_finite():
-            closed = FiniteSubgroup.closure(
-                cod, [self.push(g) for g in self.domain.generators],
-                cap=4 * (self.domain.order() or 1) + 8,
-            )
-            if closed is not None:
-                return closed
-        if len(self.domain.generators) == 1:
-            return cyclic(cod, self.images[0])
-        return ImageSubgroup(self)
 
     def __repr__(self):
         imgs = ", ".join(f"{d} -> {i}" for d, i in zip(self.domain.generators, self.images))

@@ -32,7 +32,7 @@ def test_hnn_conjugation_relation_on_a_ball():
     g = grouplib.shift_hnn()
     t = g.stable_word()
     for c in g.edge_handle.ball(5):
-        image = g.iso.push_on_ambient(c)
+        image = g.iso.push(c)
         word = t * Word.coerce(c) * t.inverse() * Word.coerce(image).inverse()
         assert g.is_identity(word), c
 

@@ -295,6 +295,22 @@ def test_dot_export_deterministic(tmp_path):
     assert first.count(" -- ") == 0
 
 
+def test_cli_export_writes_what_run_writes(tmp_path, capsys):
+    spec = json.loads(json.dumps(builtin_examples()["example-amalgam-1"]))
+    spec["exports"] = [{"format": "dot", "source": "B",
+                        "path": str(tmp_path / "run.dot")}]
+    path = _write_spec(tmp_path, spec)
+    assert cli_main(["run", path, "--out", str(tmp_path / "run.json")]) == 0
+    for fmt in ("dot", "json"):
+        out = tmp_path / f"export.{fmt}"
+        assert cli_main(["export", path, "--format", fmt, "--source", "B",
+                         "--out", str(out)]) == 0
+        assert out.read_text() == (tmp_path / f"run.{fmt}").read_text()
+    assert cli_main(["export", path, "--format", "dot", "--source", "C"]) == 3
+    assert capsys.readouterr().err == \
+        "spec error: 'C' is not a materialized ball\n"
+
+
 def test_dot_node_count_matches_ball():
     from graphforge.analysis import ball_view
     from graphforge.ggraphs import bass_serre
@@ -373,8 +389,22 @@ def test_cli_rejects_negative_ball_budget(tmp_path, capsys, key):
     path = _write_spec(tmp_path, spec)
     assert cli_main(["run", path]) == 3
     err = capsys.readouterr().err
-    assert err == (f"spec error: ball {ball['id']!r}: {key} must be a "
+    assert err == (f"spec error: step {ball['id']!r}: {key} must be a "
                    "nonnegative integer\n")
+
+
+def test_ball_word_budget_zero_builds_the_budget_one_window():
+    # every vertex enumerates at least one letter of its stabilizer, so a
+    # word budget of 0 is the floor, 1, not the radius
+    spec = json.loads(json.dumps(builtin_examples()["example-amalgam-2"]))
+    pushout, ball = (next(s for s in spec["pipeline"] if s["op"] == op)
+                     for op in ("c_pushout", "ball"))
+    spec["pipeline"] = [pushout, ball]
+    counts = []
+    for budget in (0, 1):
+        ball["word_budget"] = budget
+        counts.append(run_pipeline(spec).env.ball(ball["id"]).vertex_count)
+    assert counts == [519, 519]
 
 
 def _normalize_spec(word):
@@ -498,9 +528,59 @@ def _mutated(name, path, value):
      "graph 'coned': letter 'z' is not a generator of F"),
     ("example-tree-modular", ("monomorphisms", "d1", "images"), ["a"],
      "group 'G': injection refuted: witness (Word('c'), Word('c'))"),
+    # each case below ended in a traceback before steps read their integer
+    # fields, orbits and labels through the spec front end
+    ("example-amalgam-2", ("pipeline", 6, "length_bound"), "x",
+     "step 'audit_paths': length_bound must be a nonnegative integer"),
+    ("example-amalgam-2", ("pipeline", 6, "pair_limit"), "x",
+     "step 'audit_paths': pair_limit must be a nonnegative integer"),
+    ("example-fineness-fail", ("pipeline", 1, "radius"), "8",
+     "step 'cone-probe': radius must be a nonnegative integer"),
+    ("example-fineness-fail", ("pipeline", 1, "radius"), -1,
+     "step 'cone-probe': radius must be a nonnegative integer"),
+    ("example-tree-modular", ("pipeline", 6, "delta_radius"), "2",
+     "step 'audit_gh': delta_radius must be a nonnegative integer"),
+    ("example-amalgam-2", ("pipeline", 7, "radius"), "3",
+     "step 'audit_stabilizer_chains': radius must be a nonnegative integer"),
+    ("example-shift-coalesce", ("pipeline", 4, "radius"), "4",
+     "step 'audit_embedding': radius must be a nonnegative integer"),
+    ("example-shift-coalesce", ("pipeline", 5, "check_radius"), "3",
+     "step 'T': check_radius must be a nonnegative integer"),
+    ("example-tree-modular", ("pipeline", 6),
+     {"op": "audit_cut_vertex", "graph": "T", "ball": "B"},
+     "pipeline[6]: missing key 'vertex'"),
+    ("example-dehn-flat", ("presentations", "P"), ["b"],
+     "presentation 'P' must be a JSON object"),
+    ("example-dehn-flat", ("pipeline", 1, "id"), ["table"],
+     "pipeline[1]: id must be a string"),
+    ("example-fineness-fail", ("pipeline", 1, "vertex"), {"orbit": "cone:Q"},
+     "no vertex orbit 'cone:Q' among ['el', 'cone:E']"),
+    ("example-tree-modular", ("pipeline", 2, "base"), [{"orbit": "vQ"}],
+     "no vertex orbit 'vQ' among ['vA', 'vM', 'vB']"),
+    ("example-tree-modular", ("pipeline", 6, "peripherals"), [{"orbit": "vQ"}],
+     "no vertex orbit 'vQ' among ['vA', 'vM', 'vB']"),
+    ("example-hnn-coalesce", ("pipeline", 2, "orbit"), "zH2",
+     "no vertex orbit 'zH2' among ['yH2']"),
+    ("example-dehn-flat", ("pipeline", 1, "expect_values"), 5,
+     "step 'table': expect_values must be a list"),
+    ("example-amalgam-2", ("subgroups", "KA"),
+     {"group": "G", "kind": "restricted", "inner": "KA", "side": "L"},
+     "cyclic declaration at subgroup 'KA'"),
+    ("example-amalgam-1", ("exports",),
+     [{"format": "dot", "source": "nope", "path": "nope.dot"}],
+     "'nope' is not a materialized ball"),
+    ("example-coned-free", ("graphs", "coned", "relative_generators"), ["1"],
+     "graph 'coned': relative generators must be nontrivial"),
+    ("example-shift-coalesce", ("graphs", "X", "labels"), ["A", "A"],
+     "graph 'X': duplicate orbit id 'cone:A'"),
+    ("example-amalgam-2", ("graphs", "X", "peripherals"), ["KB"],
+     "graph 'X': stabilizer of 'cone:KA' lives over B, not A"),
+    ("example-shift-coalesce", ("graphs", "X", "labels"), ["A"],
+     "graph 'X': 2 subgroups but 1 labels"),
 ])
 def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
                                             value, message):
     spec = _mutated(name, path, value)
     assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
     assert capsys.readouterr().err == f"spec error: {message}\n"
+
