@@ -24,7 +24,7 @@ from .errors import BudgetExceeded, CombinatorialBlowup, WindowTooSmall
 from .ggraphs import GGraph
 from .groups import ball_enumerate, conjugacy_probe
 from .gsets import GSetElem
-from .subgroups import YES
+from .subgroups import YES, same_subgroup
 
 INFINITE = math.inf
 
@@ -855,14 +855,6 @@ def _finite_verdict(handle):
     return "inconclusive"
 
 
-def _same_subgroup(s, h):
-    """Equal schema keys, or each handle contains the other's generators
-    (``h`` is asked about ``s``'s generators first)."""
-    return s.schema_key() == h.schema_key() or (
-        all(h.contains(g) == YES for g in s.generators)
-        and all(s.contains(g) == YES for g in h.generators))
-
-
 def _finite_edge_stabilizers(graph):
     """Condition: every edge stabilizer is finite.  It fails on an infinite
     one and is inconclusive while some stabilizer's finiteness is
@@ -881,7 +873,7 @@ def _stab_matches_peripheral(graph, orbit, peripherals, budget):
     if stab.is_finite() is True:
         return "pass", "finite"
     for h in peripherals:
-        if _same_subgroup(stab, h):
+        if same_subgroup(stab, h):
             return "pass", "equals peripheral"
     # bounded conjugacy probe of each stabilizer generator
     group = graph.group
@@ -911,7 +903,7 @@ def _stabilizers_finite_or_peripheral(graph, peripherals, budget):
 def _peripherals_realized(graph, peripherals):
     """Condition: every peripheral equals some vertex stabilizer."""
     missing = [repr(h) for h in peripherals
-               if not any(_same_subgroup(o.stabilizer, h)
+               if not any(same_subgroup(o.stabilizer, h)
                           for o in graph.vertices.orbits)]
     return ConditionVerdict(
         "peripherals-are-vertex-stabilizers",
@@ -1026,7 +1018,7 @@ def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,
         for b in orbs[i + 1:]:
             if a.stabilizer.is_finite() or b.stabilizer.is_finite():
                 continue
-            if _same_subgroup(a.stabilizer, b.stabilizer):
+            if same_subgroup(a.stabilizer, b.stabilizer):
                 clash.append((a.orbit_id, b.orbit_id))
     conds.append(ConditionVerdict(
         "same-infinite-stabilizer-same-orbit",

@@ -29,6 +29,8 @@ def _load_spec(ref: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"no such spec file or builtin: {ref!r}")
+    except OSError as exc:
+        raise SpecError(f"{ref}: cannot read ({exc.strerror})")
     except json.JSONDecodeError as exc:
         raise SpecError(f"{ref}: not valid JSON ({exc})")
 

@@ -34,8 +34,8 @@ from .subgroups import (
     RestrictedSubgroup,
     Subgroup,
     WholeSubgroup,
-    YES,
     generated,
+    same_subgroup,
     trivial,
     whole,
 )
@@ -93,13 +93,16 @@ class GGraph:
 
         Complete exactly when the vertex stabilizer is finite; otherwise the
         stabilizer is exhausted up to the word budget and the returned flag
-        is False.
+        is False.  An orbit without incident edge orbits samples nothing.
         """
         group, verts = self.group, self.vertices
-        elems, complete = verts.stabilizer(v.orbit_id).sample(word_budget)
+        stab, blocks = verts.stabilizer(v.orbit_id), self._incidence[v.orbit_id]
+        if not blocks:
+            return [], bool(stab.is_finite())
+        elems, complete = stab.sample(word_budget)
         found = []
         seen_keys = set()
-        for eo_id, estab, end_inv, other_ends in self._incidence[v.orbit_id]:
+        for eo_id, estab, end_inv, other_ends in blocks:
             ekey_ok = estab.rep_exact
             for u in elems:
                 h = group.multiply(v.rep, u, end_inv)
@@ -293,27 +296,11 @@ def cayley_graph(group: Group, gens=None) -> GGraph:
                      else group.generator_words())
 
 
-@dataclass
-class GraphEmbedding:
-    """The canonical inclusion of a K-graph into its induced G-graph."""
-    mono: Monomorphism
-    domain: GGraph
-    codomain: GGraph
-    vertex_inclusion: object
-    edge_inclusion: object
-
-    def vertex(self, v):
-        return self.vertex_inclusion.apply(v)
-
-    def edge(self, e):
-        return self.edge_inclusion.apply(e)
-
-
-def induce_graph(mono: Monomorphism, kgraph: GGraph, prefix="") -> GraphEmbedding:
+def induce_graph(mono: Monomorphism, kgraph: GGraph, prefix="") -> GGraph:
     """Extend the acting group of a graph along K -> G."""
     src = kgraph.relabel(prefix) if prefix else kgraph
-    verts, vinc = induce_gset(mono, src.vertices)
-    egset, einc = induce_gset(mono, src.edges)
+    verts, _ = induce_gset(mono, src.vertices)
+    egset, _ = induce_gset(mono, src.edges)
     eos = []
     for eo in src.edge_orbits:
         ends = tuple(
@@ -321,8 +308,7 @@ def induce_graph(mono: Monomorphism, kgraph: GGraph, prefix="") -> GraphEmbeddin
             for p in src.attach[eo.orbit_id]
         )
         eos.append(EdgeOrbit(eo.orbit_id, egset.stabilizer(eo.orbit_id), ends))
-    big = GGraph(mono.codomain.ambient, verts, eos)
-    return GraphEmbedding(mono, kgraph, big, vinc, einc)
+    return GGraph(mono.codomain.ambient, verts, eos)
 
 
 def factor_embedding(group, side) -> Monomorphism:
@@ -340,40 +326,21 @@ def factor_embedding(group, side) -> Monomorphism:
 
 @dataclass
 class PushoutProvenance:
-    group: AmalgamGroup
-    left_graph: GGraph
-    right_graph: GGraph
-    x: GSetElem
-    y: GSetElem
     z: GSetElem
-    vertex_pushout: GSetPushout
-    stab_x: Subgroup          # point stabilizer of x inside the big group
-    stab_y: Subgroup
+    vertex_pushout: GSetPushout   # its merge holds the two point stabilizers
     kind: str = "pushout"
 
 
 @dataclass
 class CoalescenceProvenance:
-    group: HNNGroup
-    graph: GGraph
+    graph: GGraph                 # the input graph over the base group
     x: GSetElem
     y: GSetElem
     z: GSetElem
     hypotheses_hold: bool
+    mono: Monomorphism            # the base group's inclusion
+    vertex_map: GMap              # induced vertices -> coalesced vertices
     kind: str = "coalescence"
-
-
-@dataclass
-class PushoutResult:
-    graph: GGraph
-    include_left: GraphMorphism
-    include_right: GraphMorphism
-    embed_left: GraphEmbedding      # original A-graph -> induced G-graph
-    embed_right: GraphEmbedding
-
-    @property
-    def z(self):
-        return self.graph.provenance.z
 
 
 def _check_fixed(vertices: GSet, point: GSetElem, words, who: str):
@@ -383,7 +350,7 @@ def _check_fixed(vertices: GSet, point: GSetElem, words, who: str):
 
 
 def c_pushout(group: AmalgamGroup, left_graph: GGraph, right_graph: GGraph,
-              x: GSetElem, y: GSetElem) -> PushoutResult:
+              x: GSetElem, y: GSetElem) -> GGraph:
     """Glue the induced graphs along the orbits of one fixed vertex on each
     side.  The identified vertex inherits the subgroup generated by the two
     point stabilizers.
@@ -396,14 +363,14 @@ def c_pushout(group: AmalgamGroup, left_graph: GGraph, right_graph: GGraph,
     _check_fixed(right_graph.vertices, y,
                  [into_r.push(c) for c in group.edge_group.generator_words()], "y")
 
-    emb_l = induce_graph(factor_embedding(group, "L"), left_graph, prefix="X:")
-    emb_r = induce_graph(factor_embedding(group, "R"), right_graph, prefix="Y:")
-    gx, gy = emb_l.codomain, emb_r.codomain
+    mono_l, mono_r = factor_embedding(group, "L"), factor_embedding(group, "R")
+    gx = induce_graph(mono_l, left_graph, prefix="X:")
+    gy = induce_graph(mono_r, right_graph, prefix="Y:")
 
     edge_over_g = RestrictedSubgroup(group, into_l.codomain, "L")
     glue = GSet(group, [Orbit("glue", edge_over_g)])
-    x_big = gx.vertices.elem(f"X:{x.orbit_id}", emb_l.mono.push(x.rep))
-    y_big = gy.vertices.elem(f"Y:{y.orbit_id}", emb_r.mono.push(y.rep))
+    x_big = gx.vertices.elem(f"X:{x.orbit_id}", mono_l.push(x.rep))
+    y_big = gy.vertices.elem(f"Y:{y.orbit_id}", mono_r.push(y.rep))
     phi = GMap(glue, gx.vertices, {"glue": x_big})
     psi = GMap(glue, gy.vertices, {"glue": y_big})
     vpo = pushout_gsets(phi, psi)
@@ -414,45 +381,12 @@ def c_pushout(group: AmalgamGroup, left_graph: GGraph, right_graph: GGraph,
             ends = tuple(inc.apply(p) for p in src.attach[eo.orbit_id])
             eos.append(EdgeOrbit(eo.orbit_id, eo.stabilizer, ends))
     z = vpo.include_s.apply(x_big)
-    merge = vpo.merges[0]
-    prov = PushoutProvenance(group, left_graph, right_graph, x_big, y_big, z,
-                             vpo, merge.s_stab, merge.t_stab)
-    zgraph = GGraph(group, vpo.gset, eos, provenance=prov)
-
-    def side_morphism(src, inc):
-        edge_images = {eo.orbit_id: ("edge", zgraph.edges.elem(eo.orbit_id))
-                       for eo in src.edge_orbits}
-        return GraphMorphism(src, zgraph, inc, edge_images)
-
-    return PushoutResult(zgraph,
-                         side_morphism(gx, vpo.include_s),
-                         side_morphism(gy, vpo.include_t),
-                         emb_l, emb_r)
-
-
-def _handles_agree(a: Subgroup, b: Subgroup) -> bool:
-    """Mutual containment of generators: a cheap exact equality check for
-    decision-complete handles."""
-    try:
-        return all(b.contains(g) == YES for g in a.generators) and \
-               all(a.contains(g) == YES for g in b.generators)
-    except Exception:
-        return False
-
-
-@dataclass
-class CoalescenceResult:
-    graph: GGraph
-    quotient: GraphMorphism       # induced big graph -> coalesced graph
-    embedding: GraphEmbedding     # original graph -> induced big graph
-
-    @property
-    def z(self):
-        return self.graph.provenance.z
+    return GGraph(group, vpo.gset, eos,
+                  provenance=PushoutProvenance(z, vpo))
 
 
 def coalesce(group: HNNGroup, graph: GGraph, x: GSetElem, y: GSetElem,
-             require_hypotheses: bool = True) -> CoalescenceResult:
+             require_hypotheses: bool = True) -> GGraph:
     """Quotient of the induced graph identifying the translate of x across
     the stable letter with y.
 
@@ -465,16 +399,16 @@ def coalesce(group: HNNGroup, graph: GGraph, x: GSetElem, y: GSetElem,
     _check_fixed(graph.vertices, x, group.edge_handle.generators, "x")
     _check_fixed(graph.vertices, y, group.image_handle.generators, "y")
 
-    emb = induce_graph(factor_embedding(group, "base"), graph)
-    big = emb.codomain
+    mono = factor_embedding(group, "base")
+    big = induce_graph(mono, graph)
     t = group.stable_word()
 
     same_orbit = x.orbit_id == y.orbit_id
     stab_x = graph.vertices.stabilizer(x.orbit_id)
     stab_y = graph.vertices.stabilizer(y.orbit_id)
     hyp = (not same_orbit and not x.rep and not y.rep
-           and _handles_agree(stab_x, group.edge_handle)
-           and _handles_agree(stab_y, group.image_handle))
+           and same_subgroup(stab_x, group.edge_handle)
+           and same_subgroup(stab_y, group.image_handle))
     if require_hypotheses and same_orbit:
         raise SameOrbitViolation(
             "the two gluing vertices lie in one orbit; pass "
@@ -536,13 +470,9 @@ def coalesce(group: HNNGroup, graph: GGraph, x: GSetElem, y: GSetElem,
     for eo in big.edge_orbits:
         ends = tuple(vmap(p) for p in big.attach[eo.orbit_id])
         eos.append(EdgeOrbit(eo.orbit_id, eo.stabilizer, ends))
-    zpoint = zverts.elem(z_id, emb.mono.push(y.rep))
-    prov = CoalescenceProvenance(group, graph, x, y, zpoint, hyp)
-    zgraph = GGraph(group, zverts, eos, provenance=prov)
-    edge_images = {eo.orbit_id: ("edge", zgraph.edges.elem(eo.orbit_id))
-                   for eo in big.edge_orbits}
-    rho = GraphMorphism(big, zgraph, vgm, edge_images)
-    return CoalescenceResult(zgraph, rho, emb)
+    zpoint = zverts.elem(z_id, mono.push(y.rep))
+    prov = CoalescenceProvenance(graph, x, y, zpoint, hyp, mono, vgm)
+    return GGraph(group, zverts, eos, provenance=prov)
 
 
 # -- Bass-Serre trees -----------------------------------------------------------
@@ -612,12 +542,13 @@ def project_to_tree(zgraph: GGraph):
     group = zgraph.group
     vertex_images = {}
     if prov.kind == "pushout":
-        if not (isinstance(prov.stab_x, RestrictedSubgroup)
-                and isinstance(prov.stab_y, RestrictedSubgroup)):
+        merge = prov.vertex_pushout.merge
+        if not (isinstance(merge.s_stab, RestrictedSubgroup)
+                and isinstance(merge.t_stab, RestrictedSubgroup)):
             raise ProvenanceMissing(
                 "tree projection needs base-point gluing data"
             )
-        tree = bass_serre(group, middle=(prov.stab_x.inner, prov.stab_y.inner))
+        tree = bass_serre(group, middle=(merge.s_stab.inner, merge.t_stab.inner))
         z_orbit = prov.z.orbit_id
         for o in zgraph.vertices.orbits:
             if o.orbit_id == z_orbit:

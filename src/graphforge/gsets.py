@@ -3,13 +3,14 @@
 An orbit is a coset space G/H given by a stabilizer handle; an element is
 an orbit id plus a coset representative.  Element equality is coset
 equality, decided by the handle.  Induction along a subgroup inclusion and
-pushouts of equivariant maps are the two constructions; pushouts record
-enough provenance to certify stabilizers by chain factorization afterwards.
+pushouts along a source of one orbit are the two constructions; a pushout
+records its merge so that stabilizers can be certified by chain
+factorization afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
@@ -179,9 +180,6 @@ class GMap:
     def apply(self, x: GSetElem) -> GSetElem:
         return self.codomain.act(x.rep, self.images[x.orbit_id])
 
-    def __call__(self, x):
-        return self.apply(x)
-
 
 # -- induction ----------------------------------------------------------------
 
@@ -230,9 +228,6 @@ class InducedInclusion:
             raise StabilizerNotContained(f"cannot push representative {x.rep}")
         return self.codomain.elem(x.orbit_id, pushed)
 
-    def __call__(self, x):
-        return self.apply(x)
-
 
 def induce_gset(mono: Monomorphism, kset: GSet):
     """Extend a K-set to a G-set orbit by orbit (same ids, same stabilizers).
@@ -259,7 +254,6 @@ def induce_gset(mono: Monomorphism, kset: GSet):
 
 @dataclass
 class MergeRecord:
-    class_id: str
     s_point: GSetElem            # identified point on the first leg
     t_point: GSetElem            # identified point on the second leg
     s_stab: Subgroup             # its point stabilizer
@@ -271,14 +265,13 @@ class GSetPushout:
     gset: GSet
     include_s: GMap
     include_t: GMap
-    merges: list = field(default_factory=list)
+    merge: MergeRecord
 
 
-def joined_stabilizer(group: Group, parts, extra=()):
+def joined_stabilizer(group: Group, parts):
     """Best exact handle for the subgroup generated by conjugated handles."""
     plain = [h for g, h in parts if not g]
-    if isinstance(group, AmalgamGroup) and len(parts) == 2 and not extra \
-            and len(plain) == 2:
+    if isinstance(group, AmalgamGroup) and len(parts) == 2 and len(plain) == 2:
         sides = {}
         for h in plain:
             if isinstance(h, RestrictedSubgroup) and h.side in ("L", "R"):
@@ -290,7 +283,7 @@ def joined_stabilizer(group: Group, parts, extra=()):
                 return JoinSubgroup(group, sides["L"], sides["R"])
             except ValueError:
                 pass
-    gens = list(extra)
+    gens = []
     for g, h in parts:
         for w in h.generators:
             gens.append(group.multiply(g, w, Word.coerce(g).inverse()) if g else w)
@@ -298,11 +291,12 @@ def joined_stabilizer(group: Group, parts, extra=()):
 
 
 def pushout_gsets(phi: GMap, psi: GMap) -> GSetPushout:
-    """Glue two G-sets along a common source.
+    """Glue two G-sets along a common source of one orbit.
 
-    Each source orbit identifies the G-orbit of its two images; the merged
-    orbit's stabilizer is generated by the two point stabilizers (plus a
-    transporter element when both images already lie in one merged class).
+    The orbits of the source point's two images x (in S) and y (in T) become
+    one orbit, based at the identified point: it keeps the id of x's orbit
+    and its stabilizer is generated by the two point stabilizers.  Every
+    other orbit of S and T is kept as it is.
     """
     if phi.domain is not psi.domain:
         raise GroupMismatch("pushout legs must share their source G-set")
@@ -310,77 +304,29 @@ def pushout_gsets(phi: GMap, psi: GMap) -> GSetPushout:
     group = S.group
     if T.group is not group or R.group is not group:
         raise GroupMismatch("pushout needs a single acting group")
+    if R.orbit_count != 1:
+        raise ValueError(
+            f"pushout needs a source of one orbit, not {R.orbit_count}")
+    (source_id,) = R.orbit_ids()
+    x, y = phi.images[source_id], psi.images[source_id]
+    gx, gy = group.normalize(x.rep), group.normalize(y.rep)
+    x_stab, y_stab = S.stabilizer(x.orbit_id), T.stabilizer(y.orbit_id)
+    s_stab = ConjugateSubgroup(x_stab, gx) if gx else x_stab
+    t_stab = ConjugateSubgroup(y_stab, gy) if gy else y_stab
+    joined = joined_stabilizer(group, [(gx, x_stab), (gy, y_stab)])
+    Z = GSet(group, [Orbit(x.orbit_id, joined) if o.orbit_id == x.orbit_id
+                     else o for o in S.orbits]
+             + [o for o in T.orbits if o.orbit_id != y.orbit_id])
 
-    slots = [("S", o.orbit_id) for o in S.orbits] + \
-            [("T", o.orbit_id) for o in T.orbits]
-    parent = {s: s for s in slots}
-    shift = {s: Word() for s in slots}   # slot base = shift * class base
-    stab = {("S", o.orbit_id): o.stabilizer for o in S.orbits}
-    stab.update({("T", o.orbit_id): o.stabilizer for o in T.orbits})
+    def include(source: GSet, point: GSetElem, rep):
+        # the point's orbit goes onto the glued one, the point onto its base
+        glued = Z.elem(x.orbit_id, group.normalize(rep.inverse()))
+        return GMap(source, Z, {o.orbit_id: glued if o.orbit_id == point.orbit_id
+                                else Z.elem(o.orbit_id) for o in source.orbits},
+                    check=False)
 
-    def find(slot):
-        while parent[slot] != slot:
-            slot = parent[slot]
-        return slot
-
-    def members(root):
-        return [s for s in slots if find(s) == root]
-
-    merges = []
-    for orb in R.orbits:
-        s_img = phi.images[orb.orbit_id]
-        t_img = psi.images[orb.orbit_id]
-        slot_s, slot_t = ("S", s_img.orbit_id), ("T", t_img.orbit_id)
-        root_s, root_t = find(slot_s), find(slot_t)
-        # class coordinates of the two identified points
-        g1 = group.multiply(shift[slot_s], s_img.rep)
-        g2 = group.multiply(shift[slot_t], t_img.rep)
-        s_stab = ConjugateSubgroup(stab[root_s], g1) if g1 else stab[root_s]
-        t_stab = ConjugateSubgroup(stab[root_t], g2) if g2 else stab[root_t]
-        if root_s == root_t:
-            # both images already lie in one class: the identification adds
-            # a transporter element to the class stabilizer
-            transporter = group.multiply(g1.inverse(), g2)
-            stab[root_s] = joined_stabilizer(
-                group, [(Word(), stab[root_s])], extra=[transporter])
-        else:
-            joined = joined_stabilizer(group, [(g1, stab[root_s]),
-                                               (g2, stab[root_t])])
-            # rebase both classes at the identified point:
-            # old base = g^{-1} . new base, so shifts pick up g^{-1}
-            for m in members(root_s):
-                shift[m] = group.multiply(shift[m], g1.inverse())
-            for m in members(root_t):
-                shift[m] = group.multiply(shift[m], g2.inverse())
-            parent[root_t] = root_s
-            stab[root_s] = joined
-        merges.append(MergeRecord(
-            class_id=root_s[1], s_point=s_img, t_point=t_img,
-            s_stab=s_stab, t_stab=t_stab))
-
-    roots = []
-    for slot in slots:
-        r = find(slot)
-        if r not in roots:
-            roots.append(r)
-    orbit_objs = [Orbit(r[1], stab[r]) for r in roots]
-    Z = GSet(group, orbit_objs)
-
-    def include(side, source: GSet):
-        images = {}
-        for o in source.orbits:
-            slot = (side, o.orbit_id)
-            images[o.orbit_id] = Z.elem(find(slot)[1], shift[slot])
-        return GMap(source, Z, images, check=False)
-
-    result = GSetPushout(Z, include("S", S), include("T", T))
-    # later unions may have changed the root an early merge recorded
-    result.merges = [
-        MergeRecord(find(("S", m.s_point.orbit_id))[1],
-                    m.s_point, m.t_point, m.s_stab, m.t_stab)
-        for m in merges
-    ]
-    return result
+    return GSetPushout(Z, include(S, x, gx), include(T, y, gy),
+                       MergeRecord(x, y, s_stab, t_stab))
 
 
 def chain_factorize(pushout: GSetPushout, g, z: GSetElem):
@@ -394,8 +340,8 @@ def chain_factorize(pushout: GSetPushout, g, z: GSetElem):
     g = Z.group.normalize(g)
     if not Z.stabilizes(g, z):
         raise NotAStabilizer(f"{g} does not fix {z}")
-    record = next((m for m in pushout.merges if m.class_id == z.orbit_id), None)
-    if record is None:
+    record = pushout.merge
+    if record.s_point.orbit_id != z.orbit_id:
         raise NotAStabilizer(f"{z} is not in an identified orbit")
     handle = Z.stabilizer(z.orbit_id)
     group = Z.group

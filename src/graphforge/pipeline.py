@@ -160,16 +160,21 @@ def _known_keys(obj, allowed, where):
     _require(not extra, f"{where}: unknown keys {sorted(extra)}")
 
 
+def _integer(value, where, low=0):
+    """``value`` if it is an integer of at least ``low`` (0 or 1)."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and value >= low,
+             f"{where} must be a {'positive' if low else 'nonnegative'} integer")
+    return value
+
+
 def _natural(step, key, default=...):
     """``step[key]``, or ``default`` when absent and a default is given: a
     natural number, or ``None`` where the default is ``None``."""
     value = step[key] if default is ... else step.get(key, default)
-    _require((value is None and default is None)
-             or (isinstance(value, int) and not isinstance(value, bool)
-                 and value >= 0),
-             f"step {step.get('id', step['op'])!r}: {key} must be a "
-             "nonnegative integer")
-    return value
+    if value is None and default is None:
+        return None
+    return _integer(value, f"step {step.get('id', step['op'])!r}: {key}")
 
 
 def _words(texts, group, where):
@@ -206,6 +211,9 @@ class SpecEnv:
         self.memo = {}            # (section, id) -> the declared object
         self.constructions = {}   # step products: graphs, balls, tables ...
         self.budgets = dict(DEFAULT_BUDGETS)
+        for section in ("budgets", *SECTIONS):
+            _require(isinstance(spec.get(section, {}), dict),
+                     f"{section} must be a JSON object")
         budgets = spec.get("budgets", {})
         _known_keys(budgets, DEFAULT_BUDGETS, "budgets")
         self.budgets.update(budgets)
@@ -215,11 +223,8 @@ class SpecEnv:
                 _require(isinstance(value, bool),
                          f"budgets.{key} must be true or false")
             elif value is not None or default is not None:
-                low = 1 if key in POSITIVE_BUDGETS else 0
-                _require(isinstance(value, int)
-                         and not isinstance(value, bool) and value >= low,
-                         f"budgets.{key} must be a "
-                         f"{'positive' if low else 'nonnegative'} integer")
+                _integer(value, f"budgets.{key}",
+                         1 if key in POSITIVE_BUDGETS else 0)
         self._building = set()
 
     # -- declarations ---------------------------------------------------------
@@ -232,10 +237,11 @@ class SpecEnv:
         objects over the wrong group, and declared injections they refute
         or cannot certify: each is a spec error naming the declaration.
         """
+        where = f"{section[:-1]} {did!r}"
+        _require(isinstance(did, str), f"{where}: references must be strings")
         key = (section, did)
         if key in self.memo:
             return self.memo[key]
-        where = f"{section[:-1]} {did!r}"
         _require(did in self.spec.get(section, {}), f"undeclared {where}")
         _require(key not in self._building, f"cyclic declaration at {where}")
         self._building.add(key)
@@ -261,7 +267,7 @@ class SpecEnv:
 
     def _built(self, cid, cls, section):
         """The step product ``cid`` if a step made one, else the declaration."""
-        if cid not in self.constructions:
+        if not isinstance(cid, str) or cid not in self.constructions:
             return self._declared(section, cid)
         obj = self.constructions[cid]
         _require(isinstance(obj, cls), f"{cid!r} is not a {section[:-1]}")
@@ -274,7 +280,8 @@ class SpecEnv:
         elif kind == "free_abelian":
             g = FreeAbelianGroup(gid, decl["generators"])
         elif kind == "cyclic":
-            g = FiniteGroup.cyclic(decl["order"], decl.get("generator", "a"), gid)
+            g = FiniteGroup.cyclic(_integer(decl["order"], f"{decl.where}: order", 1),
+                                   decl.get("generator", "a"), gid)
         elif kind == "permutation":
             perms = {k: tuple(v) for k, v in decl["generators"].items()}
             g = FiniteGroup.from_permutations(gid, perms)
@@ -307,7 +314,8 @@ class SpecEnv:
             h = free_factor(amb, decl["generators"])
         elif kind == "generated":
             h = generated(amb, _words(decl["generators"], amb, decl.where),
-                          budget=decl.get("budget", 12))
+                          budget=_integer(decl.get("budget", 12),
+                                          f"{decl.where}: budget"))
         elif kind == "restricted":
             h = RestrictedSubgroup(amb, self.subgroup(decl["inner"]),
                                    decl["side"])
@@ -371,7 +379,7 @@ class SpecEnv:
         return graph.vertices.elem(ref["orbit"], rep)
 
     def ball(self, bid):
-        obj = self.constructions.get(bid)
+        obj = self.constructions.get(bid) if isinstance(bid, str) else None
         _require(obj is not None and isinstance(obj, analysis.BallView),
                  f"{bid!r} is not a materialized ball")
         return obj
@@ -411,42 +419,40 @@ def validate_spec(spec: dict) -> SpecEnv:
 
 def _step_induce(env, step, report):
     g = env.group(step["group"])
-    emb = induce_graph(factor_embedding(g, step["side"]),
+    big = induce_graph(factor_embedding(g, step["side"]),
                        env.graph(step["graph"]),
                        prefix=step.get("prefix", ""))
-    env.constructions[step["id"]] = emb.codomain
+    env.constructions[step["id"]] = big
     report.record(step["id"], "induce", "ok",
-                  {"vertex_orbits": emb.codomain.vertex_orbit_count,
-                   "edge_orbits": emb.codomain.edge_orbit_count})
+                  {"vertex_orbits": big.vertex_orbit_count,
+                   "edge_orbits": big.edge_orbit_count})
 
 
 def _step_c_pushout(env, step, report):
     g = env.group(step["group"])
     left = env.graph(step["left"])
     right = env.graph(step["right"])
-    res = c_pushout(g, left, right,
-                    env.vertex(left, step["x"]), env.vertex(right, step["y"]))
-    env.constructions[step["id"]] = res.graph
-    env.constructions[f"{step['id']}:result"] = res
+    z = c_pushout(g, left, right,
+                  env.vertex(left, step["x"]), env.vertex(right, step["y"]))
+    env.constructions[step["id"]] = z
     report.record(step["id"], "c_pushout", "ok",
-                  {"vertex_orbits": res.graph.vertex_orbit_count,
-                   "edge_orbits": res.graph.edge_orbit_count,
-                   "z_orbit": res.z.orbit_id})
+                  {"vertex_orbits": z.vertex_orbit_count,
+                   "edge_orbits": z.edge_orbit_count,
+                   "z_orbit": z.provenance.z.orbit_id})
 
 
 def _step_coalesce(env, step, report):
     g = env.group(step["group"])
     graph = env.graph(step["graph"])
-    res = coalesce(g, graph, env.vertex(graph, step["x"]),
-                   env.vertex(graph, step["y"]),
-                   require_hypotheses=step.get("require_hypotheses", True))
-    env.constructions[step["id"]] = res.graph
-    env.constructions[f"{step['id']}:result"] = res
+    z = coalesce(g, graph, env.vertex(graph, step["x"]),
+                 env.vertex(graph, step["y"]),
+                 require_hypotheses=step.get("require_hypotheses", True))
+    env.constructions[step["id"]] = z
     report.record(step["id"], "coalesce", "ok",
-                  {"vertex_orbits": res.graph.vertex_orbit_count,
-                   "edge_orbits": res.graph.edge_orbit_count,
-                   "z_orbit": res.z.orbit_id,
-                   "hypotheses": res.graph.provenance.hypotheses_hold})
+                  {"vertex_orbits": z.vertex_orbit_count,
+                   "edge_orbits": z.edge_orbit_count,
+                   "z_orbit": z.provenance.z.orbit_id,
+                   "hypotheses": z.provenance.hypotheses_hold})
 
 
 def _step_bass_serre(env, step, report):
@@ -665,16 +671,12 @@ def _step_audit_embedding(env, step, report):
     prov = graph.provenance
     _require(prov is not None and prov.kind == "coalescence",
              "embedding audit needs a coalescence graph")
-    result = env.constructions.get(f"{step['graph']}:result")
-    _require(result is not None, "missing coalescence result")
-    source = prov.graph
     radius = _natural(step, "radius", 4)
-    view = ball_view(source, [prov.x, prov.y], radius,
+    view = ball_view(prov.graph, [prov.x, prov.y], radius,
                      max_vertices=env.budgets["max_vertices"])
-    big_vertices = result.embedding.codomain.vertices
-    push = result.embedding.mono.push
-    images = ((v.elem, result.quotient.vertex(
-        big_vertices.elem(v.elem.orbit_id, push(v.elem.rep))))
+    rho = prov.vertex_map
+    images = ((v.elem, rho.apply(
+        rho.domain.elem(v.elem.orbit_id, prov.mono.push(v.elem.rep))))
         for v in view.vertices)
     found = [(str(a), str(b)) for a, b in collisions(graph.vertices, images)]
     report.check(step.get("id", step["graph"]), "audit_embedding",

@@ -848,6 +848,14 @@ def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:
     return SearchSubgroup(ambient, gens, budget)
 
 
+def same_subgroup(s: Subgroup, h: Subgroup) -> bool:
+    """Equal schema keys, or each handle contains the other's generators
+    (``h`` is asked about ``s``'s generators first)."""
+    return s.schema_key() == h.schema_key() or (
+        all(h.contains(g) == YES for g in s.generators)
+        and all(s.contains(g) == YES for g in h.generators))
+
+
 class Monomorphism:
     """An injection of one subgroup into another, by generator images."""
 

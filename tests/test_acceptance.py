@@ -103,19 +103,18 @@ def test_criterion_03_dihedral_coalescence():
     from graphforge.subgroups import build_hnn
     g = build_hnn("D*phi", a, h1, iso, "t")
     xg = edgeless_cosets(a, [h1, h2], labels=["xH1", "yH2"])
-    res = coalesce(g, xg, xg.vertices.elem("xH1"), xg.vertices.elem("yH2"))
-    z = res.graph
+    z = coalesce(g, xg, xg.vertices.elem("xH1"), xg.vertices.elem("yH2"))
     ok = z.vertex_orbit_count == 1
 
     # independent coset arithmetic: rho(g.x) keys must partition the radius-6
     # ball exactly like left cosets of H1
     h1g = RestrictedSubgroup(g, h1, "base")
-    big = res.embedding.codomain
+    rho = z.provenance.vertex_map
     ball = ball_enumerate(g, g.generator_words(), 6)
     by_image = {}
     by_coset = {}
     for i, w in enumerate(ball):
-        img = res.quotient.vertex(big.vertices.elem("xH1", w))
+        img = rho.apply(rho.domain.elem("xH1", w))
         by_image.setdefault(z.vertices.elem_key(img), []).append(i)
         by_coset.setdefault(tuple(h1g.coset_rep(w)), []).append(i)
     part_a = {frozenset(v) for v in by_image.values()}
@@ -134,8 +133,8 @@ def test_criterion_04_shift_coalescence_stabilizer():
                    [Word.parse("a"), Word.parse("b")], labels=["A", "B"])
     x = xg.vertices.elem("cone:A")
     y = xg.vertices.elem("cone:B")
-    res = coalesce(g, xg, x, y)
-    z = res.graph
+    z = coalesce(g, xg, x, y)
+    zv = z.provenance.z
     hb = RestrictedSubgroup(g, cyclic(f, "b"), "base")
     ball5 = ball_enumerate(g, g.generator_words(), 5)
 
@@ -166,7 +165,7 @@ def test_criterion_04_shift_coalescence_stabilizer():
 
     item1 = True
     for w in ball5:
-        fixes = z.vertices.elem_equal(z.vertices.act(w, res.z), res.z)
+        fixes = z.vertices.elem_equal(z.vertices.act(w, zv), zv)
         member = hb.contains(w) == YES
         oracle = find(key("B", w)) == zcls
         if fixes != member or fixes != oracle:
@@ -177,10 +176,11 @@ def test_criterion_04_shift_coalescence_stabilizer():
     view = ball_view(xg, [x, y], 5, max_vertices=300000)
     seen = {}
     item2 = True
+    rho = z.provenance.vertex_map
     for v in view.vertices:
-        big_elem = res.embedding.codomain.vertices.elem(
-            v.elem.orbit_id, res.embedding.mono.push(v.elem.rep))
-        img = res.quotient.vertex(big_elem)
+        big_elem = rho.domain.elem(
+            v.elem.orbit_id, z.provenance.mono.push(v.elem.rep))
+        img = rho.apply(big_elem)
         k = z.vertices.elem_key(img)
         if k in seen:
             item2 = False

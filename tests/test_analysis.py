@@ -123,6 +123,23 @@ def test_ball_monotone():
     assert small_keys <= large_keys
 
 
+def test_ball_samples_no_stabilizer_at_an_edgeless_orbit(monkeypatch):
+    # an orbit with no incident edge orbit has no edges at any vertex, so
+    # its stabilizer is never sampled; the completeness flag is still the
+    # stabilizer's finiteness
+    f, s3 = grouplib.free2(), grouplib.sym3()
+    for group, stab, complete in ((f, cyclic(f, "a"), False),
+                                  (s3, generated(s3, ["x"]), True)):
+        def refuse(word_budget):
+            raise AssertionError("sampled an edgeless orbit's stabilizer")
+        monkeypatch.setattr(stab, "sample", refuse)
+        graph = edgeless_cosets(group, [stab], labels=["A"])
+        view = ball_view(graph, [graph.vertices.elem("A")], 6)
+        assert (view.vertex_count, view.edge_count) == (1, 0)
+        assert view.vertices[0].complete is complete
+        assert view.complete is complete
+
+
 # -- narrowed and translated windows -------------------------------------------
 #
 # The oracle for narrow_view is a direct ball_view at the smaller budget.
@@ -816,15 +833,11 @@ def test_delta_matches_explicit_geodesics():
 
 def test_cut_vertex_single_point_vacuous():
     g = grouplib.lattice_amalgam()
-    res = c_pushout(g, single_vertex_graph(g.left), single_vertex_graph(g.right),
-                    single_vertex_graph(g.left).vertices.elem("pt"),
-                    single_vertex_graph(g.right).vertices.elem("pt"))
-    # rebuild with shared objects
     xg = single_vertex_graph(g.left)
     yg = single_vertex_graph(g.right)
-    res = c_pushout(g, xg, yg, xg.vertices.elem("pt"), yg.vertices.elem("pt"))
-    view = ball_view(res.graph, [res.z], 2)
-    report = cut_vertex_audit(res.graph, view, res.z)
+    z = c_pushout(g, xg, yg, xg.vertices.elem("pt"), yg.vertices.elem("pt"))
+    view = ball_view(z, [z.provenance.z], 2)
+    report = cut_vertex_audit(z, view, z.provenance.z)
     assert report.passed
     assert report.component_count == 0
 
@@ -835,10 +848,10 @@ def test_cut_vertex_cone_pushout():
                    [Word.parse("a3")], labels=["KA"])
     yg = coned_off(g.right, [free_factor(g.right, ["b1", "b2"])],
                    [Word.parse("b3")], labels=["KB"])
-    res = c_pushout(g, xg, yg, xg.vertices.elem("cone:KA"),
-                    yg.vertices.elem("cone:KB"))
-    view = ball_view(res.graph, [res.z], 3, word_budget=3)
-    report = cut_vertex_audit(res.graph, view, res.z)
+    z = c_pushout(g, xg, yg, xg.vertices.elem("cone:KA"),
+                  yg.vertices.elem("cone:KB"))
+    view = ball_view(z, [z.provenance.z], 3, word_budget=3)
+    report = cut_vertex_audit(z, view, z.provenance.z)
     assert report.passed
     assert report.component_count >= 2
     sides = {d[2] for d in report.details if d[0] == "component"}

@@ -87,15 +87,14 @@ def test_induce_graph_copies():
     ufac = zz.factors[0]
     lam = cayley_graph(ufac)
     mono = Monomorphism(whole(ufac), free_factor(zz, ["u"]), ["u"])
-    emb = induce_graph(mono, lam)
-    big = emb.codomain
+    big = induce_graph(mono, lam)
     assert big.vertex_orbit_count == 1
     assert big.edge_orbit_count == 1
     rep = validate_graph(big)
     assert rep.valid and rep.simplicial and rep.no_inversions
     # embedding is injective on a sample and lands in the u-axis copy
     pts = [lam.vertices.elem("el", Word.parse("u").power(k)) for k in range(-2, 3)]
-    imgs = [emb.vertex(p) for p in pts]
+    imgs = [big.vertices.elem(p.orbit_id, mono.push(p.rep)) for p in pts]
     assert len({big.vertices.elem_key(i) for i in imgs}) == len(pts)
     # a v-translate lies in a different copy: not equal to any image
     far = big.vertices.elem("el", "v u")
@@ -106,16 +105,16 @@ def test_pushout_of_points_is_single_vertex():
     g = grouplib.lattice_amalgam()
     x_graph = single_vertex_graph(g.left)
     y_graph = single_vertex_graph(g.right)
-    res = c_pushout(g, x_graph, y_graph,
-                    x_graph.vertices.elem("pt"), y_graph.vertices.elem("pt"))
-    z = res.graph
+    z = c_pushout(g, x_graph, y_graph,
+                  x_graph.vertices.elem("pt"), y_graph.vertices.elem("pt"))
+    zv = z.provenance.z
     assert z.vertex_orbit_count == 1
     assert z.edge_orbit_count == 0
-    stab = z.vertices.stabilizer(res.z.orbit_id)
+    stab = z.vertices.stabilizer(zv.orbit_id)
     for w in ("a1", "a2", "b1", "b2", "a1 b2 a2^-1"):
         assert stab.contains(w) == YES
     # the entire orbit is one point
-    assert z.vertices.elem_equal(z.vertices.elem(res.z.orbit_id, "a2 b2"), res.z)
+    assert z.vertices.elem_equal(z.vertices.elem(zv.orbit_id, "a2 b2"), zv)
 
 
 def cone_graph_pair():
@@ -129,18 +128,18 @@ def cone_graph_pair():
 
 def test_pushout_cone_example_schema():
     g, xg, yg = cone_graph_pair()
-    res = c_pushout(g, xg, yg,
-                    xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
-    z = res.graph
+    z = c_pushout(g, xg, yg,
+                  xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
+    zv = z.provenance.z
     assert z.vertex_orbit_count == 3
     assert z.edge_orbit_count == 4
-    stab = z.vertices.stabilizer(res.z.orbit_id)
+    stab = z.vertices.stabilizer(zv.orbit_id)
     for w in ("a1", "a2", "b2", "a2 b2 a2", "b1"):
         assert stab.contains(w) == YES
     for w in ("a3", "b3", "a2 a3", "a3 b2"):
         assert stab.contains(w) == NO
     # free orbits keep trivial stabilizers
-    free_orbits = [o for o in z.vertices.orbits if o.orbit_id != res.z.orbit_id]
+    free_orbits = [o for o in z.vertices.orbits if o.orbit_id != zv.orbit_id]
     assert len(free_orbits) == 2
     assert all(o.stabilizer.is_trivial() for o in free_orbits)
     # edge stabilizers are preserved (all trivial here)
@@ -151,29 +150,28 @@ def test_pushout_cone_example_schema():
 
 def test_pushout_stabilizer_certified_by_chains():
     g, xg, yg = cone_graph_pair()
-    res = c_pushout(g, xg, yg,
-                    xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
-    z = res.graph
+    z = c_pushout(g, xg, yg,
+                  xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
+    zv = z.provenance.z
     po = z.provenance.vertex_pushout
-    stab = z.vertices.stabilizer(res.z.orbit_id)
+    stab = z.vertices.stabilizer(zv.orbit_id)
     for w in ball_enumerate(g, g.generator_words(), 3):
-        fixes = z.vertices.elem_equal(z.vertices.act(w, res.z), res.z)
+        fixes = z.vertices.elem_equal(z.vertices.act(w, zv), zv)
         assert fixes == (stab.contains(w) == YES)
         if fixes:
-            factors = chain_factorize(po, w, res.z)
+            factors = chain_factorize(po, w, zv)
             prod = Word()
             for _, fw in factors:
                 prod = prod * fw
-            assert z.provenance.stab_x.contains(
+            assert po.merge.s_stab.contains(
                 g.multiply(prod.inverse(), w)) == YES
 
 
 def test_pushout_preserves_untouched_stabilizers():
     # vertices of the left graph outside the glued orbit keep their answers
     g, xg, yg = cone_graph_pair()
-    res = c_pushout(g, xg, yg,
-                    xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
-    z = res.graph
+    z = c_pushout(g, xg, yg,
+                  xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
     el_orbit = next(o for o in z.vertices.orbits if o.orbit_id == "X:el")
     assert el_orbit.stabilizer.is_trivial()
 
@@ -195,12 +193,12 @@ def test_coalesce_point_collapses():
     g = build_hnn("FxZ", f, c, iso, "t")
     xg = single_vertex_graph(f, label="pt")
     pt = xg.vertices.elem("pt")
-    res = coalesce(g, xg, pt, pt, require_hypotheses=False)
-    z = res.graph
+    z = coalesce(g, xg, pt, pt, require_hypotheses=False)
+    zv = z.provenance.z
     assert z.vertex_orbit_count == 1
-    stab = z.vertices.stabilizer(res.z.orbit_id)
+    stab = z.vertices.stabilizer(zv.orbit_id)
     assert stab.is_whole()
-    assert z.vertices.elem_equal(z.vertices.elem(res.z.orbit_id, "t a"), res.z)
+    assert z.vertices.elem_equal(z.vertices.elem(zv.orbit_id, "t a"), zv)
 
 
 def test_coalesce_same_orbit_guard():
@@ -230,11 +228,11 @@ def test_coalesce_coset_union_matches_single_orbit():
     g, xg = dihedral_coalescence()
     x = xg.vertices.elem("xH1")
     y = xg.vertices.elem("yH2")
-    res = coalesce(g, xg, x, y)
-    z = res.graph
+    z = coalesce(g, xg, x, y)
+    zv = z.provenance.z
     assert z.provenance.hypotheses_hold
     assert z.vertex_orbit_count == 1
-    stab = z.vertices.stabilizer(res.z.orbit_id)
+    stab = z.vertices.stabilizer(zv.orbit_id)
     assert stab.contains("q") == YES
     assert stab.contains("p") == NO
     assert stab.contains("t") == NO
@@ -244,12 +242,12 @@ def test_coalesce_coset_union_matches_single_orbit():
     from graphforge.subgroups import RestrictedSubgroup, free_factor as ff
     h1g = RestrictedSubgroup(g, ff(g.base, ["p"]), "base")
     ball = ball_enumerate(g, g.generator_words(), 4)
-    big = res.embedding.codomain
+    rho = z.provenance.vertex_map
     for u in ball[:40]:
         for v in ball[:40]:
             lhs = z.vertices.elem_equal(
-                res.quotient.vertex(big.vertices.elem("xH1", u)),
-                res.quotient.vertex(big.vertices.elem("xH1", v)),
+                rho.apply(rho.domain.elem("xH1", u)),
+                rho.apply(rho.domain.elem("xH1", v)),
             )
             rhs = h1g.contains(g.multiply(u.inverse(), v)) == YES
             assert lhs == rhs, (u, v)
@@ -262,12 +260,12 @@ def test_coalesce_cone_points_shift_hnn():
                    [Word.parse("a"), Word.parse("b")], labels=["A", "B"])
     x = xg.vertices.elem("cone:A")
     y = xg.vertices.elem("cone:B")
-    res = coalesce(g, xg, x, y)
-    z = res.graph
+    z = coalesce(g, xg, x, y)
+    zv = z.provenance.z
     assert z.provenance.hypotheses_hold
     assert z.vertex_orbit_count == 2      # elements + the merged cone orbit
     assert z.edge_orbit_count == 4
-    stab = z.vertices.stabilizer(res.z.orbit_id)
+    stab = z.vertices.stabilizer(zv.orbit_id)
     assert stab.contains("b") == YES
     assert stab.contains("a") == NO
     assert stab.contains("t") == NO
@@ -282,8 +280,8 @@ def test_coalesce_stabilizer_matches_union_find_oracle():
     f = g.base
     xg = coned_off(f, [cyclic(f, "a"), cyclic(f, "b")],
                    [Word.parse("a"), Word.parse("b")], labels=["A", "B"])
-    res = coalesce(g, xg, xg.vertices.elem("cone:A"), xg.vertices.elem("cone:B"))
-    z = res.graph
+    z = coalesce(g, xg, xg.vertices.elem("cone:A"), xg.vertices.elem("cone:B"))
+    zv = z.provenance.z
 
     from graphforge.subgroups import RestrictedSubgroup
     ha = RestrictedSubgroup(g, cyclic(f, "a"), "base")
@@ -314,7 +312,7 @@ def test_coalesce_stabilizer_matches_union_find_oracle():
     zcls = find(key("B", Word()))
     for w in ball:
         oracle_fixes = find(key("B", w)) == zcls
-        claimed = z.vertices.elem_equal(z.vertices.act(w, res.z), res.z)
+        claimed = z.vertices.elem_equal(z.vertices.act(w, zv), zv)
         if oracle_fixes:
             # identifications only merge within the enumerated window, so a
             # positive oracle answer is always sound
@@ -350,12 +348,12 @@ def test_bass_serre_hnn_subdivided():
 
 def test_project_pushout_to_tree():
     g, xg, yg = cone_graph_pair()
-    res = c_pushout(g, xg, yg,
-                    xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
-    z = res.graph
+    z = c_pushout(g, xg, yg,
+                  xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
+    zv = z.provenance.z
     tree, pi = project_to_tree(z)
-    assert pi.vertex(res.z) == tree.hooks.distinguished or \
-        tree.vertices.elem_equal(pi.vertex(res.z), tree.hooks.distinguished)
+    assert pi.vertex(zv) == tree.hooks.distinguished or \
+        tree.vertices.elem_equal(pi.vertex(zv), tree.hooks.distinguished)
     # vertex orbits map onto the three tree orbits
     images = {pi.vertex(z.vertices.elem(o.orbit_id)).orbit_id
               for o in z.vertices.orbits}
@@ -365,9 +363,9 @@ def test_project_pushout_to_tree():
         assert pi.commutes_on(z.edges.elem(eo.orbit_id))
     # preimage of the distinguished vertex is exactly the identified vertex
     for w in ball_enumerate(g, g.generator_words(), 3):
-        v = z.vertices.act(w, res.z)
+        v = z.vertices.act(w, zv)
         hits = tree.vertices.elem_equal(pi.vertex(v), tree.hooks.distinguished)
-        assert hits == z.vertices.elem_equal(v, res.z)
+        assert hits == z.vertices.elem_equal(v, zv)
 
 
 def test_project_coalescence_to_tree():
@@ -375,13 +373,13 @@ def test_project_coalescence_to_tree():
     f = g.base
     xg = coned_off(f, [cyclic(f, "a"), cyclic(f, "b")],
                    [Word.parse("a"), Word.parse("b")], labels=["A", "B"])
-    res = coalesce(g, xg, xg.vertices.elem("cone:A"), xg.vertices.elem("cone:B"))
-    z = res.graph
+    z = coalesce(g, xg, xg.vertices.elem("cone:A"), xg.vertices.elem("cone:B"))
+    zv = z.provenance.z
     tree, pi = project_to_tree(z)
-    assert tree.vertices.elem_equal(pi.vertex(res.z), tree.hooks.distinguished)
+    assert tree.vertices.elem_equal(pi.vertex(zv), tree.hooks.distinguished)
     for eo in z.edge_orbits:
         assert pi.commutes_on(z.edges.elem(eo.orbit_id))
     for w in ball_enumerate(g, g.generator_words(), 3):
-        v = z.vertices.act(w, res.z)
+        v = z.vertices.act(w, zv)
         hits = tree.vertices.elem_equal(pi.vertex(v), tree.hooks.distinguished)
-        assert hits == z.vertices.elem_equal(v, res.z)
+        assert hits == z.vertices.elem_equal(v, zv)

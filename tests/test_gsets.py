@@ -207,16 +207,18 @@ def test_induced_stabilizers_match_pointwise():
         }
 
 
-def test_pushout_disjoint_union_when_source_empty():
+def test_pushout_needs_a_source_of_one_orbit():
     s3 = grouplib.sym3()
-    empty = GSet(s3, [])
     S = GSet(s3, [Orbit("s", generated(s3, ["x"]))])
     T = GSet(s3, [Orbit("t", generated(s3, ["y"]))])
-    phi = GMap(empty, S, {})
-    psi = GMap(empty, T, {})
-    po = pushout_gsets(phi, psi)
-    assert po.gset.orbit_count == 2
-    assert po.merges == []
+    empty = GSet(s3, [])
+    two = GSet(s3, [Orbit("r1", trivial(s3)), Orbit("r2", trivial(s3))])
+    for R, images_s, images_t in (
+            (empty, {}, {}),
+            (two, {"r1": S.elem("s"), "r2": S.elem("s", "y")},
+             {"r1": T.elem("t"), "r2": T.elem("t", "x")})):
+        with pytest.raises(ValueError, match="one orbit"):
+            pushout_gsets(GMap(R, S, images_s), GMap(R, T, images_t))
 
 
 def test_pushout_collapses_to_fixed_point():

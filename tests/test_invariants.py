@@ -59,16 +59,15 @@ def test_every_pushout_orbit_meets_the_canonical_copies():
                    [Word.parse("a3")], labels=["KA"])
     yg = coned_off(g.right, [free_factor(g.right, ["b1", "b2"])],
                    [Word.parse("b3")], labels=["KB"])
-    res = c_pushout(g, xg, yg, xg.vertices.elem("cone:KA"),
-                    yg.vertices.elem("cone:KB"))
-    z = res.graph
+    z = c_pushout(g, xg, yg, xg.vertices.elem("cone:KA"),
+                  yg.vertices.elem("cone:KB"))
+    po = z.provenance.vertex_pushout
     # every vertex orbit of the pushout contains the image of a source-graph
     # base point, so every vertex has a translate inside the copies
     copies = []
-    for inc, src in ((res.include_left, res.include_left.domain),
-                     (res.include_right, res.include_right.domain)):
-        for o in src.vertices.orbits:
-            copies.append(inc.vertex_map.apply(src.vertices.elem(o.orbit_id)))
+    for inc in (po.include_s, po.include_t):
+        for o in inc.domain.orbits:
+            copies.append(inc.apply(inc.domain.elem(o.orbit_id)))
     for o in z.vertices.orbits:
         v = z.vertices.elem(o.orbit_id, "a2 b2")
         carried = z.vertices.act(Word.coerce(v.rep).inverse(), v)
@@ -84,8 +83,8 @@ def test_point_pushout_orbit_count_additivity():
     g = grouplib.lattice_amalgam()
     xg = single_vertex_graph(g.left)
     yg = single_vertex_graph(g.right)
-    res = c_pushout(g, xg, yg, xg.vertices.elem("pt"), yg.vertices.elem("pt"))
-    assert res.graph.vertex_orbit_count == \
+    z = c_pushout(g, xg, yg, xg.vertices.elem("pt"), yg.vertices.elem("pt"))
+    assert z.vertex_orbit_count == \
         xg.vertex_orbit_count + yg.vertex_orbit_count - 1
 
 

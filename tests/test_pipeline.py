@@ -180,6 +180,12 @@ def test_schema_doc_names_every_budget():
     assert sorted(re.findall(r"`(\w+)`", first)) == sorted(DEFAULT_BUDGETS)
 
 
+def test_readme_quick_start_runs():
+    readme = (SCHEMA.parents[1] / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(SpecError):
         validate_spec({"groups": {}, "mystery": 1})
@@ -577,10 +583,34 @@ def _mutated(name, path, value):
      "graph 'X': stabilizer of 'cone:KA' lives over B, not A"),
     ("example-shift-coalesce", ("graphs", "X", "labels"), ["A"],
      "graph 'X': 2 subgroups but 1 labels"),
+    ("example-hnn-coalesce", ("groups",), ["H1"],
+     "groups must be a JSON object"),
+    ("example-fineness-fail", ("budgets",), 5,
+     "budgets must be a JSON object"),
+    ("example-fineness-fail", ("pipeline", 0, "graph"), ["coned"],
+     "graph ['coned']: references must be strings"),
+    ("example-hnn-coalesce", ("groups", "H1", "order"), "3",
+     "group 'H1': order must be a positive integer"),
+    ("example-hnn-coalesce", ("groups", "H1", "order"), 1.5,
+     "group 'H1': order must be a positive integer"),
+    ("example-hnn-coalesce", ("groups", "H1", "order"), 0,
+     "group 'H1': order must be a positive integer"),
+    ("example-hnn-coalesce", ("groups", "H1", "order"), -3,
+     "group 'H1': order must be a positive integer"),
+    ("example-hnn-coalesce", ("groups", "H1", "order"), True,
+     "group 'H1': order must be a positive integer"),
+    ("example-tree-modular", ("subgroups", "K1", "budget"), "x",
+     "subgroup 'K1': budget must be a nonnegative integer"),
+    # no spec at all: the path names a directory
+    (None, (), None, "<spec>: cannot read (Is a directory)"),
 ])
 def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
                                             value, message):
-    spec = _mutated(name, path, value)
-    assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
-    assert capsys.readouterr().err == f"spec error: {message}\n"
+    if name is None:
+        ref = str(tmp_path)
+    else:
+        ref = _write_spec(tmp_path, _mutated(name, path, value))
+    assert cli_main(["run", ref]) == 3
+    assert capsys.readouterr().err == \
+        f"spec error: {message.replace('<spec>', ref)}\n"
 
