@@ -13,23 +13,25 @@ Canonical forms, by class
                            factors cancels only at the junctions.
 * ``FreeAbelianGroup``  -- letters sorted by declared generator order.
 * ``FreeProductGroup``  -- alternating factor-canonical syllables.
-* ``AmalgamGroup``      -- left-to-right pinned alternating transversal
-                           syllables followed by a trailing edge-group part.
-* ``HNNGroup``          -- Britton-reduced form ``tau_1 t^e1 ... tau_n t^en a``
+* ``AmalgamGroup``      -- pinned form: alternating nonidentity transversal
+                           syllables, then an edge-group part.
+* ``HNNGroup``          -- Britton form ``tau_1 t^e1 ... tau_n t^en a``
                            with each ``tau_i`` a pinned left-coset
                            representative.
 
-Pinning is done left to right so that trailing carries flow rightward; left
-cosets of the distinguished subgroups then have representatives that are
-*prefix-stable* under right multiplication, which the orbit layer relies on.
+Both split forms come from one left-to-right fold over runs of one-sided
+letters (the normal form theorem for amalgams; Britton's lemma): at each
+change of side, or stable letter, the open syllable splits into a pinned
+coset representative and an edge part carried rightward.  So left cosets of
+the distinguished subgroups have *prefix-stable* representatives under
+right multiplication, which the orbit layer relies on.
 
 The normal-form cache maps each word ``normalize`` was given to its normal
-form.  ``multiply`` normalizes the concatenation of its factors, so the
-concatenation becomes a key, except in ``FreeGroup``, where the factors'
-normal forms cancel only at the junctions, and ``HNNGroup``, where the
-Britton reduction of the left factor continues through the later ones.
-These two cache the product (and an HNN product's Britton form) under
-itself: no unreduced key, and equal products share one object.
+form.  ``multiply`` normalizes the concatenation of its factors (a new key),
+except in ``FreeGroup`` (cancel at the junctions) and ``HNNGroup`` (continue
+the left factor's Britton fold), which cache the product under itself.  An
+element's split form is computed once, with its normal form, and kept under
+it: ``pinned_form(w)`` and ``britton_form(w)`` look up ``normalize(w)``.
 
 ``_product(nfs)`` multiplies factors that must already be normal forms of
 the group, unchecked (any other word gives a wrong answer, not an error):
@@ -39,6 +41,7 @@ in ``FreeGroup`` it is the junction cancellation alone, else ``_multiply``.
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
 
 from .errors import (
     BudgetExceeded,
@@ -46,29 +49,6 @@ from .errors import (
     StableLetterCollision,
 )
 from .words import NormalForm, Word, free_reduce
-
-
-def _syllables(word, owner, factor):
-    """The alternating list of (key, canonical nonempty subword): runs of
-    letters with one ``owner`` key, normalized in ``factor(key)``, and
-    merged with their neighbour once a run between them cancels."""
-    runs = []
-    for letter in Word.coerce(word):
-        key = owner(letter[0])
-        if runs and runs[-1][0] == key:
-            runs[-1][1].append(letter)
-        else:
-            runs.append((key, [letter]))
-    stack = []
-    for key, letters in runs:
-        cur = factor(key).normalize(Word(letters))
-        while cur:
-            if stack and stack[-1][0] == key:
-                cur = factor(key).normalize(stack.pop()[1] * cur)
-            else:
-                stack.append((key, cur))
-                break
-    return stack
 
 
 class Group:
@@ -366,9 +346,20 @@ class FreeProductGroup(Group):
         return self._owner[name]
 
     def syllables(self, word):
-        """Alternating (factor index, canonical nonempty subword) list."""
-        return _syllables(word, self._owner.__getitem__,
-                          self.factors.__getitem__)
+        """The alternating list of (factor index, canonical nonempty
+        subword): runs of one factor's letters, normalized in that factor
+        and merged with their neighbour once a run between them cancels."""
+        stack = []
+        for key, run in groupby(Word.coerce(word),
+                                lambda l: self._owner[l[0]]):
+            cur = self.factors[key].normalize(Word(run))
+            while cur:
+                if stack and stack[-1][0] == key:
+                    cur = self.factors[key].normalize(stack.pop()[1] * cur)
+                else:
+                    stack.append((key, cur))
+                    break
+        return stack
 
     def _canonical(self, word):
         out = Word()
@@ -444,66 +435,45 @@ class AmalgamGroup(Group):
         The pinned syllables are ``(side, transversal word)`` pairs with
         nonidentity transversal representatives of left edge-image cosets,
         strictly alternating in side; the trailing part is a word over the
-        edge group.
+        edge group.  Computed with the element's normal form, kept under it.
         """
-        word = Word.coerce(word)
-        cached = self._pinned_cache.get(word)
-        if cached is not None:
-            return cached
-        self.check_word(word)
-        pend = deque(_syllables(word, self.side_of, self.factor))
-        pinned = []
-        carry = None  # word over the edge group, multiplies next syllable on the left
-        tail = Word()
-        while pend:
-            side, w = pend.popleft()
-            if carry is not None:
-                w = self.factor(side).multiply(
-                    self.edge_embedding(side).push(carry), w
-                )
-                carry = None
-                if not w:
-                    # the carry cancelled the whole syllable
-                    if pinned and pend and pinned[-1][0] == pend[0][0]:
-                        pside, pw = pinned.pop()
-                        nside, nw = pend.popleft()
-                        pend.appendleft(
-                            (pside, self.factor(pside).multiply(pw, nw)))
-                    continue
-            rep, c = self._split(side, w)
-            if rep:
-                pinned.append((side, rep))
-                if pend:
-                    carry = c
-                else:
-                    tail = c
-            else:
-                # syllable lies in the edge image: fold it rightward
-                if pend:
-                    if pinned and pinned[-1][0] == pend[0][0]:
-                        # its neighbours are same-sided: merge them
-                        pside, pw = pinned.pop()
-                        nside, nw = pend.popleft()
-                        merged = self.factor(pside).multiply(
-                            pw, self.edge_embedding(pside).push(c), nw
-                        )
-                        pend.appendleft((pside, merged))
-                    else:
-                        carry = c
-                else:
-                    tail = c
-        tail = self.edge_group.normalize(tail)
-        result = (tuple(pinned), tail)
-        self._pinned_cache[word] = result
-        return result
+        return self._pinned_cache[self.normalize(word)]
 
-    def _canonical(self, word):
-        pinned, tail = self.pinned_form(word)
+    def _fold(self, word):
+        """The pinned form of ``word``, reduced left to right: at each
+        change of side pin the open syllable's coset rep and carry its edge
+        part into the next run; a syllable in the edge image instead
+        reopens the last pinned one, which is on the side being entered."""
+        pinned = []
+        side = acc = None
+        for s, run in groupby(word, lambda l: self.side_of(l[0])):
+            factors = [Word(run)]
+            if side:
+                rep, c = self._split(side, acc)
+                factors.insert(0, self.edge_embedding(s).push(c))
+                if rep:
+                    pinned.append((side, rep))
+                elif pinned:
+                    factors.insert(0, pinned.pop()[1])
+            acc = self.factor(s).multiply(*factors)
+            side = s
+        rep, tail = self._split(side, acc) if side else (None, Word())
+        if rep:
+            pinned.append((side, rep))
+        return (tuple(pinned), self.edge_group.normalize(tail))
+
+    def _spell(self, pinned, tail):
+        """The pinned reps of ``pinned`` followed by the word ``tail``."""
         out = Word()
         for _, rep in pinned:
             out = out * rep
-        if tail:
-            out = out * self.left.normalize(self.into_left.push(tail))
+        return out * tail
+
+    def _canonical(self, word):
+        pinned, tail = form = self._fold(word)
+        out = self._spell(pinned, tail and self.left.normalize(
+            self.into_left.push(tail)))
+        self._pinned_cache.setdefault(out, form)
         return out
 
     def factor_word(self, word, side):
@@ -549,17 +519,6 @@ class HNNGroup(Group):
         self.stable = stable
         self._britton_cache: dict = {}
 
-    def _tokens(self, word):
-        toks = []
-        for name, sign in Word.coerce(word):
-            if name == self.stable:
-                toks.append(("t", sign))
-            elif toks and toks[-1][0] == "b":
-                toks[-1] = ("b", toks[-1][1] * Word(((name, sign),)))
-            else:
-                toks.append(("b", Word(((name, sign),))))
-        return toks
-
     def _cross(self, eps, k):
         """Move an edge-image element rightward across t^eps."""
         if eps > 0:
@@ -573,43 +532,37 @@ class HNNGroup(Group):
         return img
 
     def britton_form(self, word):
-        """(pinned (tau, eps) pairs, trailing base word), Britton-reduced."""
-        word = Word.coerce(word)
-        cached = self._britton_cache.get(word)
-        if cached is not None:
-            return cached
-        self.check_word(word)
-        result = self._fold([], Word(), word)
-        self._britton_cache[word] = result
-        return result
+        """(pinned (tau, eps) pairs, trailing base word), Britton-reduced;
+        computed with the element's normal form and kept under it."""
+        return self._britton_cache[self.normalize(word)]
 
     def _fold(self, pinned, acc, word):
         """Continue the left-to-right reduction from the state ``pinned``
         (a list, extended in place) and base accumulator ``acc`` through
-        the letters of ``word``; returns the finished Britton form."""
-        for tok in self._tokens(word):
-            if tok[0] == "b":
-                acc = self.base.multiply(acc, tok[1])
+        the runs of base letters and stable letters of ``word``; returns
+        the finished Britton form."""
+        for stable, run in groupby(word, lambda l: l[0] == self.stable):
+            if not stable:
+                acc = self.base.multiply(acc, Word(run))
                 continue
-            eps = tok[1]
-            handle = self.image_handle if eps > 0 else self.edge_handle
-            tau = handle.coset_rep(acc)
-            k = self.base.multiply(tau.inverse(), acc)
-            crossed = self._cross(eps, k)
-            if not tau and pinned and pinned[-1][1] == -eps:
-                ptau, _ = pinned.pop()
-                acc = self.base.multiply(ptau, crossed)
-            else:
-                pinned.append((tau, eps))
-                acc = self.base.normalize(crossed)
+            for _, eps in run:
+                handle = self.image_handle if eps > 0 else self.edge_handle
+                tau = handle.coset_rep(acc)
+                k = self.base.multiply(tau.inverse(), acc)
+                crossed = self._cross(eps, k)
+                if not tau and pinned and pinned[-1][1] == -eps:
+                    ptau, _ = pinned.pop()
+                    acc = self.base.multiply(ptau, crossed)
+                else:
+                    pinned.append((tau, eps))
+                    acc = self.base.normalize(crossed)
         return (tuple(pinned), self.base.normalize(acc))
 
     def _multiply(self, words) -> NormalForm:
         # the Britton form of a product is the fold's state after its left
         # factor, continued through the later factors' normal forms
-        first = Word.coerce(words[0]) if words else Word()
-        nf = self.normalize(first)
-        state = self.britton_form(first)
+        nf = self.normalize(words[0] if words else Word())
+        state = self._britton_cache[nf]
         for w in words[1:]:
             state = self._fold(list(state[0]), state[1], self.normalize(w))
         if len(words) > 1:
@@ -625,7 +578,10 @@ class HNNGroup(Group):
         return out * tail
 
     def _canonical(self, word):
-        return self._spell(*self.britton_form(word))
+        form = self._fold([], Word(), word)
+        out = self._spell(*form)
+        self._britton_cache.setdefault(out, form)
+        return out
 
     def base_word(self, word):
         """The element as a word of the base group, or None."""

@@ -179,6 +179,8 @@ def _natural(step, key, default=...):
 
 def _words(texts, group, where):
     """Parse the declared words and check their letters against group."""
+    _require(all(isinstance(t, str) for t in texts),
+             f"{where}: words must be strings")
     try:
         words = [Word.parse(t) for t in texts]
         for w in words:
@@ -198,6 +200,14 @@ class _Decl(dict):
 
     def __missing__(self, key):
         raise SpecError(f"{self.where}: missing key {key!r}")
+
+    def listed(self, key, default=...):
+        """``self[key]``, or ``default`` when absent and given: a list (a
+        string would be read as its characters), or a ``None`` default."""
+        value = self[key] if default is ... else self.get(key, default)
+        _require(isinstance(value, list) or (value is None and default is None),
+                 f"{self.where}: {key} must be a list")
+        return value
 
 
 class SpecEnv:
@@ -276,9 +286,9 @@ class SpecEnv:
     def _group(self, gid, decl):
         kind = decl.get("kind")
         if kind == "free":
-            g = FreeGroup(gid, decl["generators"])
+            g = FreeGroup(gid, decl.listed("generators"))
         elif kind == "free_abelian":
-            g = FreeAbelianGroup(gid, decl["generators"])
+            g = FreeAbelianGroup(gid, decl.listed("generators"))
         elif kind == "cyclic":
             g = FiniteGroup.cyclic(_integer(decl["order"], f"{decl.where}: order", 1),
                                    decl.get("generator", "a"), gid)
@@ -286,7 +296,7 @@ class SpecEnv:
             perms = {k: tuple(v) for k, v in decl["generators"].items()}
             g = FiniteGroup.from_permutations(gid, perms)
         elif kind == "free_product":
-            g = FreeProductGroup(gid, [self.group(f) for f in decl["factors"]])
+            g = FreeProductGroup(gid, [self.group(f) for f in decl.listed("factors")])
         elif kind == "amalgam":
             g = build_amalgam(
                 gid, self.group(decl["left"]), self.group(decl["right"]),
@@ -311,9 +321,9 @@ class SpecEnv:
         elif kind == "cyclic":
             h = cyclic(amb, _words([decl["generator"]], amb, decl.where)[0])
         elif kind == "free_factor":
-            h = free_factor(amb, decl["generators"])
+            h = free_factor(amb, decl.listed("generators"))
         elif kind == "generated":
-            h = generated(amb, _words(decl["generators"], amb, decl.where),
+            h = generated(amb, _words(decl.listed("generators"), amb, decl.where),
                           budget=_integer(decl.get("budget", 12),
                                           f"{decl.where}: budget"))
         elif kind == "restricted":
@@ -329,7 +339,7 @@ class SpecEnv:
         else:
             dom = whole(self.group(decl["domain"]))
         cod = self.subgroup(decl["codomain_subgroup"])
-        images = _words(decl["images"], cod.ambient, decl.where)
+        images = _words(decl.listed("images"), cod.ambient, decl.where)
         _require(len(images) == len(dom.generators),
                  f"{decl.where}: {len(dom.generators)} domain "
                  f"generators but {len(images)} images")
@@ -339,18 +349,19 @@ class SpecEnv:
         kind = decl.get("kind")
         amb = self.group(decl["group"])
         if kind == "coned_off":
-            g = coned_off(amb, [self.subgroup(s) for s in decl["peripherals"]],
-                          _words(decl["relative_generators"], amb, decl.where),
-                          labels=decl.get("labels"))
+            g = coned_off(amb, [self.subgroup(s) for s in decl.listed("peripherals")],
+                          _words(decl.listed("relative_generators"), amb, decl.where),
+                          labels=decl.listed("labels", None))
         elif kind == "cayley":
-            gens = decl.get("generators")
+            gens = decl.listed("generators", [])
             g = cayley_graph(amb, _words(gens, amb, decl.where) if gens else None)
         elif kind == "single_vertex":
             stab = self.subgroup(decl["stabilizer"]) if "stabilizer" in decl else None
             g = single_vertex_graph(amb, stab, label=decl.get("label", "pt"))
         elif kind == "edgeless_cosets":
-            g = edgeless_cosets(amb, [self.subgroup(s) for s in decl["subgroups"]],
-                                labels=decl.get("labels"))
+            g = edgeless_cosets(amb, [self.subgroup(s)
+                                      for s in decl.listed("subgroups")],
+                                labels=decl.listed("labels", None))
         else:
             raise SpecError(f"{decl.where}: unknown kind {kind!r}")
         return g
@@ -358,8 +369,11 @@ class SpecEnv:
     def _presentation(self, pid, decl):
         peripherals = {lab: self.subgroup(s)
                        for lab, s in decl.get("peripherals", {}).items()}
-        pres = RelPresentation(tuple(decl.get("letters", [])), peripherals, [])
-        pres.relators = [pres.parse(r) for r in decl.get("relators", [])]
+        pres = RelPresentation(tuple(decl.listed("letters", [])), peripherals, [])
+        relators = decl.listed("relators", [])
+        _require(all(isinstance(r, str) for r in relators),
+                 f"{decl.where}: relators must be strings")
+        pres.relators = [pres.parse(r) for r in relators]
         return pres
 
     def orbit(self, graph: GGraph, oid):
@@ -467,7 +481,7 @@ def _step_ball(env, step, report):
     graph = env.graph(step["graph"])
     radius = _natural(step, "radius", env.budgets["radius"])
     budget = _natural(step, "word_budget", env.budgets["word_budget"])
-    bases = [env.vertex(graph, ref) for ref in step.get("base", [])]
+    bases = [env.vertex(graph, ref) for ref in step.listed("base", [])]
     if not bases:
         prov = graph.provenance
         bases = [prov.z] if prov is not None else \
@@ -475,7 +489,6 @@ def _step_ball(env, step, report):
     view = ball_view(graph, bases, radius, word_budget=budget,
                      max_vertices=env.budgets["max_vertices"])
     env.constructions[step["id"]] = view
-    env.constructions[f"{step['id']}:graph"] = graph
     report.record(step["id"], "ball", "ok",
                   {"vertices": view.vertex_count, "edges": view.edge_count,
                    "complete": view.complete})
@@ -590,11 +603,15 @@ def _step_audit_cut_vertex(env, step, report):
 
 
 def _step_audit_delta(env, step, report):
+    sid = step.get("id", step["ball"])
     view = env.ball(step["ball"])
+    expected = step.get("expect_delta", 0)
+    _require(type(expected) in (int, float),
+             f"step {sid!r}: expect_delta must be a number")
     est = delta_estimate(view)
-    ok = ("expect_delta" not in step) or (est.delta == step["expect_delta"])
-    report.check(step.get("id", step["ball"]), "audit_delta", "delta-estimate",
-                 ok, {"delta": est.delta}, f"delta={est.delta:g}")
+    ok = ("expect_delta" not in step) or (est.delta == expected)
+    report.check(sid, "audit_delta", "delta-estimate", ok, {"delta": est.delta},
+                 f"delta={est.delta:g}")
 
 
 def _peripherals(env, graph, step):
@@ -602,7 +619,7 @@ def _peripherals(env, graph, step):
     stabilizers of the graph."""
     return [env.subgroup(s) if isinstance(s, str)
             else env.orbit(graph, s["orbit"])
-            for s in step.get("peripherals", [])]
+            for s in step.listed("peripherals", [])]
 
 
 def _report_audit(step, report, op, prefix, audit):
@@ -692,7 +709,7 @@ def _step_stabilizer_check(env, step, report):
     bad = []
     for key, expected, label in (("contains", YES, "missing"),
                                  ("excludes", NO, "present")):
-        texts = step.get(key, [])
+        texts = step.listed(key, [])
         words = _words(texts, graph.group, f"step {sid!r}: {key}")
         bad += [(label, t) for t, w in zip(texts, words)
                 if stab.contains(w) != expected]
@@ -747,7 +764,7 @@ def _step_presentation_amalgam(env, step, report):
 def _step_presentation_hnn(env, step, report):
     g = env.group(step["group"])
     pres = env.presentation(step["presentation"])
-    join = generated(g, _words(step["join_generators"], g,
+    join = generated(g, _words(step.listed("join_generators"), g,
                                f"step {step['id']!r}"),
                      budget=_natural(step, "budget", 4))
     out = hnn_presentation(pres, step["k_label"], step["l_label"], g, join,
@@ -774,8 +791,11 @@ def _step_verify_relators(env, step, report):
 
 def _step_dehn(env, step, report):
     sid = step.get("id", "dehn")
-    _require(isinstance(step.get("expect_values", []), list),
+    expected = step.get("expect_values", [])
+    _require(isinstance(expected, list),
              f"step {sid!r}: expect_values must be a list")
+    for value in expected:
+        _integer(value, f"step {sid!r}: expect_values items")
     pres = env.presentation(step["presentation"])
     g = env.group(step["group"])
     table = dehn_bruteforce(
@@ -789,7 +809,7 @@ def _step_dehn(env, step, report):
     flags = [e.flag() for e in table.entries]
     ok = values == sorted(values)
     if "expect_values" in step:
-        ok &= values == step["expect_values"]
+        ok &= values == expected
     report.check(sid, "dehn", "dehn-table", ok,
                  {"values": values, "flags": flags},
                  f"values={values} flags={flags}")

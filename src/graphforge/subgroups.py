@@ -559,11 +559,7 @@ class RestrictedSubgroup(Subgroup):
         if cached is not None:
             return cached
         if self.side == "base":
-            pinned, tail = self.ambient.britton_form(w)
-            prefix = Word()
-            for tau, eps in pinned:
-                prefix = prefix * tau * Word(((self.ambient.stable, eps),))
-            rep = self.ambient.normalize(prefix * self.inner.coset_rep(tail))
+            pinned, part = self.ambient.britton_form(w)
         else:
             pinned, tail = self.ambient.pinned_form(w)
             factor = self.ambient.factor(self.side)
@@ -573,10 +569,8 @@ class RestrictedSubgroup(Subgroup):
                 pinned = pinned[:-1]
             else:
                 part = factor.normalize(tail_img)
-            prefix = Word()
-            for _, srep in pinned:
-                prefix = prefix * srep
-            rep = self.ambient.normalize(prefix * self.inner.coset_rep(part))
+        rep = self.ambient.normalize(
+            self.ambient._spell(pinned, self.inner.coset_rep(part)))
         cache[w] = rep
         return rep
 
@@ -621,7 +615,7 @@ class JoinSubgroup(Subgroup):
     rep_exact = True
 
     def __init__(self, ambient: AmalgamGroup, inner_left: Subgroup,
-                 inner_right: Subgroup, budget=DEFAULT_BUDGET):
+                 inner_right: Subgroup):
         if not isinstance(ambient, AmalgamGroup):
             raise GroupMismatch(f"a join needs an amalgam, not {ambient.name}")
         for side, inner in (("L", inner_left), ("R", inner_right)):
@@ -639,7 +633,7 @@ class JoinSubgroup(Subgroup):
         self.inner = {"L": inner_left, "R": inner_right}
         gens = [ambient.normalize(g) for g in inner_left.generators]
         gens += [ambient.normalize(g) for g in inner_right.generators]
-        super().__init__(ambient, gens, budget)
+        super().__init__(ambient, gens)
         self._whole = False
         self._whole = all(self.contains(g) == YES
                           for g in ambient.generator_words())
@@ -682,11 +676,8 @@ class JoinSubgroup(Subgroup):
             rep = self.ambient.identity()
         else:
             side, last = syls[-1]
-            pinned_last = self.inner[side].coset_rep(last)
-            out = Word()
-            for _, srep in syls[:-1]:
-                out = out * srep
-            rep = self.ambient.normalize(out * pinned_last)
+            rep = self.ambient.normalize(self.ambient._spell(
+                syls[:-1], self.inner[side].coset_rep(last)))
         cache[w] = rep
         return rep
 
@@ -859,8 +850,7 @@ def same_subgroup(s: Subgroup, h: Subgroup) -> bool:
 class Monomorphism:
     """An injection of one subgroup into another, by generator images."""
 
-    def __init__(self, domain: Subgroup, codomain: Subgroup, images,
-                 budget=DEFAULT_BUDGET):
+    def __init__(self, domain: Subgroup, codomain: Subgroup, images):
         self.domain = domain
         self.codomain = codomain
         # keep the images as written: factor inclusions stay recognizably
@@ -868,7 +858,6 @@ class Monomorphism:
         self.images = tuple(Word.coerce(w) for w in images)
         if len(self.images) != len(domain.generators):
             raise ValueError("one image per domain generator required")
-        self.budget = budget
         self._preimage_cache: dict = {}
         self._finite_map = None
         # letter-for-letter maps invert by substitution
@@ -927,7 +916,7 @@ class Monomorphism:
                     self.domain.generators[0].power(k)
                 )
         else:
-            for cand in self.domain.ball(min(self.budget, 6)):
+            for cand in self.domain.ball(min(DEFAULT_BUDGET, 6)):
                 if self.push(cand) == w:
                     result = cand
                     break
@@ -939,13 +928,12 @@ class Monomorphism:
         return f"<Monomorphism {self.domain.ambient.name} -> {self.codomain.ambient.name}: {imgs}>"
 
 
-def check_monomorphism(mono: Monomorphism, budget=None):
+def check_monomorphism(mono: Monomorphism, budget=DEFAULT_BUDGET):
     """("verified" | "refuted" | "unknown", witness).
 
     Exact for finite domains; otherwise certified on the generator ball of
     the given radius.  A refutation witness is a domain pair or element.
     """
-    budget = budget or mono.budget
     dom = mono.domain
     finite = dom.is_finite()
     try:

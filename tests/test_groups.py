@@ -19,7 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from graphforge.errors import MalformedWord
 from graphforge.examples import builtin_examples
-from graphforge.groups import FreeGroup, ball_enumerate, conjugacy_probe
+from graphforge.groups import (
+    AmalgamGroup,
+    FreeGroup,
+    ball_enumerate,
+    conjugacy_probe,
+)
 from graphforge.pipeline import validate_spec
 from graphforge.subgroups import generated
 from graphforge.words import NormalForm, Word, free_reduce
@@ -363,6 +368,62 @@ def test_hnn_multiply_is_the_normal_form_of_the_concatenation(
         assert g.normalize(nf) is nf
         assert g.britton_form(nf) == ref.britton_form(concat)
         assert oracle(nf) == oracle(concat)
+
+
+# -- split forms (pinned and Britton forms: reduced, one per element) --------
+
+
+def amalgam2():
+    """``example-amalgam-2``'s group: (Z^2 * Z) *_Z (Z^2 * Z)."""
+    return validate_spec(builtin_examples()["example-amalgam-2"]).group("G")
+
+
+SPLIT_GROUPS = [
+    ("modular", grouplib.modular_amalgam, ["a", "b"]),
+    ("lattice", grouplib.lattice_amalgam, ["a1", "a2", "b1", "b2"]),
+    ("coned", grouplib.coned_amalgam, ["a1", "a2", "a3", "b1", "b2", "b3"]),
+    ("amalgam-2", amalgam2, ["a1", "a2", "a3", "b1", "b2", "b3"]),
+    ("shift", grouplib.shift_hnn, ["a", "b", "t"]),
+    ("point", hnn_point, ["a", "b", "t"]),
+]
+
+
+def check_pinned_form(g, form):
+    """Sides alternate; each rep is nonidentity and its own coset rep."""
+    pinned, tail = form
+    sides = [side for side, _ in pinned]
+    assert all(a != b for a, b in zip(sides, sides[1:])), pinned
+    for side, rep in pinned:
+        assert rep and g.edge_embedding(side).codomain.coset_rep(rep) == rep
+    assert g.edge_group.normalize(tail) == tail
+
+
+def check_britton_form(g, form):
+    """Each tau is its handle's coset rep, and no trivial tau follows an
+    opposite crossing: no ``t^e c t^-e`` pinch is left."""
+    pinned, tail = form
+    for i, (tau, eps) in enumerate(pinned):
+        handle = g.image_handle if eps > 0 else g.edge_handle
+        assert handle.coset_rep(tau) == tau, pinned
+        assert tau or i == 0 or pinned[i - 1][1] != -eps, pinned
+    assert g.base.normalize(tail) == tail
+
+
+@pytest.mark.parametrize("tag,factory,alphabet", SPLIT_GROUPS)
+def test_split_forms_are_reduced_and_kept_once_per_element(tag, factory,
+                                                           alphabet):
+    g = factory()
+    amalgam = isinstance(g, AmalgamGroup)
+    split = g.pinned_form if amalgam else g.britton_form
+    check = check_pinned_form if amalgam else check_britton_form
+    seed = zlib.crc32(tag.encode()) % 1000
+    for w in random_words(alphabet, 200, 12, seed):
+        form = split(w)
+        check(g, form)
+        assert split(g.normalize(w)) is form
+        assert split(str(w)) is form
+    cache = g._pinned_cache if amalgam else g._britton_cache
+    assert all(g.normalize(key) == key for key in list(cache))
 
 
 # -- products of normal forms (oracle: a fresh group's multiply, normalize) --

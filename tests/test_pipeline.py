@@ -603,6 +603,35 @@ def _mutated(name, path, value):
      "subgroup 'K1': budget must be a nonnegative integer"),
     # no spec at all: the path names a directory
     (None, (), None, "<spec>: cannot read (Is a directory)"),
+    # a word that is not a string, a string where a list belongs and an
+    # expectation that is not a number each ended in a traceback, a run of
+    # the string's characters or a false audit failure
+    ("example-fineness-fail", ("pipeline", 1, "vertex"),
+     {"orbit": "cone:E", "rep": 5},
+     "vertex in orbit 'cone:E': words must be strings"),
+    ("example-amalgam-1", ("pipeline", 0, "x"), {"orbit": "pt", "rep": ["a1"]},
+     "vertex in orbit 'pt': words must be strings"),
+    ("example-coned-free", ("graphs", "coned", "relative_generators"), [5],
+     "graph 'coned': words must be strings"),
+    ("example-dehn-flat", ("presentations", "P", "letters"), 5,
+     "presentation 'P': letters must be a list"),
+    ("example-dehn-flat", ("presentations", "P", "relators"), [5],
+     "presentation 'P': relators must be strings"),
+    ("example-hnn-coalesce", ("pipeline", 2, "contains"), "q",
+     "pipeline[2]: contains must be a list"),
+    ("example-hnn-coalesce", ("subgroups", "h1", "generators"), "p",
+     "subgroup 'h1': generators must be a list"),
+    ("example-shift-coalesce", ("graphs", "X", "labels"), "AB",
+     "graph 'X': labels must be a list"),
+    ("example-tree-modular", ("pipeline", 2, "base"), "vA",
+     "pipeline[2]: base must be a list"),
+    ("example-tree-modular", ("pipeline", 5, "expect_delta"), "x",
+     "step 'B': expect_delta must be a number"),
+    ("example-dehn-flat", ("pipeline", 1, "expect_values"), [0, 0, 0, 1, 1, "2"],
+     "step 'table': expect_values items must be a nonnegative integer"),
+    # a ball registers only itself, not its graph under "<id>:graph"
+    ("example-tree-modular", ("pipeline", 6, "graph"), "B:graph",
+     "undeclared graph 'B:graph'"),
 ])
 def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
                                             value, message):

@@ -14,6 +14,7 @@ from graphforge.errors import (
 )
 from graphforge.groups import FiniteGroup, FreeAbelianGroup
 from graphforge.subgroups import (
+    DEFAULT_BUDGET,
     FiniteSubgroup,
     FreeFactorSubgroup,
     JoinSubgroup,
@@ -205,10 +206,9 @@ def test_monomorphism_checks():
     assert check_monomorphism(phi, budget=8)[0] == "verified"
 
 
-def pairwise_check_reference(mono, budget=None):
+def pairwise_check_reference(mono, budget):
     """The earlier ``check_monomorphism``, which pushed both factors again
     for every pair; kept as the reference for the verdict and witness."""
-    budget = budget or mono.budget
     dom = mono.domain
     finite = dom.is_finite()
     try:
@@ -247,14 +247,15 @@ def seeded_maps():
     z4 = FiniteGroup.cyclic(4, "a", "Z4")
     s3 = grouplib.sym3()
     f = grouplib.free2()
-    maps = [(Monomorphism(whole(z2), whole(z4), ["a"]), None)]  # not a map
+    maps = [(Monomorphism(whole(z2), whole(z4), ["a"]),  # not a map
+             DEFAULT_BUDGET)]
     for k in range(4):
         maps.append((Monomorphism(whole(z4), whole(z4), [Word.parse("a").power(k)]),
-                     None))
+                     DEFAULT_BUDGET))
     s3_words = [s3.word_of(e) for e in s3.elements()]
     for _ in range(8):
         images = [rng.choice(s3_words) for _ in s3.generators]
-        maps.append((Monomorphism(whole(s3), whole(s3), images), None))
+        maps.append((Monomorphism(whole(s3), whole(s3), images), DEFAULT_BUDGET))
     for w in random_words(["a", "b"], 3, 4, seed=43):
         if f.normalize(w):
             maps.append((Monomorphism(whole(grouplib.int_line()),
