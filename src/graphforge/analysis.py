@@ -875,18 +875,13 @@ def _stab_matches_peripheral(graph, orbit, peripherals, budget):
     for h in peripherals:
         if same_subgroup(stab, h):
             return "pass", "equals peripheral"
-    # bounded conjugacy probe of each stabilizer generator
-    group = graph.group
+    # one bounded conjugator for all of the stabilizer's generators: a
+    # conjugator per generator would not put the subgroup into a peripheral
     for h in peripherals:
-        ok = True
-        for g in stab.generators:
-            verdict, _ = conjugacy_probe(group, g, h, budget)
-            if verdict != "yes":
-                ok = False
-                break
-        if ok and stab.generators:
-            return "pass", "generators conjugate into a peripheral"
-    return "inconclusive", "no conjugacy certificate at budget"
+        verdict, x = conjugacy_probe(graph.group, stab.generators, h, budget)
+        if verdict == "yes":
+            return "pass", f"conjugated into a peripheral by {x}"
+    return "inconclusive", f"no conjugacy certificate at conj_budget={budget}"
 
 
 def _stabilizers_finite_or_peripheral(graph, peripherals, budget):
@@ -926,6 +921,9 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
        capped at ``max_vertices``; each orbit is probed at its point with
        rep 1, and ``fineness_probe`` keeps the probe for any later call
        with the same parameters.
+
+    A stabilizer (for 6) or a peripheral (for ``proper-pair``) whose
+    finiteness is undecided makes its condition inconclusive, not a pass.
     """
     conds = [ConditionVerdict("finitely-many-vertex-orbits", "pass",
                               f"{graph.vertex_orbit_count} orbits"),
@@ -948,7 +946,11 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
     verdicts = []
     notes = []
     for orb in graph.vertices.orbits:
-        if orb.stabilizer.is_finite() is not False:
+        finite = orb.stabilizer.is_finite()
+        if finite is None:
+            verdicts.append("inconclusive")
+            notes.append(f"{orb.orbit_id}: finiteness undecided")
+        if finite is not False:
             continue
         try:
             cert = fineness_probe(graph, graph.vertices.elem(orb.orbit_id),
@@ -966,13 +968,17 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
 
     # the peripheral collection must not repeat an infinite subgroup up to
     # conjugacy; only refutations are decidable, so absent a witness the
-    # verdict for a genuinely ambiguous pair stays inconclusive
+    # verdict for a genuinely ambiguous pair stays inconclusive, and so does
+    # one with a peripheral of undecided finiteness
     infinite = [h for h in peripherals if h.is_finite() is False]
+    undecided = [repr(h) for h in peripherals if h.is_finite() is None]
     witnesses = [_conjugate_pair_witness(graph.group, h1, h2, conj_budget)
                  for i, h1 in enumerate(infinite) for h2 in infinite[i + 1:]]
     found = [w for w in witnesses if w is not None]
     if found:
         pair = ("fail", f"conjugator witness {found[-1]}")
+    elif undecided:
+        pair = ("inconclusive", f"finiteness undecided: {undecided}")
     elif witnesses:
         pair = ("inconclusive",
                 "distinct infinite peripherals; no refutation at budget")
@@ -985,17 +991,12 @@ def gh_graph_audit(graph: GGraph, peripherals, *, angle_bound=4,
 def _conjugate_pair_witness(group, h1, h2, budget):
     """A single conjugator carrying each handle's generators into the other,
     or None within budget."""
-    for x in ball_enumerate(group, group.generator_words(), budget):
+    def back(x):
         xinv = x.inverse()
-        fwd = all(h2.contains(group.multiply(x, g, xinv)) == YES
-                  for g in h1.generators)
-        if not fwd:
-            continue
-        back = all(h1.contains(group.multiply(xinv, g, x)) == YES
+        return all(h1.contains(group.multiply(xinv, g, x)) == YES
                    for g in h2.generators)
-        if back:
-            return x
-    return None
+    verdict, x = conjugacy_probe(group, h1.generators, h2, budget, back)
+    return x if verdict == "yes" else None
 
 
 def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,

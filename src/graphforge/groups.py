@@ -27,11 +27,18 @@ the distinguished subgroups have *prefix-stable* representatives under
 right multiplication, which the orbit layer relies on.
 
 The normal-form cache maps each word ``normalize`` was given to its normal
-form.  ``multiply`` normalizes the concatenation of its factors (a new key),
-except in ``FreeGroup`` (cancel at the junctions) and ``HNNGroup`` (continue
-the left factor's Britton fold), which cache the product under itself.  An
-element's split form is computed once, with its normal form, and kept under
-it: ``pinned_form(w)`` and ``britton_form(w)`` look up ``normalize(w)``.
+form, and each normal form to itself: ``normalize`` interns what
+``_canonical`` returns (``_nf_cache.setdefault(nf, nf)``), so an element of
+a group is one ``NormalForm`` object however it was reached.  ``multiply``
+normalizes the concatenation of its factors (a new key), except in
+``FreeGroup`` (cancel at the junctions) and ``HNNGroup`` (continue the left
+factor's Britton fold), which intern the product the same way.
+
+Amalgams and HNN extensions share ``SplitGroup``: an element's split form
+is computed once, with its normal form, and kept under that one object.
+``split_form(w)`` looks it up; ``factor_split(w, side)`` cuts it into the
+pinned prefix and the element's part in one distinguished factor, which is
+what membership and coset representatives of factor subgroups read.
 
 ``_product(nfs)`` multiplies factors that must already be normal forms of
 the group, unchecked (any other word gives a wrong answer, not an error):
@@ -99,11 +106,11 @@ class Group:
         cached = self._nf_cache.get(word)
         if cached is None:
             self.check_word(word)
-            cached = NormalForm(self._canonical(word))
-            self._nf_cache[word] = cached
+            nf = self._canonical(word)
+            cached = self._nf_cache[word] = self._nf_cache.setdefault(nf, nf)
         return cached
 
-    def _canonical(self, word: Word) -> Word:
+    def _canonical(self, word: Word) -> NormalForm:
         raise NotImplementedError
 
     def identity(self) -> NormalForm:
@@ -175,9 +182,15 @@ class FiniteGroup(Group):
 
     @classmethod
     def from_permutations(cls, name, perms: dict):
-        """Close a set of permutations (tuples mapping i -> p[i]) into a group."""
-        degree = len(next(iter(perms.values())))
+        """Close a set of permutations (sequences mapping i -> p[i]) into a
+        group; raises ValueError unless they permute one set 0..n-1."""
+        perms = {g: tuple(p) if isinstance(p, (list, tuple))
+                 and all(type(i) is int for i in p) else ()
+                 for g, p in perms.items()}
+        degree = max(map(len, perms.values()), default=0)
         ident = tuple(range(degree))
+        if not degree or any(sorted(p) != list(ident) for p in perms.values()):
+            raise ValueError(f"{name}: generators must permute 0..n-1")
 
         def compose(p, q):  # apply q first, then p
             return tuple(p[q[i]] for i in range(degree))
@@ -245,7 +258,7 @@ class FiniteGroup(Group):
                     frontier.append(f)
         if len(words) != self.n:
             raise ValueError(f"{self.name}: generators do not generate the group")
-        return tuple(words[i] for i in range(self.n))
+        return tuple(NormalForm(words[i]) for i in range(self.n))
 
     def _canonical(self, word):
         return self.word_of(self.element_of(word))
@@ -273,7 +286,7 @@ class FiniteGroup(Group):
 
 class FreeGroup(Group):
     def _canonical(self, word):
-        return free_reduce(word)
+        return NormalForm(free_reduce(word))
 
     def _multiply(self, words) -> NormalForm:
         return self._product([self.normalize(w) for w in words])
@@ -318,7 +331,7 @@ class FreeAbelianGroup(Group):
         return Word(letters)
 
     def _canonical(self, word):
-        return self.word_from_exponents(self.exponents(word))
+        return NormalForm(self.word_from_exponents(self.exponents(word)))
 
     def is_finite(self):
         return len(self.generators) == 0
@@ -362,10 +375,7 @@ class FreeProductGroup(Group):
         return stack
 
     def _canonical(self, word):
-        out = Word()
-        for _, sub in self.syllables(word):
-            out = out * sub
-        return out
+        return NormalForm(l for _, sub in self.syllables(word) for l in sub)
 
     def is_finite(self):
         nontrivial = [f for f in self.factors if f.order() != 1]
@@ -384,13 +394,48 @@ class FreeProductGroup(Group):
         return None
 
 
-class AmalgamGroup(Group):
+class SplitGroup(Group):
+    """A one-edge splitting (amalgam or HNN extension).  An element's split
+    form ``(pinned, tail)`` is kept under its interned normal form, which
+    ``_spell`` writes out with the tail spelled by ``_tail``; ``sides`` name
+    the distinguished factors."""
+
+    def __init__(self, name, generators):
+        super().__init__(name, generators)
+        self._split_cache: dict = {}
+
+    def split_form(self, word):
+        """(pinned syllables, tail) for an element, kept under its normal
+        form."""
+        return self._split_cache[self.normalize(word)]
+
+    def _canonical(self, word):
+        return self._keep(self._fold(word))
+
+    def _keep(self, form):
+        """The normal form spelled by ``form``, which is kept under it."""
+        pinned, tail = form
+        nf = NormalForm(self._spell(pinned, self._tail(tail)))
+        self._split_cache.setdefault(nf, form)
+        return nf
+
+    def _tail(self, tail) -> Word:
+        return tail
+
+
+class AmalgamGroup(SplitGroup):
     """Amalgamated product of two factors over a common edge group.
 
     ``into_left`` and ``into_right`` inject the edge group into the two
     factors; their codomain handles must answer membership and left-coset
     representatives exactly, since the pinning algorithm leans on them.
+
+    The split form is the pinned form: ``(side, transversal word)`` pairs
+    with nonidentity representatives of left edge-image cosets, strictly
+    alternating in side, then a trailing word over the edge group.
     """
+
+    sides = ("L", "R")
 
     def __init__(self, name, left, right, edge_group, into_left, into_right):
         for g in left.generators:
@@ -402,7 +447,6 @@ class AmalgamGroup(Group):
         self.edge_group = edge_group
         self.into_left = into_left
         self.into_right = into_right
-        self._pinned_cache: dict = {}
 
     def side_of(self, name) -> str:
         return "L" if self.left.owns(name) else "R"
@@ -413,31 +457,20 @@ class AmalgamGroup(Group):
     def edge_embedding(self, side: str):
         return self.into_left if side == "L" else self.into_right
 
-    def _split(self, side, factor_word):
-        """factor_word = rep * k with rep a pinned coset rep, k in the edge image.
+    def _split(self, side, word):
+        """word = rep * k with rep a pinned coset rep, k in the edge image.
 
         Returns (rep, edge word over the edge group's generators).
         """
         emb = self.edge_embedding(side)
-        handle = emb.codomain
-        rep = handle.coset_rep(factor_word)
-        k_img = self.factor(side).multiply(rep.inverse(), factor_word)
+        rep = emb.codomain.coset_rep(word)
+        k_img = self.factor(side).multiply(rep.inverse(), word)
         c = emb.preimage(k_img)
         if c is None:
             raise BudgetExceeded(
                 f"{self.name}: cannot express {k_img} through the edge group",
             )
         return rep, c
-
-    def pinned_form(self, word):
-        """(pinned syllables, trailing edge word) for an element.
-
-        The pinned syllables are ``(side, transversal word)`` pairs with
-        nonidentity transversal representatives of left edge-image cosets,
-        strictly alternating in side; the trailing part is a word over the
-        edge group.  Computed with the element's normal form, kept under it.
-        """
-        return self._pinned_cache[self.normalize(word)]
 
     def _fold(self, word):
         """The pinned form of ``word``, reduced left to right: at each
@@ -469,22 +502,20 @@ class AmalgamGroup(Group):
             out = out * rep
         return out * tail
 
-    def _canonical(self, word):
-        pinned, tail = form = self._fold(word)
-        out = self._spell(pinned, tail and self.left.normalize(
-            self.into_left.push(tail)))
-        self._pinned_cache.setdefault(out, form)
-        return out
+    def _tail(self, tail):
+        # the edge part is spelled in the left factor
+        return tail and self.left.normalize(self.into_left.push(tail))
 
-    def factor_word(self, word, side):
-        """The element as a word in one factor, or None if not in it."""
-        pinned, tail = self.pinned_form(word)
-        if len(pinned) > 1 or (pinned and pinned[0][0] != side):
-            return None
-        tail_img = self.edge_embedding(side).push(tail)
-        if pinned:
-            return self.factor(side).multiply(pinned[0][1], tail_img)
-        return self.factor(side).normalize(tail_img)
+    def factor_split(self, word, side):
+        """(pinned prefix, part in the ``side`` factor) of an element: the
+        last pinned syllable joins the tail's image when it is on ``side``,
+        so the element lies in that factor iff the prefix is empty."""
+        pinned, tail = self.split_form(word)
+        factor = self.factor(side)
+        tail = self.edge_embedding(side).push(tail)
+        if pinned and pinned[-1][0] == side:
+            return pinned[:-1], factor.multiply(pinned[-1][1], tail)
+        return pinned, factor.normalize(tail)
 
     def is_finite(self):
         if self.left.is_finite() is False or self.right.is_finite() is False:
@@ -498,13 +529,16 @@ class AmalgamGroup(Group):
         return False  # proper amalgam of finite factors is infinite
 
 
-class HNNGroup(Group):
+class HNNGroup(SplitGroup):
     """HNN extension of a base group along an injection of subgroups.
 
     The stable letter conjugates the edge subgroup onto its image:
-    ``t c t^{-1} = iso(c)``.  Canonical forms are Britton-reduced with
-    left-coset representatives pinned before each stable letter.
+    ``t c t^{-1} = iso(c)``.  The split form is the Britton form: pinned
+    ``(tau, eps)`` pairs, each ``tau`` a left-coset representative pinned
+    before ``t^eps``, then a trailing base word.
     """
+
+    sides = ("base",)
 
     def __init__(self, name, base, edge_handle, iso, stable: str):
         if base.owns(stable):
@@ -517,7 +551,9 @@ class HNNGroup(Group):
         self.iso = iso                      # C -> L, both handles over base
         self.image_handle = iso.codomain    # L <= base
         self.stable = stable
-        self._britton_cache: dict = {}
+
+    def factor(self, side: str) -> Group:
+        return self.base
 
     def _cross(self, eps, k):
         """Move an edge-image element rightward across t^eps."""
@@ -531,16 +567,11 @@ class HNNGroup(Group):
             raise BudgetExceeded(f"{self.name}: cannot push {k} through the injection")
         return img
 
-    def britton_form(self, word):
-        """(pinned (tau, eps) pairs, trailing base word), Britton-reduced;
-        computed with the element's normal form and kept under it."""
-        return self._britton_cache[self.normalize(word)]
-
-    def _fold(self, pinned, acc, word):
-        """Continue the left-to-right reduction from the state ``pinned``
-        (a list, extended in place) and base accumulator ``acc`` through
-        the runs of base letters and stable letters of ``word``; returns
-        the finished Britton form."""
+    def _fold(self, word, state=((), Word())):
+        """Continue the left-to-right reduction from the Britton form
+        ``state`` through the runs of base letters and stable letters of
+        ``word``; returns the finished Britton form."""
+        pinned, acc = list(state[0]), state[1]
         for stable, run in groupby(word, lambda l: l[0] == self.stable):
             if not stable:
                 acc = self.base.multiply(acc, Word(run))
@@ -562,14 +593,12 @@ class HNNGroup(Group):
         # the Britton form of a product is the fold's state after its left
         # factor, continued through the later factors' normal forms
         nf = self.normalize(words[0] if words else Word())
-        state = self._britton_cache[nf]
-        for w in words[1:]:
-            state = self._fold(list(state[0]), state[1], self.normalize(w))
         if len(words) > 1:
-            nf = NormalForm(self._spell(*state))
-        nf = self._nf_cache.setdefault(nf, nf)
-        self._britton_cache.setdefault(nf, state)
-        return nf
+            state = self._split_cache[nf]
+            for w in words[1:]:
+                state = self._fold(self.normalize(w), state)
+            nf = self._keep(state)
+        return self._nf_cache.setdefault(nf, nf)
 
     def _spell(self, pinned, tail):
         out = Word()
@@ -577,18 +606,11 @@ class HNNGroup(Group):
             out = out * tau * Word(((self.stable, eps),))
         return out * tail
 
-    def _canonical(self, word):
-        form = self._fold([], Word(), word)
-        out = self._spell(*form)
-        self._britton_cache.setdefault(out, form)
-        return out
-
-    def base_word(self, word):
-        """The element as a word of the base group, or None."""
-        pinned, tail = self.britton_form(word)
-        if pinned:
-            return None
-        return tail
+    def factor_split(self, word, side):
+        """(pinned prefix, base part) of an element (``side`` is "base"):
+        its Britton form, so the element lies in the base iff the prefix is
+        empty."""
+        return self.split_form(word)
 
     def stable_word(self) -> Word:
         return Word(((self.stable, 1),))
@@ -627,15 +649,16 @@ def ball_enumerate(group: Group, gens, radius: int):
     return sorted(seen, key=group.word_key)
 
 
-def conjugacy_probe(group: Group, g, handle, budget: int):
-    """Bounded search for x with x g x^{-1} in the subgroup.
+def conjugacy_probe(group: Group, elements, handle, budget: int, back=None):
+    """Bounded search for one x with x g x^{-1} in the subgroup for every
+    g of ``elements`` (and ``back(x)`` true, when given), over the shortlex
+    ball of radius ``budget``; the ball starts at the identity.
 
     Returns ("yes", witness) or ("no-within-budget", budget).
     """
-    g = Word.coerce(g)
-    if handle.contains(g) == "yes":
-        return ("yes", group.identity())
     for x in ball_enumerate(group, group.generator_words(), budget):
-        if handle.contains(group.multiply(x, g, x.inverse())) == "yes":
+        xinv = x.inverse()
+        if all(handle.contains(group.multiply(x, g, xinv)) == "yes"
+               for g in elements) and (back is None or back(x)):
             return ("yes", x)
     return ("no-within-budget", budget)

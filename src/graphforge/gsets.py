@@ -333,8 +333,8 @@ def chain_factorize(pushout: GSetPushout, g, z: GSetElem):
     """Factor a stabilizing element as an alternating product certifying
     membership in the subgroup generated by the two point stabilizers.
 
-    Returns a list of (leg, word) pairs whose product times a final edge
-    part equals g; each factor lies in one of the recorded stabilizers.
+    Returns a list of (leg, word) pairs whose product equals g; each factor
+    lies in one of the recorded stabilizers.
     """
     Z = pushout.gset
     g = Z.group.normalize(g)
@@ -347,12 +347,8 @@ def chain_factorize(pushout: GSetPushout, g, z: GSetElem):
     group = Z.group
 
     if isinstance(handle, JoinSubgroup) and isinstance(group, AmalgamGroup):
-        pinned, tail = group.pinned_form(g)
-        factors = [w for _, w in pinned]
-        if tail:
-            factors.append(group.left.normalize(group.into_left.push(tail)))
-        if not factors:
-            factors = [group.identity()]
+        prefix, part = group.factor_split(g, "L")
+        factors = [w for _, w in prefix] + ([part] if part else [])
         return _verified(pushout, record, g, factors)
 
     if isinstance(handle, FiniteSubgroup) or handle.is_finite():

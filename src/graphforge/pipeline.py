@@ -190,6 +190,9 @@ def _words(texts, group, where):
     return words
 
 
+_SHAPES = {list: "a list", dict: "a map", str: "a string"}
+
+
 class _Decl(dict):
     """A spec object whose missing required keys are spec errors."""
 
@@ -201,13 +204,18 @@ class _Decl(dict):
     def __missing__(self, key):
         raise SpecError(f"{self.where}: missing key {key!r}")
 
-    def listed(self, key, default=...):
-        """``self[key]``, or ``default`` when absent and given: a list (a
-        string would be read as its characters), or a ``None`` default."""
+    def _shaped(self, kind, key, default=...):
+        """``self[key]``, or ``default`` when absent and given: a ``kind``
+        (a string given for a list would be read as its characters), or a
+        ``None`` default."""
         value = self[key] if default is ... else self.get(key, default)
-        _require(isinstance(value, list) or (value is None and default is None),
-                 f"{self.where}: {key} must be a list")
+        _require(isinstance(value, kind) or (value is None and default is None),
+                 f"{self.where}: {key} must be {_SHAPES[kind]}")
         return value
+
+    listed = partialmethod(_shaped, list)
+    mapped = partialmethod(_shaped, dict)
+    lettered = partialmethod(_shaped, str)
 
 
 class SpecEnv:
@@ -291,10 +299,9 @@ class SpecEnv:
             g = FreeAbelianGroup(gid, decl.listed("generators"))
         elif kind == "cyclic":
             g = FiniteGroup.cyclic(_integer(decl["order"], f"{decl.where}: order", 1),
-                                   decl.get("generator", "a"), gid)
+                                   decl.lettered("generator", "a"), gid)
         elif kind == "permutation":
-            perms = {k: tuple(v) for k, v in decl["generators"].items()}
-            g = FiniteGroup.from_permutations(gid, perms)
+            g = FiniteGroup.from_permutations(gid, decl.mapped("generators"))
         elif kind == "free_product":
             g = FreeProductGroup(gid, [self.group(f) for f in decl.listed("factors")])
         elif kind == "amalgam":
@@ -305,7 +312,7 @@ class SpecEnv:
         elif kind == "hnn":
             g = build_hnn(
                 gid, self.group(decl["base"]), self.subgroup(decl["edge"]),
-                self.mono(decl["iso"]), decl["stable_letter"],
+                self.mono(decl["iso"]), decl.lettered("stable_letter"),
                 trust_monomorphisms=self.budgets["trust_monomorphisms"])
         else:
             raise SpecError(f"{decl.where}: unknown kind {kind!r}")
@@ -368,7 +375,7 @@ class SpecEnv:
 
     def _presentation(self, pid, decl):
         peripherals = {lab: self.subgroup(s)
-                       for lab, s in decl.get("peripherals", {}).items()}
+                       for lab, s in decl.mapped("peripherals", {}).items()}
         pres = RelPresentation(tuple(decl.listed("letters", [])), peripherals, [])
         relators = decl.listed("relators", [])
         _require(all(isinstance(r, str) for r in relators),
@@ -827,8 +834,8 @@ def _step_hnn2(env, step, report):
     phi = env.mono(step["iso"])
     s = g.normalize(_words([step.get("conjugator", "1")], g,
                            f"step {step['id']!r}")[0])
-    t_name = step.get("stable_letter", "t")
-    u_name = step.get("recipe_letter", "u")
+    t_name = step.lettered("stable_letter", "t")
+    u_name = step.lettered("recipe_letter", "u")
 
     g_phi = build_hnn(f"{step['id']}:hnn_phi", g, c_in_g, phi, t_name,
                       trust_monomorphisms=True)

@@ -509,25 +509,17 @@ class RestrictedSubgroup(Subgroup):
 
     def __init__(self, ambient, inner: Subgroup, side: str):
         # side: "L"/"R" for amalgams, "base" for HNN extensions
-        if side == "base":
-            if not isinstance(ambient, HNNGroup):
-                raise GroupMismatch(
-                    f"side 'base' needs an HNN extension, not {ambient.name}")
-            factor = ambient.base
-        elif side in ("L", "R"):
-            if not isinstance(ambient, AmalgamGroup):
-                raise GroupMismatch(
-                    f"side {side!r} needs an amalgam, not {ambient.name}")
-            factor = ambient.factor(side)
-        else:
+        if side not in getattr(ambient, "sides", ()):
             raise GroupMismatch(
-                f"side must be 'L', 'R' or 'base', not {side!r}")
+                f"side {side!r} is not a factor of {ambient.name}")
+        factor = ambient.factor(side)
         if inner.ambient is not factor:
             raise GroupMismatch(
                 f"inner subgroup lives in {inner.ambient.name}, "
                 f"not in the {side} factor {factor.name}")
         self.inner = inner
         self.side = side
+        self._rep_cache = {}
         super().__init__(ambient, inner.generators)
 
     @property
@@ -539,10 +531,10 @@ class RestrictedSubgroup(Subgroup):
         return self.inner.rep_exact
 
     def project(self, word):
-        w = self.check_ambient(word)
-        if self.side == "base":
-            return self.ambient.base_word(w)
-        return self.ambient.factor_word(w, self.side)
+        """The element as a word of the factor, or None if not in it."""
+        prefix, part = self.ambient.factor_split(self.check_ambient(word),
+                                                 self.side)
+        return None if prefix else part
 
     def contains(self, word):
         fw = self.project(word)
@@ -552,26 +544,11 @@ class RestrictedSubgroup(Subgroup):
 
     def coset_rep(self, word):
         w = self.check_ambient(word)
-        cache = getattr(self, "_rep_cache", None)
-        if cache is None:
-            cache = self._rep_cache = {}
-        cached = cache.get(w)
-        if cached is not None:
-            return cached
-        if self.side == "base":
-            pinned, part = self.ambient.britton_form(w)
-        else:
-            pinned, tail = self.ambient.pinned_form(w)
-            factor = self.ambient.factor(self.side)
-            tail_img = self.ambient.edge_embedding(self.side).push(tail)
-            if pinned and pinned[-1][0] == self.side:
-                part = factor.multiply(pinned[-1][1], tail_img)
-                pinned = pinned[:-1]
-            else:
-                part = factor.normalize(tail_img)
-        rep = self.ambient.normalize(
-            self.ambient._spell(pinned, self.inner.coset_rep(part)))
-        cache[w] = rep
+        rep = self._rep_cache.get(w)
+        if rep is None:
+            prefix, part = self.ambient.factor_split(w, self.side)
+            rep = self._rep_cache[w] = self.ambient.normalize(
+                self.ambient._spell(prefix, self.inner.coset_rep(part)))
         return rep
 
     def elements(self):
@@ -638,6 +615,7 @@ class JoinSubgroup(Subgroup):
         self._whole = all(self.contains(g) == YES
                           for g in ambient.generator_words())
         self._finite = None
+        self._rep_cache = {}
         if inner_left.is_finite() and inner_right.is_finite():
             self._finite = FiniteSubgroup.closure(ambient, self.generators)
 
@@ -645,7 +623,7 @@ class JoinSubgroup(Subgroup):
         if self._whole:
             self.check_ambient(word)
             return YES
-        pinned, _tail = self.ambient.pinned_form(word)  # tail is in the edge group
+        pinned, _tail = self.ambient.split_form(word)  # tail is in the edge group
         verdict = YES
         for side, rep in pinned:
             ans = self.inner[side].contains(rep)
@@ -662,23 +640,17 @@ class JoinSubgroup(Subgroup):
         if self._finite is not None:
             return self._finite.coset_rep(word)
         w = self.check_ambient(word)
-        cache = getattr(self, "_rep_cache", None)
-        if cache is None:
-            cache = self._rep_cache = {}
-        cached = cache.get(w)
-        if cached is not None:
-            return cached
-        pinned, _tail = self.ambient.pinned_form(w)
-        syls = list(pinned)
-        while syls and self.inner[syls[-1][0]].contains(syls[-1][1]) == YES:
-            syls.pop()
-        if not syls:
-            rep = self.ambient.identity()
-        else:
-            side, last = syls[-1]
-            rep = self.ambient.normalize(self.ambient._spell(
-                syls[:-1], self.inner[side].coset_rep(last)))
-        cache[w] = rep
+        rep = self._rep_cache.get(w)
+        if rep is None:
+            syls = list(self.ambient.split_form(w)[0])  # tail: in the edge group
+            while syls and self.inner[syls[-1][0]].contains(syls[-1][1]) == YES:
+                syls.pop()
+            tail = Word()
+            if syls:
+                side, last = syls.pop()
+                tail = self.inner[side].coset_rep(last)
+            rep = self._rep_cache[w] = self.ambient.normalize(
+                self.ambient._spell(syls, tail))
         return rep
 
     def elements(self):

@@ -921,6 +921,23 @@ def test_gh_audit_proper_pair_refutation():
     assert by_name2["proper-pair"].verdict == "inconclusive"
 
 
+def test_gh_audit_proper_pair_with_undecided_peripheral():
+    f = grouplib.free2()
+    h = cyclic(f, "a")
+    undecided = generated(f, ["a b", "b a"])
+    assert undecided.is_finite() is None
+    g = edgeless_cosets(f, [h, undecided], labels=["c1", "c2"])
+    report = gh_graph_audit(g, [h, undecided], fineness_radius=2,
+                            conj_budget=1)
+    by_name = {c.name: c for c in report.conditions}
+    assert by_name["proper-pair"].verdict == "inconclusive"
+    assert by_name["proper-pair"].detail == \
+        f"finiteness undecided: {[repr(undecided)]}"
+    assert by_name["fine-at-infinite-stabilizers"].verdict == "inconclusive"
+    assert "c2: finiteness undecided" in \
+        by_name["fine-at-infinite-stabilizers"].detail
+
+
 def test_cayley_abels_disconnected_coset_space():
     d = grouplib.dihedral_product()
     h = free_factor(d, ["p"])

@@ -366,8 +366,9 @@ def test_hnn_multiply_is_the_normal_form_of_the_concatenation(
         assert nf == ref.normalize(concat), ws
         assert isinstance(nf, NormalForm)
         assert g.normalize(nf) is nf
-        assert g.britton_form(nf) == ref.britton_form(concat)
+        assert g.split_form(nf) == ref.split_form(concat)
         assert oracle(nf) == oracle(concat)
+    assert all(g.normalize(key) is key for key in list(g._split_cache))
 
 
 # -- split forms (pinned and Britton forms: reduced, one per element) --------
@@ -413,17 +414,31 @@ def check_britton_form(g, form):
 def test_split_forms_are_reduced_and_kept_once_per_element(tag, factory,
                                                            alphabet):
     g = factory()
-    amalgam = isinstance(g, AmalgamGroup)
-    split = g.pinned_form if amalgam else g.britton_form
-    check = check_pinned_form if amalgam else check_britton_form
+    check = check_pinned_form if isinstance(g, AmalgamGroup) \
+        else check_britton_form
     seed = zlib.crc32(tag.encode()) % 1000
     for w in random_words(alphabet, 200, 12, seed):
-        form = split(w)
+        form = g.split_form(w)
         check(g, form)
-        assert split(g.normalize(w)) is form
-        assert split(str(w)) is form
-    cache = g._pinned_cache if amalgam else g._britton_cache
-    assert all(g.normalize(key) == key for key in list(cache))
+        assert g.split_form(g.normalize(w)) is form
+        assert g.split_form(str(w)) is form
+    # each split form is kept under its element's one normal-form object
+    assert all(g.normalize(key) is key for key in list(g._split_cache))
+
+
+@pytest.mark.parametrize("tag,factory,alphabet", SPLIT_GROUPS + LAW_GROUPS)
+def test_each_element_is_one_normal_form_object(tag, factory, alphabet):
+    g = factory()
+    rng = random.Random(zlib.crc32(tag.encode()))
+    words = random_words(alphabet, 150, 8, rng.randrange(1000))
+    for w in words:
+        g.normalize(w)
+        g.normalize(str(free_reduce(w)))
+        g.multiply(w, rng.choice(words), str(rng.choice(words)))
+    interned = {}
+    for nf in g._nf_cache.values():
+        assert interned.setdefault(nf, nf) is nf, nf
+        assert g._nf_cache[nf] is nf
 
 
 # -- products of normal forms (oracle: a fresh group's multiply, normalize) --
@@ -504,7 +519,7 @@ def test_ball_matches_matrix_count():
 def test_conjugacy_probe_sym3():
     s3 = grouplib.sym3()
     h = generated(s3, ["x"])  # <(1 2)>
-    verdict, witness = conjugacy_probe(s3, Word.parse("y y x"), h, 3)
+    verdict, witness = conjugacy_probe(s3, [Word.parse("y y x")], h, 3)
     # y^2 x is a transposition, hence conjugate into <x>
     assert verdict == "yes"
     assert h.contains(s3.multiply(witness, "y y x", witness.inverse())) == "yes"
@@ -513,12 +528,12 @@ def test_conjugacy_probe_sym3():
 def test_conjugacy_probe_identity_witness():
     s3 = grouplib.sym3()
     h = generated(s3, ["x"])
-    verdict, witness = conjugacy_probe(s3, Word.parse("x"), h, 2)
+    verdict, witness = conjugacy_probe(s3, [Word.parse("x")], h, 2)
     assert verdict == "yes" and witness == Word()
 
 
 def test_conjugacy_probe_negative():
     f = grouplib.free2()
     h = generated(f, ["b"])
-    verdict, bound = conjugacy_probe(f, Word.parse("a"), h, 4)
+    verdict, bound = conjugacy_probe(f, [Word.parse("a")], h, 4)
     assert verdict == "no-within-budget" and bound == 4

@@ -137,6 +137,45 @@ def test_audit_fineness_and_audit_gh_end_on_the_same_budget_message():
     assert f"cone:A: inconclusive ({message})" in fine["detail"]
 
 
+def coned_over(generators):
+    """F2 coned off over the subgroup ``generators`` generate, audited
+    against the peripheral <a>."""
+    spec = json.loads(json.dumps(builtin_examples()["example-coned-free"]))
+    spec["subgroups"]["H"] = {"group": "F", "kind": "generated",
+                              "generators": generators}
+    spec["graphs"]["coned"]["peripherals"] = ["H"]
+    spec["pipeline"] = [
+        {"op": "audit_gh", "graph": "coned", "peripherals": ["axis"],
+         "angle_bound": 2, "radius": 2},
+        {"op": "audit_cayley_abels", "graph": "coned", "peripherals": ["axis"]},
+    ]
+    return {v["name"]: v for v in run_pipeline(spec).verdicts}
+
+
+def test_no_single_conjugator_and_undecided_finiteness_do_not_pass():
+    # a and b a b^-1 are each conjugate into <a>, but by different
+    # conjugators, and <a, b a b^-1> (free of rank 2) lies in no conjugate of
+    # <a>; its finiteness is undecided, so it is not read as finite either
+    got = coned_over(["a", "b a b^-1"])
+    stab = got["gh:vertex-stabilizers-finite-or-peripheral"]
+    assert stab["verdict"] == "inconclusive"
+    assert "cone:A: no conjugacy certificate at conj_budget=2" in stab["detail"]
+    assert got["ca:vertex-stabilizers-finite-or-peripheral"]["verdict"] == \
+        "inconclusive"
+    fine = got["gh:fine-at-infinite-stabilizers"]
+    assert fine["verdict"] == "inconclusive"
+    assert fine["detail"] == "cone:A: finiteness undecided"
+
+
+def test_one_conjugator_into_a_peripheral_is_named():
+    got = coned_over(["b a b^-1"])
+    stab = got["gh:vertex-stabilizers-finite-or-peripheral"]
+    assert stab["verdict"] == "pass"
+    assert stab["detail"] == \
+        "el: finite; cone:A: conjugated into a peripheral by b^-1"
+    assert got["ca:vertex-stabilizers-finite-or-peripheral"]["verdict"] == "pass"
+
+
 def test_coned_free_builds_its_cone_window_once(monkeypatch):
     built = []
     ball_view = graphforge.analysis.ball_view
@@ -632,6 +671,22 @@ def _mutated(name, path, value):
     # a ball registers only itself, not its graph under "<id>:graph"
     ("example-tree-modular", ("pipeline", 6, "graph"), "B:graph",
      "undeclared graph 'B:graph'"),
+    # a map field given as a list and a letter given as a number each ended
+    # in a traceback or blamed a later step
+    ("example-dehn-flat", ("presentations", "P", "peripherals"), ["A"],
+     "presentation 'P': peripherals must be a map"),
+    ("example-hnn-coalesce", ("groups", "H1"),
+     {"kind": "permutation", "generators": ["x"]},
+     "group 'H1': generators must be a map"),
+    ("example-hnn-coalesce", ("groups", "H1"),
+     {"kind": "permutation", "generators": {"x": 5}},
+     "group 'H1': H1: generators must permute 0..n-1"),
+    ("example-hnn-coalesce", ("groups", "G", "stable_letter"), 5,
+     "group 'G': stable_letter must be a string"),
+    ("example-hnn2", ("pipeline", 0, "stable_letter"), 5,
+     "pipeline[0]: stable_letter must be a string"),
+    ("example-hnn-coalesce", ("groups", "H1", "generator"), ["p"],
+     "group 'H1': generator must be a string"),
 ])
 def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
                                             value, message):
