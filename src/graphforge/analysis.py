@@ -51,17 +51,24 @@ class BallEdge:
 
 
 class BallView:
-    """A concrete finite window of a graph (or a bare finite graph)."""
+    """A finite window of a graph (or a bare finite graph) as parallel
+    arrays: vertex i is ``elems[i]`` at ``depths[i]``, ``complete_at[i]`` when
+    all its edges were enumerated; edge k of orbit ``edge_orbit[k]`` joins
+    ``edge_ends[k] = (i, j)``, i <= j.  ``adj`` (each joined pair once, in
+    first-edge order) is built in one pass when read after an add."""
 
     def __init__(self, radius, word_budget=None):
         self.radius = radius
         self.word_budget = word_budget if word_budget is not None else radius
-        self.vertices: list[BallVertex] = []
-        self.edges: list[BallEdge] = []
-        self.adj: list[list[int]] = []
+        self.elems: list[GSetElem] = []
+        self.depths = array("l")
+        self.complete_at = bytearray()
+        self.edge_orbit: list[str] = []
+        self.edge_ends: list[tuple] = []
         self.base: list[int] = []
         self.complete = True
         self._edge_index = {}          # edge key -> edge index
+        self._adj = None               # adj, until the next add
         self._forest = None            # is_forest's answer until an add
         # what a narrower window is derived from (see narrow_view): for each
         # expanded vertex, in index order, the offset of its first entry in
@@ -73,11 +80,11 @@ class BallView:
     # -- construction helpers ---------------------------------------------
 
     def add_vertex(self, elem, depth, complete=True) -> int:
-        idx = len(self.vertices)
-        self._forest = None
-        self.vertices.append(BallVertex(idx, elem, depth, complete))
-        self.adj.append([])
-        return idx
+        self._adj = self._forest = None
+        self.elems.append(elem)
+        self.depths.append(depth)
+        self.complete_at.append(complete)
+        return len(self.elems) - 1
 
     def add_edge(self, orbit_id, i, j, key=None) -> int:
         """Index of the edge with this key, added if it is new."""
@@ -86,35 +93,54 @@ class BallView:
         if key is None:
             key = (orbit_id, i, j)
         idx = self._edge_index.get(key)
-        if idx is not None:
-            return idx
-        idx = self._edge_index[key] = len(self.edges)
-        self._forest = None
-        self.edges.append(BallEdge(idx, orbit_id, (i, j)))
-        if j not in self.adj[i]:
-            self.adj[i].append(j)
-        if i not in self.adj[j]:
-            self.adj[j].append(i)
+        if idx is None:
+            idx = self._edge_index[key] = len(self.edge_ends)
+            self._adj = self._forest = None
+            self.edge_orbit.append(orbit_id)
+            self.edge_ends.append((i, j))
         return idx
 
     # -- queries --------------------------------------------------------------
 
     @property
+    def adj(self):
+        if self._adj is None:
+            self._adj = [[] for _ in self.elems]
+            for i, j in dict.fromkeys(self.edge_ends):
+                self._adj[i].append(j)
+                if i != j:
+                    self._adj[j].append(i)
+        return self._adj
+
+    @property
+    def vertices(self):
+        """Records made on each read (so are ``edges``), only for ``dot.py``
+        and ``bench/hooks.py``; the audits read the arrays."""
+        return [BallVertex(i, *v) for i, v in enumerate(
+            zip(self.elems, self.depths, map(bool, self.complete_at)))]
+
+    @property
+    def edges(self):
+        return [BallEdge(k, *e)
+                for k, e in enumerate(zip(self.edge_orbit, self.edge_ends))]
+
+    @property
     def vertex_count(self):
-        return len(self.vertices)
+        return len(self.elems)
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self.edge_ends)
 
     def distances_from(self, start, banned=None, cutoff=None):
+        adj = self.adj
         dist = {start: 0}
         queue = deque([start])
         while queue:
             u = queue.popleft()
             if cutoff is not None and dist[u] >= cutoff:
                 continue
-            for v in self.adj[u]:
+            for v in adj[u]:
                 if banned is not None and v in banned:
                     continue
                 if v not in dist:
@@ -123,15 +149,15 @@ class BallView:
         return dist
 
     def connected(self) -> bool:
-        if not self.vertices:
+        if not self.elems:
             return True
-        return len(self.distances_from(0)) == len(self.vertices)
+        return len(self.distances_from(0)) == len(self.elems)
 
     def is_forest(self) -> bool:
         """No cycle, loop or parallel edge: the adjacency lists form a simple
         forest.  One O(E) union-find pass, kept until the next add."""
         if self._forest is None:
-            parent = list(range(len(self.vertices)))
+            parent = list(range(len(self.elems)))
 
             def find(i):
                 while parent[i] != i:
@@ -139,12 +165,12 @@ class BallView:
                     i = parent[i]
                 return i
 
-            def joins(e):
-                ri, rj = map(find, e.endpoints)
+            def joins(ends):
+                ri, rj = map(find, ends)
                 parent[rj] = ri
                 return ri != rj
 
-            self._forest = all(map(joins, self.edges))
+            self._forest = all(map(joins, self.edge_ends))
         return self._forest
 
 
@@ -156,73 +182,80 @@ def _depth_budget(view: BallView, depth: int) -> int:
 def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):
     """Fill ``view`` breadth-first from the bases, up to its radius.
 
-    ``incidence(v, depth)`` gives ``(complete, items)`` for a frontier
-    vertex: its incident edges in order, each as ``(edge orbit id, other
-    endpoint elems, edge key)``; an edge whose key is already in the window
-    is not added again.
+    ``incidence(i, depth)`` gives ``(complete, items)`` for frontier vertex
+    i: its edges in order as ``(edge orbit id, other ends as (orbit id, rep)
+    pairs, edge key)``; a key already in the window (None: orbit and ends)
+    adds no edge.  Cost beyond ``incidence``: a dict lookup per other end and
+    per key, one ``GSetElem`` per new vertex and one pass to build ``adj``.
     """
     verts = graph.vertices
-    index_of = {}
-    buckets = {}  # orbit -> list of (elem, idx) for inexact-rep orbits
+    exact = {o.orbit_id: o.stabilizer.rep_exact for o in verts.orbits}
+    index_of = {}   # (orbit id, rep) -> vertex index, in exact orbits
+    buckets = {}    # orbit id -> [(elem, vertex index)], in the others
+    elems, depths, flags = view.elems, view.depths, view.complete_at
+    edge_ends, edge_index = view.edge_ends, view._edge_index
+    radius = view.radius
 
-    def lookup(elem):
-        stab = verts.stabilizer(elem.orbit_id)
-        if stab.rep_exact:
-            return index_of.get(verts.elem_key(elem))
-        for cand, idx in buckets.get(elem.orbit_id, ()):
-            if verts.elem_equal(cand, elem):
-                return idx
-        return None
+    def scan(pair):   # in an orbit without exact reps
+        elem = GSetElem(*pair)
+        return next((idx for cand, idx in buckets.get(pair[0], ())
+                     if verts.elem_equal(cand, elem)), None)
 
-    def register(elem, depth, complete=True):
+    def register(pair, depth, complete):
+        elem = GSetElem(*pair)
         idx = view.add_vertex(elem, depth, complete)
-        stab = verts.stabilizer(elem.orbit_id)
-        if stab.rep_exact:
-            index_of[verts.elem_key(elem)] = idx
+        if exact[pair[0]]:
+            index_of[pair] = idx
         else:
-            buckets.setdefault(elem.orbit_id, []).append((elem, idx))
+            buckets.setdefault(pair[0], []).append((elem, idx))
         return idx
 
     frontier = []
     for b in bases:
-        b = verts.elem(b.orbit_id, b.rep)
-        if lookup(b) is None:
-            idx = register(b, 0)
+        pair = (b.orbit_id, verts.elem(b.orbit_id, b.rep).rep)
+        if index_of.get(pair) is None and scan(pair) is None:
+            idx = register(pair, 0, True)
             view.base.append(idx)
             frontier.append(idx)
 
-    radius = view.radius
     item_start, item_edge = view._item_start, view._item_edge
     for depth in range(radius):
         nxt = []
         for vi in frontier:
-            v = view.vertices[vi]
-            complete, items = incidence(v, depth)
+            complete, items = incidence(vi, depth)
             if not complete:
-                v.complete = False
+                flags[vi] = 0
                 view.complete = False
             item_start.append(len(item_edge))
             for orbit_id, others, key in items:
                 wi = vi
-                for w in others:
-                    wi = lookup(w)
+                for pair in others:
+                    wi = index_of.get(pair)
+                    if wi is None and not exact[pair[0]]:
+                        wi = scan(pair)
                     if wi is None:
-                        if len(view.vertices) >= max_vertices:
+                        if len(elems) >= max_vertices:
                             raise BudgetExceeded(
                                 f"ball exceeded {max_vertices} vertices",
                                 budget=max_vertices)
-                        wi = register(w, depth + 1,
-                                      complete=(depth + 1 < radius))
+                        wi = register(pair, depth + 1, depth + 1 < radius)
                         nxt.append(wi)
-                item_edge.append(view.add_edge(orbit_id, vi, wi, key))
+                i, j = (vi, wi) if vi <= wi else (wi, vi)
+                if key is None:
+                    key = (orbit_id, i, j)
+                k = edge_index.get(key)
+                if k is None:
+                    k = edge_index[key] = len(edge_ends)
+                    view.edge_orbit.append(orbit_id)
+                    edge_ends.append((i, j))
+                item_edge.append(k)
         frontier = nxt
         if not frontier:
             break
     # boundary vertices were never expanded
-    for v in view.vertices:
-        if v.depth >= radius and radius > 0:
-            v.complete = False
-            view.complete = False
+    if radius > 0 and radius in depths:
+        view.complete = False
+    view.adj     # built here, once
     return view
 
 
@@ -231,8 +264,8 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
     """Breadth-first window around the base vertices.
 
     The enumeration budget for a vertex's stabilizer decreases with its
-    depth, so far-away cone points contribute fewer neighbors; vertices
-    whose incident edges were only sampled carry ``complete=False``.
+    depth, so far-away cone points contribute fewer neighbors; a vertex
+    whose incident edges were only sampled has its ``complete_at`` flag 0.
 
     The window is built around the bases moved by ``r^-1``, where ``r`` is
     the first base's rep, and then moved back by ``r``.  So the window
@@ -259,8 +292,8 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
     needs it not to.
 
     Cost: one product for each listed edge and each of its other ends at
-    every expanded vertex, and, when ``r`` is not 1, one ``act`` per vertex
-    to move the window back.
+    every expanded vertex, then ``_grow``'s; and, when ``r`` is not 1, one
+    ``act`` per vertex to move the window back.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -279,8 +312,9 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
         # a trivial stabilizer's coset rep is the product itself
         return None if stab.is_trivial() else stab.coset_rep
 
-    def incidence(v, depth):
-        key = (v.elem.orbit_id, _depth_budget(view, depth))
+    def incidence(vi, depth):
+        v = view.elems[vi]
+        key = (v.orbit_id, _depth_budget(view, depth))
         if key not in plans:
             found, complete = graph.base_incident_edges(*key)
             plans[key] = complete, [
@@ -290,22 +324,20 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
                   for q in others])
                 for e, others in found]
         complete, plan = plans[key]
-        r = v.elem.rep
+        r = v.rep
 
         def at(x0, rep):    # the rep of the coset of r x0
             x = product((r, x0)) if x0 else r
             return rep(x) if rep else x
 
         return complete, [
-            (orbit_id, [GSetElem(q_orbit, at(q0, q_rep))
-                        for q_orbit, q0, q_rep in ends],
+            (orbit_id, [(q_orbit, at(q0, q_rep)) for q_orbit, q0, q_rep in ends],
              (orbit_id, at(e0, edge_rep)) if exact else None)
             for orbit_id, e0, edge_rep, exact, ends in plan]
 
     _grow(graph, view, bases, max_vertices, incidence)
     if frame:
-        for v in view.vertices:
-            v.elem = verts.act(frame, v.elem)
+        view.elems = [verts.act(frame, v) for v in view.elems]
     return view
 
 
@@ -361,40 +393,41 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
             plans[key] = kept, complete
         return plans[key]
 
-    def incidence(v, depth):
-        lo = wide_of[v.index]
-        kept, complete = plan(v.elem.orbit_id,
-                              _depth_budget(wide, wide.vertices[lo].depth),
+    def incidence(vi, depth):
+        lo = wide_of[vi]
+        kept, complete = plan(view.elems[vi].orbit_id,
+                              _depth_budget(wide, wide.depths[lo]),
                               _depth_budget(view, depth))
         start = wide._item_start[lo]
 
         def items():
             for k in kept:
-                e = wide.edges[wide._item_edge[start + k]]
-                i, j = e.endpoints
+                e = wide._item_edge[start + k]
+                i, j = wide.edge_ends[e]
                 other = j if i == lo else i
                 if other == lo:
-                    yield e.orbit_id, (), e.index
+                    yield wide.edge_orbit[e], (), e
                     continue
-                yield e.orbit_id, (wide.vertices[other].elem,), e.index
+                w = wide.elems[other]
+                yield wide.edge_orbit[e], ((w.orbit_id, w.rep),), e
                 # _grow has now looked the endpoint up, and registered it
                 # if it was new
-                if len(wide_of) < len(view.vertices):
+                if len(wide_of) < len(view.elems):
                     wide_of.append(other)
 
         return complete, items()
 
     # a narrowed window never outgrows the wide one
-    return _grow(graph, view, [wide.vertices[i].elem for i in wide.base],
+    return _grow(graph, view, [wide.elems[i] for i in wide.base],
                  wide.vertex_count, incidence)
 
 
 def find_vertex(view: BallView, graph: GGraph, elem: GSetElem):
     verts = graph.vertices
     elem = verts.elem(elem.orbit_id, elem.rep)
-    for v in view.vertices:
-        if v.elem.orbit_id == elem.orbit_id and verts.elem_equal(v.elem, elem):
-            return v.index
+    for i, v in enumerate(view.elems):
+        if v.orbit_id == elem.orbit_id and verts.elem_equal(v, elem):
+            return i
     return None
 
 
@@ -465,7 +498,7 @@ def _neighbor_counts(graph, view, apex_idx, bound):
     counts = {}
     witnesses = {}
     for x, close in zip(nbrs, rows):
-        key = graph.vertices.elem_key(view.vertices[x].elem)
+        key = graph.vertices.elem_key(view.elems[x])
         counts[key] = len(close)
         witnesses[key] = close
     return counts, witnesses
@@ -505,7 +538,7 @@ def _orbit_fineness(graph, orbit_id, angle_bound, radius, max_vertices):
         c_large = counts_l.get(key, c_small)
         if c_large > c_small:
             grown.append((key, c_small, c_large))
-    witnesses = {key: [large.vertices[i].elem for i in wit_l[key]]
+    witnesses = {key: [large.elems[i] for i in wit_l[key]]
                  for key, _, _ in grown}
     return grown, witnesses, counts_l if grown else counts_s
 
@@ -768,9 +801,9 @@ def cut_vertex_audit(zgraph: GGraph, view: BallView, z: GSetElem) -> CutVertexRe
     z_idx = find_vertex(view, zgraph, z)
     if z_idx is None:
         raise WindowTooSmall("window must contain the identified vertex")
-    sampled = not view.vertices[z_idx].complete
-    cut = {v.index for v in view.vertices if v.elem.orbit_id == z.orbit_id}
-    remaining = [v.index for v in view.vertices if v.index not in cut]
+    sampled = not view.complete_at[z_idx]
+    cut = {i for i, v in enumerate(view.elems) if v.orbit_id == z.orbit_id}
+    remaining = [i for i in range(view.vertex_count) if i not in cut]
     if not remaining:
         return CutVertexReport(True, 0, [("vacuous", "window is one orbit")])
     comp = {}
@@ -799,7 +832,7 @@ def cut_vertex_audit(zgraph: GGraph, view: BallView, z: GSetElem) -> CutVertexRe
     details = []
     passed = True
     for root, members in sorted(classes.items()):
-        sides = {side_of(view.vertices[u].elem.orbit_id) for u in members}
+        sides = {side_of(view.elems[u].orbit_id) for u in members}
         if len(sides) != 1:
             passed = False
             details.append(("mixed-component", root, sorted(sides)))
@@ -1007,11 +1040,12 @@ def cayley_abels_audit(graph: GGraph, peripherals, *, radius=4,
     of at most ``CONNECTEDNESS_CAP`` vertices) and cocompactness read off
     the schema."""
     conds = [_finite_edge_stabilizers(graph)]
-    # the verdict alone: this report carries no per-orbit reasons
+    # a pass carries no per-orbit reasons here; any other verdict names them
     stabilizers = _stabilizers_finite_or_peripheral(graph, peripherals,
                                                     conj_budget)
-    conds += [ConditionVerdict(stabilizers.name, stabilizers.verdict),
-              _peripherals_realized(graph, peripherals)]
+    if stabilizers.verdict == "pass":
+        stabilizers.detail = ""
+    conds += [stabilizers, _peripherals_realized(graph, peripherals)]
 
     clash = []
     orbs = graph.vertices.orbits
@@ -1042,10 +1076,10 @@ def _connectedness_verdict(graph, radius):
         view = ball_view(graph, base, radius, max_vertices=CONNECTEDNESS_CAP)
     except BudgetExceeded as exc:
         return ConditionVerdict("connected", "inconclusive", str(exc))
-    orbits_seen = {v.elem.orbit_id for v in view.vertices}
+    orbits_seen = {v.orbit_id for v in view.elems}
     missing = [o.orbit_id for o in graph.vertices.orbits
                if o.orbit_id not in orbits_seen]
-    frontier_closed = all(v.complete for v in view.vertices)
+    frontier_closed = all(view.complete_at)
     if missing and frontier_closed:
         return ConditionVerdict("connected", "fail",
                                 f"component closed without reaching {missing}")
@@ -1066,7 +1100,7 @@ def _connectedness_verdict(graph, radius):
 
 
 def _orbit_has_second_point(graph, orbit_id, view):
-    present = [v.elem for v in view.vertices if v.elem.orbit_id == orbit_id]
+    present = [v for v in view.elems if v.orbit_id == orbit_id]
     group = graph.group
     for w in ball_enumerate(group, group.generator_words(), 2):
         cand = graph.vertices.act(w, graph.vertices.elem(orbit_id))

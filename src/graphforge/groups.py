@@ -114,7 +114,7 @@ class Group:
         raise NotImplementedError
 
     def identity(self) -> NormalForm:
-        return NormalForm()
+        return self.normalize(Word())
 
     def multiply(self, *words) -> NormalForm:
         """The normal form of the product of ``words`` (words, strings or

@@ -583,7 +583,7 @@ def _step_audit_all_angles_infinite(env, step, report):
     view = env.ball(step["ball"])
     bad = []
     for v in range(view.vertex_count):
-        if not view.vertices[v].complete:
+        if not view.complete_at[v]:
             continue
         table = angle_table(view, v)
         for (x, y), val in sorted(table.values.items()):
@@ -699,14 +699,14 @@ def _step_audit_embedding(env, step, report):
     view = ball_view(prov.graph, [prov.x, prov.y], radius,
                      max_vertices=env.budgets["max_vertices"])
     rho = prov.vertex_map
-    images = ((v.elem, rho.apply(
-        rho.domain.elem(v.elem.orbit_id, prov.mono.push(v.elem.rep))))
-        for v in view.vertices)
+    images = ((v, rho.apply(
+        rho.domain.elem(v.orbit_id, prov.mono.push(v.rep))))
+        for v in view.elems)
     found = [(str(a), str(b)) for a, b in collisions(graph.vertices, images)]
     report.check(step.get("id", step["graph"]), "audit_embedding",
                  "embedding-injective", not found,
-                 {"vertices": len(view.vertices), "collisions": found[:5]},
-                 f"{len(view.vertices)} vertices embedded")
+                 {"vertices": view.vertex_count, "collisions": found[:5]},
+                 f"{view.vertex_count} vertices embedded")
 
 
 def _step_stabilizer_check(env, step, report):

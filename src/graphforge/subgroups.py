@@ -306,12 +306,19 @@ class CyclicSubgroup(Subgroup):
         return None
 
     def coset_rep(self, word):
+        """The ``word_key``-least element of ``word <u>``.  A one-letter u
+        is cut from the word's end.  Else, in a free abelian group (e, d the
+        exponent vectors of word and u), |e + k d|_1 is convex piecewise
+        linear in k, least at 0 or floor(-e_i/d_i) (+1) for some i and on the
+        flat interval there, where the least normal form is the rep; this is
+        what ``_scan_rep`` finds by trying |k| <= 2|word| + |u| + 4."""
         w = self.check_ambient(word)
         cached = self._rep_cache.get(w)
         if cached is None:
             name = self._letter
             if name is None:
-                cached = self._scan_rep(w)
+                cached = self._abelian_rep(w) if isinstance(
+                    self.ambient, FreeAbelianGroup) else self._scan_rep(w)
             elif isinstance(self.ambient, FreeAbelianGroup):
                 cached = self.ambient.normalize(Word(
                     l for l in w if l[0] != name))
@@ -339,6 +346,23 @@ class CyclicSubgroup(Subgroup):
         for _, s in syls:
             out = out * s
         return self.ambient.normalize(out)
+
+    def _abelian_rep(self, w):
+        amb = self.ambient
+        e, d = amb.exponents(w), amb.exponents(self.u)
+
+        def moved(k):   # w u^k, in normal form
+            return amb.word_from_exponents([x + k * y for x, y in zip(e, d)])
+
+        lo = hi = min({0, *(b for x, y in zip(e, d) if y
+                            for b in (-x // y, -x // y + 1))},
+                      key=lambda k: len(moved(k)))
+        while len(moved(lo - 1)) == len(moved(lo)):
+            lo -= 1
+        while len(moved(hi + 1)) == len(moved(hi)):
+            hi += 1
+        return amb.normalize(min(map(moved, range(lo, hi + 1)),
+                                 key=amb.word_key))
 
     def _scan_rep(self, w):
         window = 2 * len(w) + len(self.u) + 4
@@ -497,6 +521,8 @@ class SearchSubgroup(Subgroup):
         return self.check_ambient(word)
 
     def is_finite(self):
+        if isinstance(self.ambient, (FreeGroup, FreeAbelianGroup)):
+            return not any(self.generators)
         return None
 
 

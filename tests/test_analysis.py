@@ -232,12 +232,13 @@ def per_vertex_view(graph, bases, radius, word_budget=None,
     r = verts.elem(bases[0].orbit_id, bases[0].rep).rep if bases else Word()
     edge_stab = graph.edges.stabilizer
 
-    def incidence(v, depth):
-        at = group.multiply(r, verts.act(r.inverse(), v.elem).rep)
-        found, complete = graph.incident_edges(GSetElem(v.elem.orbit_id, at),
+    def incidence(vi, depth):
+        v = view.elems[vi]
+        at = group.multiply(r, verts.act(r.inverse(), v).rep)
+        found, complete = graph.incident_edges(GSetElem(v.orbit_id, at),
                                                _depth_budget(view, depth))
         return complete, [
-            (e.orbit_id, others,
+            (e.orbit_id, [(w.orbit_id, w.rep) for w in others],
              (e.orbit_id, e.rep) if edge_stab(e.orbit_id).rep_exact else None)
             for e, others in found]
 
@@ -700,6 +701,27 @@ def test_tree_with_a_parallel_edge_or_loop_is_not_a_forest(extra):
     assert rows == list(range(6))   # every row: the tree rule is not taken
 
 
+def test_adjacency_lists_keep_first_edge_order():
+    # the lists that appending each edge's ends when absent gives, in order
+    view = grouplib.view_from_edges(4, [(0, 1)])
+    view.add_edge("e", 2, 2)                    # a loop
+    view.add_edge("f", 1, 0)                    # parallel to (0, 1)
+    assert view.adj == [[1], [0], [2], []]
+    view.add_edge("e", 3, 1)
+    view.add_edge("g", 0, 1, key="again")       # (0, 1) under a new key
+    view.add_edge("e", 2, 0)
+    assert view.add_edge("e", 1, 0) == 0        # the first edge's key
+    assert view.edge_count == 6
+    assert view.adj == [[1, 2], [0, 3], [2, 0], [1]]
+    assert not view.is_forest()
+    loop = grouplib.view_from_edges(2, [(0, 1), (1, 1)])
+    parallel = grouplib.view_from_edges(2, [(0, 1)])
+    parallel.add_edge("f", 0, 1)
+    for view in (loop, parallel):
+        assert view.edge_count == 2 and not view.is_forest()
+    assert (loop.adj, parallel.adj) == ([[1], [0, 1]], [[1], [0]])
+
+
 # -- fineness ----------------------------------------------------------------
 
 
@@ -922,11 +944,13 @@ def test_gh_audit_proper_pair_refutation():
 
 
 def test_gh_audit_proper_pair_with_undecided_peripheral():
-    f = grouplib.free2()
-    h = cyclic(f, "a")
-    undecided = generated(f, ["a b", "b a"])
+    # the infinite dihedral group has torsion, so a search handle over it
+    # does not decide finiteness
+    d = grouplib.dihedral_product()
+    h = cyclic(d, "p q")
+    undecided = generated(d, ["p q", "q p"])
     assert undecided.is_finite() is None
-    g = edgeless_cosets(f, [h, undecided], labels=["c1", "c2"])
+    g = edgeless_cosets(d, [h, undecided], labels=["c1", "c2"])
     report = gh_graph_audit(g, [h, undecided], fineness_radius=2,
                             conj_budget=1)
     by_name = {c.name: c for c in report.conditions}
@@ -948,12 +972,13 @@ def test_cayley_abels_disconnected_coset_space():
 
 
 def test_undecided_edge_stabilizer_is_inconclusive_in_both_audits():
-    # <ab, ba> in F2 is infinite, but its search handle cannot decide that
-    f = FreeGroup("F", ["a", "b"])
-    h = generated(f, ["a b", "b a"])
+    # <pq, qp> in Z/2 * Z/2 is infinite, but its search handle cannot decide
+    # that
+    d = grouplib.dihedral_product()
+    h = generated(d, ["p q", "q p"])
     assert isinstance(h, SearchSubgroup) and h.is_finite() is None
-    verts = GSet(f, [Orbit("p", h), Orbit("q", h)])
-    g = GGraph(f, verts, [EdgeOrbit("e", h, (verts.elem("p"),
+    verts = GSet(d, [Orbit("p", h), Orbit("q", h)])
+    g = GGraph(d, verts, [EdgeOrbit("e", h, (verts.elem("p"),
                                             verts.elem("q")))])
     for report in (cayley_abels_audit(g, [h], radius=1),
                    gh_graph_audit(g, [h], angle_bound=1, fineness_radius=1)):

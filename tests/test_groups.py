@@ -441,6 +441,16 @@ def test_each_element_is_one_normal_form_object(tag, factory, alphabet):
         assert g._nf_cache[nf] is nf
 
 
+@pytest.mark.parametrize("tag,factory,alphabet", SPLIT_GROUPS + LAW_GROUPS)
+def test_identity_is_the_interned_empty_form(tag, factory, alphabet):
+    g = factory()
+    one = g.identity()
+    assert one is g.identity()
+    assert one is g.normalize("1")
+    letter = alphabet[0]
+    assert g.multiply(letter, f"{letter}^-1") is one
+
+
 # -- products of normal forms (oracle: a fresh group's multiply, normalize) --
 
 

@@ -22,6 +22,7 @@ from graphforge.pipeline import (
     run_pipeline,
     validate_spec,
 )
+from graphforge.subgroups import SearchSubgroup
 
 
 def test_builtin_catalog():
@@ -140,6 +141,10 @@ def test_audit_fineness_and_audit_gh_end_on_the_same_budget_message():
 def coned_over(generators):
     """F2 coned off over the subgroup ``generators`` generate, audited
     against the peripheral <a>."""
+    return {v["name"]: v for v in coned_over_run(generators).verdicts}
+
+
+def coned_over_run(generators):
     spec = json.loads(json.dumps(builtin_examples()["example-coned-free"]))
     spec["subgroups"]["H"] = {"group": "F", "kind": "generated",
                               "generators": generators}
@@ -149,13 +154,14 @@ def coned_over(generators):
          "angle_bound": 2, "radius": 2},
         {"op": "audit_cayley_abels", "graph": "coned", "peripherals": ["axis"]},
     ]
-    return {v["name"]: v for v in run_pipeline(spec).verdicts}
+    return run_pipeline(spec)
 
 
 def test_no_single_conjugator_and_undecided_finiteness_do_not_pass():
     # a and b a b^-1 are each conjugate into <a>, but by different
     # conjugators, and <a, b a b^-1> (free of rank 2) lies in no conjugate of
-    # <a>; its finiteness is undecided, so it is not read as finite either
+    # <a>; the subgroup is infinite, so its cone vertex is probed for
+    # fineness, and the probe does not pass either
     got = coned_over(["a", "b a b^-1"])
     stab = got["gh:vertex-stabilizers-finite-or-peripheral"]
     assert stab["verdict"] == "inconclusive"
@@ -164,7 +170,33 @@ def test_no_single_conjugator_and_undecided_finiteness_do_not_pass():
         "inconclusive"
     fine = got["gh:fine-at-infinite-stabilizers"]
     assert fine["verdict"] == "inconclusive"
-    assert fine["detail"] == "cone:A: finiteness undecided"
+    assert fine["detail"] == "cone:A: inconclusive"
+
+
+def test_search_subgroup_of_a_free_group_is_probed_for_fineness():
+    # <a, b a b^-1> is a budgeted-search handle; over the torsion-free F2
+    # its nontrivial generators make it infinite, so cone:A is probed
+    report = coned_over_run(["a", "b a b^-1"])
+    handle = report.env.graph("coned").vertices.stabilizer("cone:A")
+    assert isinstance(handle, SearchSubgroup)
+    assert handle.is_finite() is False
+    fine, = [v for v in report.verdicts
+             if v["name"] == "gh:fine-at-infinite-stabilizers"]
+    assert fine["detail"] != "no infinite stabilizers"
+    assert fine["detail"].startswith("cone:A: ")
+    assert "finiteness undecided" not in fine["detail"]
+
+
+def test_cayley_abels_names_the_orbit_of_an_unsettled_stabilizer():
+    got = coned_over(["a", "b a b^-1"])
+    ca = got["ca:vertex-stabilizers-finite-or-peripheral"]
+    assert ca["verdict"] == "inconclusive"
+    assert ca["detail"] == got["gh:vertex-stabilizers-finite-or-peripheral"][
+        "detail"]
+    assert "cone:A: no conjugacy certificate at conj_budget=2" in ca["detail"]
+    # a pass keeps its empty detail
+    passed = coned_over(["b a b^-1"])["ca:vertex-stabilizers-finite-or-peripheral"]
+    assert (passed["verdict"], passed["detail"]) == ("pass", "")
 
 
 def test_one_conjugator_into_a_peripheral_is_named():

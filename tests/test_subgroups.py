@@ -122,6 +122,32 @@ def test_coset_rep_examples():
     assert h1.coset_rep("p q p") == Word.parse("p q")
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cyclic_rep_in_free_abelian_is_the_least_of_its_coset(rank):
+    # oracle: the word_key-least normal form of w u^k over |k| <= 3|w| + 3
+    names = [f"x{i}" for i in range(1, rank + 1)]
+    g = FreeAbelianGroup(f"Z{rank}", names)
+    rng = random.Random(rank)
+    without_letter = 0
+    for trial in range(120):
+        d = [rng.randint(-3, 3) for _ in names]
+        if not any(d):
+            continue
+        u = Word((n, 1 if e > 0 else -1) for n, e in zip(names, d)
+                 for _ in range(abs(e)))
+        u = Word(rng.sample(list(u), len(u)))
+        h = cyclic(g, u)
+        without_letter += h._letter is None
+        for w in random_words(names, 4, 12, rng.randrange(10 ** 6)):
+            reach = 3 * len(g.normalize(w)) + 3
+            least = min((g.normalize(w * u.power(k))
+                         for k in range(-reach, reach + 1)), key=g.word_key)
+            assert h.coset_rep(w) == least, (u, w)
+            k = rng.randint(-6, 6)
+            assert h.coset_rep(w * u.power(k)) == h.coset_rep(w), (u, w, k)
+    assert without_letter >= 80
+
+
 def test_power_of():
     f = grouplib.free2()
     assert power_of(f, Word.parse("a b"), Word.parse("a b a b")) == 2
@@ -376,6 +402,15 @@ def test_conjugate_of_handle_without_exact_reps():
     assert c.coset_rep("1") != c.coset_rep(g)
     gs = GSet(f, [Orbit("c", c)])
     assert gs.elem_equal(gs.elem("c", "1"), gs.elem("c", g))
+
+
+def test_search_handle_finiteness_is_decided_only_without_torsion():
+    f, z2 = grouplib.free2(), FreeAbelianGroup("Z2", ["x", "y"])
+    for ambient, gens in ((f, ["a b", "b a"]), (z2, ["x y", "x y^-1"])):
+        assert SearchSubgroup(ambient, gens).is_finite() is False
+        assert SearchSubgroup(ambient, ["1"]).is_finite() is True
+    d = grouplib.dihedral_product()
+    assert SearchSubgroup(d, ["p q", "q p"]).is_finite() is None
 
 
 def test_unknown_from_budgeted_search():
