@@ -43,13 +43,6 @@ class BallVertex:
     complete: bool = True      # all incident edges enumerated
 
 
-@dataclass(slots=True)
-class BallEdge:
-    index: int
-    orbit_id: str
-    endpoints: tuple           # vertex indices (i, j), i <= j for 2-ended
-
-
 class BallView:
     """A finite window of a graph (or a bare finite graph) as parallel
     arrays: vertex i is ``elems[i]`` at ``depths[i]``, ``complete_at[i]`` when
@@ -114,15 +107,10 @@ class BallView:
 
     @property
     def vertices(self):
-        """Records made on each read (so are ``edges``), only for ``dot.py``
-        and ``bench/hooks.py``; the audits read the arrays."""
+        """Records made on each read, only for ``bench/hooks.py``; the
+        audits and ``dot.py`` read the arrays."""
         return [BallVertex(i, *v) for i, v in enumerate(
             zip(self.elems, self.depths, map(bool, self.complete_at)))]
-
-    @property
-    def edges(self):
-        return [BallEdge(k, *e)
-                for k, e in enumerate(zip(self.edge_orbit, self.edge_ends))]
 
     @property
     def vertex_count(self):
@@ -469,7 +457,7 @@ class FinenessCertificate:
     vertex: GSetElem
     angle_bound: int
     radius: int
-    verdict: str                  # locally-finite-at / violation / inconclusive
+    verdict: str       # locally-finite-at-.. / violation / inconclusive at ..
     witness: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
 
@@ -606,8 +594,8 @@ def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
         return FinenessCertificate(vertex, angle_bound, radius, "violation",
                                    [verts.act(r, w) for w in witnesses[key]],
                                    {moved(k): c for k, _, c in violating})
-    verdict = ("inconclusive" if grown
-               else f"locally-finite-at-({angle_bound},{radius})")
+    verdict = (f"inconclusive at threshold={threshold}, radius={radius}"
+               if grown else f"locally-finite-at-({angle_bound},{radius})")
     return FinenessCertificate(vertex, angle_bound, radius, verdict,
                                counts={moved(k): c
                                        for k, c in counts.items()})

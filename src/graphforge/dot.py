@@ -13,22 +13,17 @@ PALETTE = [
 def export_dot(view: BallView, name="window", cut_orbits=()) -> str:
     """Vertices labeled by orbit and representative, colored per orbit; cut
     vertices double-circled.  Output is byte-deterministic."""
-    orbit_ids = []
-    for v in view.vertices:
-        if v.elem.orbit_id not in orbit_ids:
-            orbit_ids.append(v.elem.orbit_id)
+    orbit_ids = dict.fromkeys(elem.orbit_id for elem in view.elems)
     color = {oid: PALETTE[i % len(PALETTE)] for i, oid in enumerate(orbit_ids)}
     lines = [f"graph \"{name}\" {{", "  node [style=filled];"]
-    for v in view.vertices:
-        oid = v.elem.orbit_id
+    for i, elem in enumerate(view.elems):
+        oid = elem.orbit_id
         shape = "doublecircle" if oid in cut_orbits else "ellipse"
-        label = f"{oid}|{v.elem.rep}"
         lines.append(
-            f"  n{v.index} [label=\"{label}\", fillcolor={color[oid]}, "
+            f"  n{i} [label=\"{oid}|{elem.rep}\", fillcolor={color[oid]}, "
             f"shape={shape}];"
         )
-    for e in sorted(view.edges, key=lambda e: (e.endpoints, e.orbit_id)):
-        i, j = e.endpoints
-        lines.append(f"  n{i} -- n{j} [label=\"{e.orbit_id}\"];")
+    for (i, j), oid in sorted(zip(view.edge_ends, view.edge_orbit)):
+        lines.append(f"  n{i} -- n{j} [label=\"{oid}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -29,10 +29,9 @@ right multiplication, which the orbit layer relies on.
 The normal-form cache maps each word ``normalize`` was given to its normal
 form, and each normal form to itself: ``normalize`` interns what
 ``_canonical`` returns (``_nf_cache.setdefault(nf, nf)``), so an element of
-a group is one ``NormalForm`` object however it was reached.  ``multiply``
-normalizes the concatenation of its factors (a new key), except in
-``FreeGroup`` (cancel at the junctions) and ``HNNGroup`` (continue the left
-factor's Britton fold), which intern the product the same way.
+a group is one ``NormalForm`` object however it was reached.  In every
+class, ``multiply`` is the normal form of the concatenation of its factors,
+which the cache keeps as one more key.
 
 Amalgams and HNN extensions share ``SplitGroup``: an element's split form
 is computed once, with its normal form, and kept under that one object.
@@ -42,7 +41,7 @@ what membership and coset representatives of factor subgroups read.
 
 ``_product(nfs)`` multiplies factors that must already be normal forms of
 the group, unchecked (any other word gives a wrong answer, not an error):
-in ``FreeGroup`` it is the junction cancellation alone, else ``_multiply``.
+in ``FreeGroup`` it cancels only at the junctions, else it is ``multiply``.
 """
 
 from __future__ import annotations
@@ -118,25 +117,16 @@ class Group:
 
     def multiply(self, *words) -> NormalForm:
         """The normal form of the product of ``words`` (words, strings or
-        letter tuples), left to right.
-
-        Each class computes it in ``_multiply``.  By default that is the
-        normal form of the concatenation, so the normal-form cache gains the
-        concatenation as a key.  ``FreeGroup`` and ``HNNGroup`` normalize
-        each factor, combine the factors' forms and cache the product under
-        itself (see the module docstring).  Either way a foreign letter in
-        any factor raises ``MalformedWord``.
-        """
-        return self._multiply(words)
-
-    def _multiply(self, words) -> NormalForm:
+        letter tuples), left to right: the normal form of their
+        concatenation, in every class.  A foreign letter in any factor
+        raises ``MalformedWord``."""
         letters = ()
         for w in words:
             letters += w if isinstance(w, tuple) else Word.coerce(w)
         return self.normalize(Word(letters))
 
     def _product(self, nfs) -> NormalForm:
-        return self._multiply(nfs)
+        return self.multiply(*nfs)
 
     def inverse(self, word) -> NormalForm:
         return self.normalize(Word.coerce(word).inverse())
@@ -288,9 +278,6 @@ class FreeGroup(Group):
     def _canonical(self, word):
         return NormalForm(free_reduce(word))
 
-    def _multiply(self, words) -> NormalForm:
-        return self._product([self.normalize(w) for w in words])
-
     def _product(self, nfs) -> NormalForm:
         # reduced factors cancel only at a junction: drop the last k letters
         # of the product so far and the first k of the next factor, for the
@@ -410,11 +397,9 @@ class SplitGroup(Group):
         return self._split_cache[self.normalize(word)]
 
     def _canonical(self, word):
-        return self._keep(self._fold(word))
-
-    def _keep(self, form):
-        """The normal form spelled by ``form``, which is kept under it."""
-        pinned, tail = form
+        """The normal form spelled by ``word``'s split form, which is kept
+        under it."""
+        form = pinned, tail = self._fold(word)
         nf = NormalForm(self._spell(pinned, self._tail(tail)))
         self._split_cache.setdefault(nf, form)
         return nf
@@ -567,11 +552,10 @@ class HNNGroup(SplitGroup):
             raise BudgetExceeded(f"{self.name}: cannot push {k} through the injection")
         return img
 
-    def _fold(self, word, state=((), Word())):
-        """Continue the left-to-right reduction from the Britton form
-        ``state`` through the runs of base letters and stable letters of
-        ``word``; returns the finished Britton form."""
-        pinned, acc = list(state[0]), state[1]
+    def _fold(self, word):
+        """The Britton form of ``word``, reduced left to right through its
+        runs of base letters and stable letters."""
+        pinned, acc = [], Word()
         for stable, run in groupby(word, lambda l: l[0] == self.stable):
             if not stable:
                 acc = self.base.multiply(acc, Word(run))
@@ -588,17 +572,6 @@ class HNNGroup(SplitGroup):
                     pinned.append((tau, eps))
                     acc = self.base.normalize(crossed)
         return (tuple(pinned), self.base.normalize(acc))
-
-    def _multiply(self, words) -> NormalForm:
-        # the Britton form of a product is the fold's state after its left
-        # factor, continued through the later factors' normal forms
-        nf = self.normalize(words[0] if words else Word())
-        if len(words) > 1:
-            state = self._split_cache[nf]
-            for w in words[1:]:
-                state = self._fold(self.normalize(w), state)
-            nf = self._keep(state)
-        return self._nf_cache.setdefault(nf, nf)
 
     def _spell(self, pinned, tail):
         out = Word()

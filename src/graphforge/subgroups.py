@@ -102,16 +102,10 @@ class Subgroup:
         return ball_enumerate(self.ambient, self.generators, length)
 
     def sample(self, word_budget: int):
-        """(elements, complete) for window materialization (memoized)."""
-        cache = getattr(self, "_sample_cache", None)
-        if cache is None:
-            cache = self._sample_cache = {}
-        if word_budget not in cache:
-            if self.is_finite():
-                cache[word_budget] = (self.elements(), True)
-            else:
-                cache[word_budget] = (self.ball(word_budget), False)
-        return cache[word_budget]
+        """(elements, complete) for window materialization."""
+        if self.is_finite():
+            return self.elements(), True
+        return self.ball(word_budget), False
 
     # -- structure -------------------------------------------------------------
 
@@ -291,13 +285,14 @@ class CyclicSubgroup(Subgroup):
         return YES if power_of(self.ambient, self.u, w) is not None else NO
 
     def _letter_factor(self):
-        """The generator's letter name when it is a single letter inside an
-        abelian or rank-one factor, else None."""
+        """The generator's letter name when it is a single letter of a free
+        group or inside an abelian or rank-one free-product factor, else
+        None."""
         if len(self.u) != 1 or self.u[0][1] != 1:
             return None
         name = self.u[0][0]
         amb = self.ambient
-        if isinstance(amb, (FreeAbelianGroup, FreeGroup)):
+        if isinstance(amb, FreeGroup):
             return name
         if isinstance(amb, FreeProductGroup):
             fac = amb.factors[amb.factor_of(name)]
@@ -306,22 +301,21 @@ class CyclicSubgroup(Subgroup):
         return None
 
     def coset_rep(self, word):
-        """The ``word_key``-least element of ``word <u>``.  A one-letter u
-        is cut from the word's end.  Else, in a free abelian group (e, d the
-        exponent vectors of word and u), |e + k d|_1 is convex piecewise
-        linear in k, least at 0 or floor(-e_i/d_i) (+1) for some i and on the
-        flat interval there, where the least normal form is the rep; this is
-        what ``_scan_rep`` finds by trying |k| <= 2|word| + |u| + 4."""
+        """The ``word_key``-least element of ``word <u>``.  In a free
+        abelian group (e, d the exponent vectors of word and u), |e + k d|_1
+        is convex piecewise linear in k, least at 0 or floor(-e_i/d_i) (+1)
+        for some i and on the flat interval there, where the least normal
+        form is the rep (for u = x_i, only k = -e_i).  Elsewhere a one-letter
+        u is cut from the word's end, and any other u is found by
+        ``_scan_rep``, which tries |k| <= 2|word| + |u| + 4."""
         w = self.check_ambient(word)
         cached = self._rep_cache.get(w)
         if cached is None:
             name = self._letter
-            if name is None:
-                cached = self._abelian_rep(w) if isinstance(
-                    self.ambient, FreeAbelianGroup) else self._scan_rep(w)
-            elif isinstance(self.ambient, FreeAbelianGroup):
-                cached = self.ambient.normalize(Word(
-                    l for l in w if l[0] != name))
+            if isinstance(self.ambient, FreeAbelianGroup):
+                cached = self._abelian_rep(w)
+            elif name is None:
+                cached = self._scan_rep(w)
             elif isinstance(self.ambient, FreeGroup):
                 # a prefix of a reduced word is reduced: intern it as it is
                 k = len(w)

@@ -248,7 +248,7 @@ def per_vertex_view(graph, bases, radius, word_budget=None,
 def assert_same_window(got, want):
     assert got.vertices == want.vertices
     assert got.adj == want.adj
-    assert got.edges == want.edges
+    assert (got.edge_orbit, got.edge_ends) == (want.edge_orbit, want.edge_ends)
     assert got.base == want.base
     assert got.complete == want.complete
     assert (got.radius, got.word_budget) == (want.radius, want.word_budget)
@@ -359,7 +359,7 @@ def window_facts(graph, view, apex):
     angle table at the apex and the cut-vertex components of its orbit."""
     cut = cut_vertex_audit(graph, view, apex)
     return ([(v.depth, v.complete) for v in view.vertices], view.adj,
-            [(e.orbit_id, e.endpoints) for e in view.edges],
+            list(zip(view.edge_orbit, view.edge_ends)),
             angle_table(view, 0).values,
             (cut.passed, cut.component_count, cut.details, cut.inconclusive))
 
@@ -436,8 +436,10 @@ def two_build_probe(graph, vertex, angle_bound, radius, threshold,
             vertex, angle_bound, radius,
             f"locally-finite-at-({angle_bound},{radius})",
             counts=dict(counts_s))
-    return FinenessCertificate(vertex, angle_bound, radius, "inconclusive",
-                               counts=dict(counts_l))
+    return FinenessCertificate(
+        vertex, angle_bound, radius,
+        f"inconclusive at threshold={threshold}, radius={radius}",
+        counts=dict(counts_l))
 
 
 def probe_outcome(probe, *args, **kwargs):
@@ -830,7 +832,7 @@ def delta_oracle_cases():
     cases = [(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 9)]
     cases.append((9, grid_3x3()))
     wedge = wedge_c5_c7()
-    cases.append((11, [e.endpoints for e in wedge.edges]))
+    cases.append((11, list(wedge.edge_ends)))
     rng = random.Random(99)
     for _ in range(25):
         n = rng.randint(1, 9)

@@ -170,7 +170,8 @@ def test_no_single_conjugator_and_undecided_finiteness_do_not_pass():
         "inconclusive"
     fine = got["gh:fine-at-infinite-stabilizers"]
     assert fine["verdict"] == "inconclusive"
-    assert fine["detail"] == "cone:A: inconclusive"
+    assert fine["detail"] == \
+        "cone:A: inconclusive at threshold=10, radius=2"
 
 
 def test_search_subgroup_of_a_free_group_is_probed_for_fineness():
@@ -352,6 +353,38 @@ def test_cli_timings_flag(tmp_path):
     assert payload["timings_ms"]
 
 
+def test_induce_step_keeps_orbits_and_stabilizers():
+    # X is a graph over the left factor A of G; inducing along A -> G keeps
+    # its orbits under prefixed ids, and each induced stabilizer meets A in
+    # the stabilizer it came from
+    from graphforge.ggraphs import factor_embedding
+    from test_groups import random_words
+    spec = json.loads(json.dumps(builtin_examples()["example-amalgam-2"]))
+    spec["pipeline"] = [
+        {"op": "induce", "id": "I", "group": "G", "side": "L", "graph": "X",
+         "prefix": "P:"},
+        {"op": "orbit_counts", "graph": "I", "vertices": 2, "edges": 2},
+    ]
+    report = run_pipeline(spec)
+    assert report.exit_code() == 0
+    assert report.steps[0]["detail"] == {"vertex_orbits": 2, "edge_orbits": 2}
+    x, big = report.env.graph("X"), report.env.graph("I")
+    push = factor_embedding(report.env.group("G"), "L").push
+    words = (random_words(["a1", "a2", "a3"], 30, 6, seed=41)
+             + random_words(["a1", "a2"], 10, 6, seed=43))
+    answers = set()
+    for small, induced in ((x.vertices, big.vertices), (x.edges, big.edges)):
+        assert [f"P:{o.orbit_id}" for o in small.orbits] == \
+            [o.orbit_id for o in induced.orbits]
+        for orb in small.orbits:
+            handle = induced.stabilizer(f"P:{orb.orbit_id}")
+            for w in words:
+                answer = orb.stabilizer.contains(w)
+                assert handle.contains(push(w)) == answer, (orb.orbit_id, w)
+                answers.add(answer)
+    assert answers == {"yes", "no"}
+
+
 def _write_spec(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -398,6 +431,34 @@ def test_dot_node_count_matches_ball():
     text = export_dot(view, "tree")
     assert text.count("shape=ellipse") == view.vertex_count
     assert text.count(" -- ") == view.edge_count
+
+
+def test_dot_export_golden_text():
+    # a hand-built window with a loop and parallel edges, added out of order
+    from graphforge.analysis import BallView
+    from graphforge.gsets import GSetElem
+    from graphforge.words import Word
+    view = BallView(1)
+    for oid, rep in [("v", "1"), ("w", "a"), ("v", "a b^-1")]:
+        view.add_vertex(GSetElem(oid, Word.parse(rep)), 1)
+    view.add_edge("e", 2, 2)
+    view.add_edge("f", 1, 0)
+    view.add_edge("e", 0, 1)
+    view.add_edge("e", 1, 0, key="e2")
+    view.add_edge("d", 2, 1)
+    assert export_dot(view, "hand", cut_orbits=("w",)) == """\
+graph "hand" {
+  node [style=filled];
+  n0 [label="v|1", fillcolor=lightblue, shape=ellipse];
+  n1 [label="w|a", fillcolor=lightsalmon, shape=doublecircle];
+  n2 [label="v|a b^-1", fillcolor=lightblue, shape=ellipse];
+  n0 -- n1 [label="e"];
+  n0 -- n1 [label="e"];
+  n0 -- n1 [label="f"];
+  n1 -- n2 [label="d"];
+  n2 -- n2 [label="e"];
+}
+"""
 
 
 def test_console_script_entry():

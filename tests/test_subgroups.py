@@ -12,7 +12,12 @@ from graphforge.errors import (
     MismatchedAmbient,
     MonomorphismUnverified,
 )
-from graphforge.groups import FiniteGroup, FreeAbelianGroup
+from graphforge.groups import (
+    FiniteGroup,
+    FreeAbelianGroup,
+    FreeProductGroup,
+    ball_enumerate,
+)
 from graphforge.subgroups import (
     DEFAULT_BUDGET,
     FiniteSubgroup,
@@ -124,11 +129,12 @@ def test_coset_rep_examples():
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_cyclic_rep_in_free_abelian_is_the_least_of_its_coset(rank):
-    # oracle: the word_key-least normal form of w u^k over |k| <= 3|w| + 3
+    # oracle: the word_key-least normal form of w u^k over |k| <= 3|w| + 3;
+    # every handle takes the closed form, one-letter generators included
     names = [f"x{i}" for i in range(1, rank + 1)]
     g = FreeAbelianGroup(f"Z{rank}", names)
     rng = random.Random(rank)
-    without_letter = 0
+    one_letter = 0
     for trial in range(120):
         d = [rng.randint(-3, 3) for _ in names]
         if not any(d):
@@ -137,7 +143,7 @@ def test_cyclic_rep_in_free_abelian_is_the_least_of_its_coset(rank):
                  for _ in range(abs(e)))
         u = Word(rng.sample(list(u), len(u)))
         h = cyclic(g, u)
-        without_letter += h._letter is None
+        one_letter += len(u) == 1
         for w in random_words(names, 4, 12, rng.randrange(10 ** 6)):
             reach = 3 * len(g.normalize(w)) + 3
             least = min((g.normalize(w * u.power(k))
@@ -145,7 +151,7 @@ def test_cyclic_rep_in_free_abelian_is_the_least_of_its_coset(rank):
             assert h.coset_rep(w) == least, (u, w)
             k = rng.randint(-6, 6)
             assert h.coset_rep(w * u.power(k)) == h.coset_rep(w), (u, w, k)
-    assert without_letter >= 80
+    assert one_letter >= 1
 
 
 def test_power_of():
@@ -365,18 +371,56 @@ def test_build_hnn_trivial_edge_is_free_product():
         assert g.normalize(w) == f3.normalize(w)
 
 
-def test_amalgam_trivial_edge_is_free_product():
+def edge_is_left_factor_amalgam():
+    """Z2 *_{Z2} Z4 with the edge group onto the left factor: Z4 itself."""
+    z2 = FiniteGroup.cyclic(2, "x", "Z2")
+    z4 = FiniteGroup.cyclic(4, "a", "Z4")
+    c = FiniteGroup.cyclic(2, "c", "C")
+    d1 = Monomorphism(whole(c), whole(z2), ["x"])
+    d2 = Monomorphism(whole(c), generated(z4, ["a a"]), ["a a"])
+    return build_amalgam("Z2*Z4", z2, z4, d1, d2)
+
+
+def trivial_edge_amalgam():
     z4 = FiniteGroup.cyclic(4, "a", "Z4")
     z6 = FiniteGroup.cyclic(6, "b", "Z6")
     ztriv = FiniteGroup.cyclic(1, "e", "Triv")
     d1 = Monomorphism(whole(ztriv), trivial(z4), [Word()])
     d2 = Monomorphism(whole(ztriv), trivial(z6), [Word()])
-    g = build_amalgam("Z4*Z6free", z4, z6, d1, d2)
-    from graphforge.groups import FreeProductGroup
-    fp = FreeProductGroup("ref", [FiniteGroup.cyclic(4, "a", "Z4x"),
-                                  FiniteGroup.cyclic(6, "b", "Z6x")])
+    return build_amalgam("Z4*Z6", z4, z6, d1, d2)
+
+
+def free_product_of_cyclics(*orders):
+    return FreeProductGroup("*".join(map(str, orders)), [
+        FiniteGroup.cyclic(n, g, f"Z{n}") for n, g in zip(orders, "abc")])
+
+
+def test_amalgam_trivial_edge_is_free_product():
+    g = trivial_edge_amalgam()
+    fp = free_product_of_cyclics(4, 6)
     for w in random_words(["a", "b"], 40, 7, seed=29):
         assert tuple(g.normalize(w)) == tuple(fp.normalize(w))
+
+
+@pytest.mark.parametrize("make, finite, order", [
+    (edge_is_left_factor_amalgam, True, None),
+    (trivial_edge_amalgam, False, None),
+    (grouplib.modular_amalgam, False, None),
+    (lambda: free_product_of_cyclics(4, 1), True, 4),
+    (lambda: free_product_of_cyclics(4, 6), False, None),
+])
+def test_finiteness_of_splittings_matches_ball_growth(make, finite, order):
+    # oracle: the generator balls of a finite group stop growing at its
+    # order (both finite groups here are Z4); those of an infinite group
+    # grow at every radius
+    g = make()
+    sizes = [len(ball_enumerate(g, g.generator_words(), r)) for r in range(7)]
+    assert g.is_finite() is finite
+    assert g.order() == order
+    if finite:
+        assert sizes[-1] == sizes[-2] == 4
+    else:
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_conjugate_handle():
