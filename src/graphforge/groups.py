@@ -513,6 +513,14 @@ class AmalgamGroup(SplitGroup):
             return self.left.is_finite()
         return False  # proper amalgam of finite factors is infinite
 
+    def order(self):
+        # an edge group onto a whole factor leaves the other factor
+        if self.into_left.codomain.is_whole():
+            return self.right.order()
+        if self.into_right.codomain.is_whole():
+            return self.left.order()
+        return None
+
 
 class HNNGroup(SplitGroup):
     """HNN extension of a base group along an injection of subgroups.

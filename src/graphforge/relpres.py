@@ -7,13 +7,15 @@ set, and peripheral letters, each an element of one peripheral subgroup
 stored as a word of the ambient group.  Free reduction merges adjacent
 letters of one peripheral through the subgroup's own multiplication, so
 equality in the free product is decidable whenever the peripherals' ambient
-groups have canonical forms.
+groups have canonical forms.  ``normalize`` reduces any word; ``product`` and
+``inverse`` take normal forms only (two normal forms change only where they
+meet), and ``dehn_bruteforce`` costs one ``product`` per word it enumerates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import KLNotDistinct
 from .groups import Group
@@ -21,8 +23,7 @@ from .subgroups import Subgroup
 from .words import Word
 
 
-@dataclass(frozen=True)
-class SToken:
+class SToken(NamedTuple):
     name: str
     sign: int
 
@@ -33,13 +34,9 @@ class SToken:
         return self.name if self.sign > 0 else f"{self.name}^-1"
 
 
-@dataclass(frozen=True)
-class HToken:
+class HToken(NamedTuple):
     peripheral: str
     value: tuple  # letters of a word in the peripheral's ambient group
-
-    def inverse(self):
-        return HToken(self.peripheral, tuple(Word(self.value).inverse()))
 
     def __str__(self):
         return f"{self.peripheral}({Word(self.value)})"
@@ -52,9 +49,6 @@ class FPWord(tuple):
 
     def __new__(cls, tokens=()):
         return super().__new__(cls, tuple(tokens))
-
-    def inverse(self) -> "FPWord":
-        return FPWord(t.inverse() for t in reversed(self))
 
     def __mul__(self, other) -> "FPWord":
         return FPWord(tuple.__add__(self, other))
@@ -73,27 +67,49 @@ class RelPresentation:
     relators: list             # of FPWord
 
     def normalize(self, word: FPWord) -> FPWord:
-        """Free-product normal form: merge adjacent same-peripheral letters,
-        drop identities, cancel adjacent inverse plain letters.  One stack
-        pass suffices: it changes only the top of ``out``, so ``out`` stays
-        reduced and the result is a fixpoint of this method."""
-        out = []
+        """Free-product normal form: each peripheral value normalized in its
+        ambient group, identities dropped, and the letters multiplied in one
+        at a time by ``product``."""
+        out = FPWord()
         for tok in word:
             if isinstance(tok, HToken):
-                value = tok.value
-                if out and isinstance(out[-1], HToken) \
-                        and out[-1].peripheral == tok.peripheral:
-                    value = out.pop().value + value
-                handle = self.peripherals[tok.peripheral]
-                value = handle.ambient.normalize(Word(value))
+                ambient = self.peripherals[tok.peripheral].ambient
+                value = tuple(ambient.normalize(Word(tok.value)))
+                if not value:
+                    continue
+                tok = HToken(tok.peripheral, value)
+            out = self.product(out, (tok,))
+        return out
+
+    def product(self, u: FPWord, v: FPWord) -> FPWord:
+        """The normal form of ``u v`` for normal forms ``u`` and ``v``: a
+        stack pass from ``u`` that stops at the first letter of ``v`` that
+        neither cancels nor merges, as the rest of ``v`` is reduced."""
+        k, i = len(u), 0
+        while k and i < len(v):
+            top, tok = u[k - 1], v[i]
+            if isinstance(tok, SToken):
+                if top != tok.inverse():
+                    break
+            elif isinstance(top, HToken) and top.peripheral == tok.peripheral:
+                ambient = self.peripherals[tok.peripheral].ambient
+                value = ambient.multiply(top.value, tok.value)
                 if value:
-                    out.append(HToken(tok.peripheral, tuple(value)))
-            elif out and isinstance(out[-1], SToken) \
-                    and out[-1].name == tok.name and out[-1].sign == -tok.sign:
-                out.pop()
+                    merged = HToken(tok.peripheral, tuple(value))
+                    return FPWord(u[:k - 1] + (merged,) + v[i + 1:])
             else:
-                out.append(tok)
-        return FPWord(out)
+                break
+            k, i = k - 1, i + 1
+        return FPWord(u[:k] + v[i:])
+
+    def inverse(self, word: FPWord) -> FPWord:
+        """The normal form of ``word``⁻¹ for a normal form ``word``: tokens
+        reversed, each sign flipped and each peripheral value inverted in
+        its ambient group."""
+        return FPWord(t.inverse() if isinstance(t, SToken) else HToken(
+            t.peripheral,
+            tuple(self.peripherals[t.peripheral].ambient.inverse(t.value)))
+            for t in reversed(word))
 
     def parse(self, text: str) -> FPWord:
         """"b H(a·a) b^-1" style: plain letters by name, peripheral letters
@@ -282,6 +298,23 @@ class DehnTable:
         return next(e.value for e in self.entries if e.length == n)
 
 
+def _fewest_factors(pres, factors, radius) -> dict:
+    """Each product of at most ``radius`` of the normal forms ``factors``,
+    breadth first, with the fewest factors that reach it."""
+    found = {FPWord(): 0}
+    frontier = [FPWord()]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for w in frontier:
+            for f in factors:
+                cand = pres.product(w, f)
+                if cand not in found:
+                    found[cand] = depth
+                    nxt.append(cand)
+        frontier = nxt
+    return found
+
+
 def dehn_bruteforce(pres: RelPresentation, group: Group, max_length: int,
                     *, fill_cap=3, conjugator_cap=3, h_ball=1) -> DehnTable:
     """Minimal relator-fill counts for every short trivial word.
@@ -291,32 +324,27 @@ def dehn_bruteforce(pres: RelPresentation, group: Group, max_length: int,
     ``fill_cap`` conjugated relators (or inverses) with conjugators from the
     free-product ball of radius ``conjugator_cap``.  Entries where a cap
     bound the search are flagged per entry, never silently.
+
+    Only relators and letters are normalized; every other normal form is a
+    ``product`` or ``inverse`` of normal forms.  Words are walked depth
+    first, one prefix per depth, each extending its prefix's normal form
+    and group element: one product and one group multiply per word of
+    length at most ``max_length``, plus ``min_fill``'s peels of the trivial
+    ones.
     """
-    alphabet = pres.token_alphabet(h_ball)
+    letters = pres.token_alphabet(h_ball)
+    alphabet = [pres.normalize(FPWord((tok,))) for tok in letters]
     relator_pool = []
     for rel in pres.relators:
         nf = pres.normalize(rel)
         relator_pool.append(nf)
-        relator_pool.append(nf.inverse())
+        relator_pool.append(pres.inverse(nf))
 
-    conjugators = [FPWord()]
-    frontier = [FPWord()]
-    seen = {FPWord()}
-    for _ in range(conjugator_cap):
-        nxt = []
-        for c in frontier:
-            for tok in alphabet:
-                cand = pres.normalize(c * FPWord((tok,)))
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        conjugators.extend(nxt)
-        frontier = nxt
     pieces = []
     seen_pieces = set()
-    for c in conjugators:
+    for c in _fewest_factors(pres, alphabet, conjugator_cap):
         for r in relator_pool:
-            piece = pres.normalize(c.inverse() * r * c)
+            piece = pres.product(pres.inverse(c), pres.product(r, c))
             if piece not in seen_pieces:
                 seen_pieces.add(piece)
                 pieces.append(piece)
@@ -324,19 +352,8 @@ def dehn_bruteforce(pres: RelPresentation, group: Group, max_length: int,
     # minimal factor counts: tabulate products of at most two pieces, then
     # peel leading pieces off a query for the deeper fills
     table_depth = min(2, fill_cap)
-    fills = {FPWord(): 0}
-    frontier = [FPWord()]
-    for depth in range(1, table_depth + 1):
-        nxt = []
-        for prod in frontier:
-            for piece in pieces:
-                cand = pres.normalize(prod * piece)
-                if cand not in fills:
-                    fills[cand] = depth
-                    nxt.append(cand)
-        frontier = nxt
-
-    inverses = [p.inverse() for p in pieces]
+    fills = _fewest_factors(pres, pieces, table_depth)
+    inverses = [pres.inverse(p) for p in pieces]
 
     def min_fill(target):
         layer = {target}
@@ -349,28 +366,39 @@ def dehn_bruteforce(pres: RelPresentation, group: Group, max_length: int,
             if best is not None and best <= peeled + 1:
                 break  # deeper peels cannot improve on this
             if peeled < fill_cap - table_depth:
-                layer = {pres.normalize(inv * w)
+                layer = {pres.product(inv, w)
                          for w in layer for inv in inverses}
         if best is not None and best <= fill_cap:
             return best
         return None
 
-    entries = []
-    best = 0
-    for n in range(1, max_length + 1):
-        capped = 0
-        for combo in itertools.product(alphabet, repeat=n):
-            word = FPWord(combo)
-            if evaluate(group, word):
-                continue  # not trivial in the group
-            nf = pres.normalize(word)
-            if not nf:
-                continue  # already trivial in the free product: zero fills
-            fill = min_fill(nf)
-            if fill is None:
-                capped += 1
-            elif fill > best:
-                best = fill
-        entries.append(DehnEntry(n, best, exact=(capped == 0),
-                                 capped_words=capped))
+    steps = [(nf, evaluate(group, FPWord((tok,))))
+             for tok, nf in zip(letters, alphabet)]
+    capped = [0] * (max_length + 1)   # per length
+    worst = [0] * (max_length + 1)    # largest fill found at each length
+    # depth first by prefix: one (normal form, group element, letters left
+    # to append) per depth
+    stack = [(FPWord(), group.identity(), iter(steps))] \
+        if max_length > 0 else []
+    while stack:
+        prefix, element, todo = stack[-1]
+        n = len(stack)
+        for tok, letter in todo:
+            word = pres.product(prefix, tok)
+            value = group.multiply(element, letter)
+            if word and not value:  # trivial in G, not in the free product
+                fill = min_fill(word)
+                if fill is None:
+                    capped[n] += 1
+                else:
+                    worst[n] = max(worst[n], fill)
+            if n < max_length:
+                stack.append((word, value, iter(steps)))
+                break
+        else:
+            stack.pop()
+
+    entries = [DehnEntry(n, max(worst[:n + 1]), exact=(capped[n] == 0),
+                         capped_words=capped[n])
+               for n in range(1, max_length + 1)]
     return DehnTable(entries, h_ball, conjugator_cap, fill_cap)

@@ -347,7 +347,7 @@ def test_free_multiply_rejects_a_foreign_letter_in_any_factor(
             f"letter {first!r} is not a generator of {g.name}"
 
 
-# -- HNN products (oracle: a fresh group's normal form of the concatenation) --
+# -- HNN products (oracles: the group's model and a fresh group's split form) --
 
 
 @pytest.mark.parametrize("tag,factory,alphabet,oracle", HNN_GROUPS)
@@ -363,7 +363,6 @@ def test_hnn_multiply_is_the_normal_form_of_the_concatenation(
     for ws in cases:
         concat = Word(l for w in ws for l in Word.coerce(w))
         nf = g.multiply(*ws)
-        assert nf == ref.normalize(concat), ws
         assert isinstance(nf, NormalForm)
         assert g.normalize(nf) is nf
         assert g.split_form(nf) == ref.split_form(concat)
@@ -451,7 +450,39 @@ def test_identity_is_the_interned_empty_form(tag, factory, alphabet):
     assert g.multiply(letter, f"{letter}^-1") is one
 
 
-# -- products of normal forms (oracle: a fresh group's multiply, normalize) --
+# -- products of normal forms (oracles: rebracketing and each group's model) --
+
+
+S3_IMAGES = {"x": (1, 0, 2), "y": (1, 2, 0)}
+
+
+def perm_of(word):
+    """S3 as permutations of {0, 1, 2}, composed left to right."""
+    m = (0, 1, 2)
+    for name, sign in Word.coerce(word):
+        p = S3_IMAGES[name]
+        if sign < 0:
+            p = tuple(p.index(i) for i in range(3))
+        m = tuple(m[p[i]] for i in range(3))
+    return m
+
+
+def dihedral_reduce(word):
+    """Z/2 * Z/2: cancel adjacent equal letters, whatever their signs."""
+    out = []
+    for name, _ in Word.coerce(word):
+        if out and out[-1] == name:
+            out.pop()
+        else:
+            out.append(name)
+    return tuple(out)
+
+
+def coned_to_lattice(word):
+    """Killing the free letters a3 and b3 maps the coned amalgam onto
+    Z^2 *_Z Z^2, read through ``central_split``."""
+    return central_split(Word(l for l in Word.coerce(word)
+                              if l[0] not in ("a3", "b3")))
 
 
 PRODUCT_GROUPS = LAW_GROUPS + [
@@ -462,10 +493,23 @@ PRODUCT_GROUPS = LAW_GROUPS + [
     ("point", hnn_point, ["a", "b", "t"]),
 ]
 
+PRODUCT_ORACLES = {
+    "free": free_reduce,
+    "abelian": lambda w: sum(sign for _, sign in Word.coerce(w)),
+    "table": perm_of,
+    "product": dihedral_reduce,
+    "amalgam": sl2_of,
+    "hnn": retract_to_free,
+    "F3": free_reduce,
+    "lattice": central_split,
+    "coned": coned_to_lattice,
+    "point": split_central_t,
+}
+
 
 @pytest.mark.parametrize("tag,factory,alphabet", PRODUCT_GROUPS)
 def test_product_of_normal_forms_is_multiply(tag, factory, alphabet):
-    g, ref = factory(), factory()
+    g, oracle = factory(), PRODUCT_ORACLES[tag]
     seed = zlib.crc32(tag.encode())
     nfs = [g.normalize(w) for w in random_words(alphabet, 60, 8, seed % 1000)]
     rng = random.Random(seed)
@@ -476,8 +520,11 @@ def test_product_of_normal_forms_is_multiply(tag, factory, alphabet):
         cases += [[nf, inv], [inv, nf, nf], [nf, g.identity(), inv, nf]]
     for factors in cases:
         got = g._product(factors)
+        for k in range(len(factors) + 1):
+            halves = [g._product(factors[:k]), g._product(factors[k:])]
+            assert g._product(halves) == got, (factors, k)
         concat = Word(l for nf in factors for l in nf)
-        assert got == ref.multiply(*factors) == ref.normalize(concat), factors
+        assert oracle(got) == oracle(concat), factors
         assert isinstance(got, NormalForm)
         assert g.normalize(got) == got
 

@@ -5,8 +5,10 @@ The commutator presentation of Z^2 relative to one axis is the running
 example; its fill numbers were derived by hand (cyclic-word syllable
 comparison shows [a, b^2] needs two relators)."""
 
+import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -20,6 +22,7 @@ from graphforge.relpres import (
     absorb,
     amalgam_presentation,
     dehn_bruteforce,
+    evaluate,
     hnn_presentation,
     verify_relators,
 )
@@ -64,12 +67,15 @@ def mixed_presentation():
     }, [])
 
 
-def seeded_fp_words(pres, count, seed):
+MIXED_VALUES = {"A": ["a", "a^-1", "a a", "1"],
+                "B": ["a b", "b^-1 a^-1", "1"],
+                "M": ["a", "a^-1", "b b", "b^-2", "a a b^-3", "1"]}
+
+
+def seeded_fp_words(pres, count, seed, values=MIXED_VALUES):
     """Random free-product words; short peripheral values, often trivial
     or cancelling, so that merges expose new adjacencies."""
     rng = random.Random(seed)
-    values = {"A": ["a", "a^-1", "a a", "1"], "B": ["a b", "b^-1 a^-1", "1"],
-              "M": ["a", "a^-1", "b b", "b^-2", "a a b^-3", "1"]}
     plain = [SToken(n, s) for n in pres.letters for s in (1, -1)]
     words = []
     for _ in range(count):
@@ -83,6 +89,15 @@ def seeded_fp_words(pres, count, seed):
                     rng.choice(values[label])))))
         words.append(FPWord(toks))
     return words
+
+
+def letterwise_inverse(word):
+    """The inverse of a free-product word token by token: reversed, each
+    sign flipped and each peripheral value inverted letter by letter,
+    without normalizing anything."""
+    return FPWord(t.inverse() if isinstance(t, SToken)
+                  else HToken(t.peripheral, tuple(Word(t.value).inverse()))
+                  for t in reversed(word))
 
 
 def rewrite_to_fixpoint(pres, word):
@@ -108,7 +123,7 @@ def rewrite_to_fixpoint(pres, word):
                     toks[i:i + 2] = [HToken(tok.peripheral,
                                             tok.value + nxt.value)]
                     break
-                if isinstance(tok, SToken) and tok == nxt.inverse():
+                if isinstance(nxt, SToken) and tok == nxt.inverse():
                     del toks[i:i + 2]
                     break
         else:
@@ -118,7 +133,7 @@ def rewrite_to_fixpoint(pres, word):
 def test_normalize_is_a_one_pass_fixpoint():
     pres = mixed_presentation()
     words = seeded_fp_words(pres, 400, seed=53)
-    words += [w * w.inverse() for w in words[:40]]
+    words += [w * letterwise_inverse(w) for w in words[:40]]
     for w in words:
         nf = pres.normalize(w)
         assert pres.normalize(nf) == nf, w
@@ -286,7 +301,116 @@ def test_dehn_redundant_relator_never_increases():
     z2, pres = flat_pair()
     base = dehn_bruteforce(pres, z2, 5)
     bigger = RelPresentation(pres.letters, pres.peripherals,
-                             pres.relators + [pres.relators[0].inverse()])
+                             pres.relators
+                             + [letterwise_inverse(pres.relators[0])])
     redundant = dehn_bruteforce(bigger, z2, 5)
     for n in range(1, 6):
         assert redundant.value(n) <= base.value(n)
+
+
+# -- junction products and the table by prefix ----------------------------------
+
+
+# Peripheral values need not lie in their subgroup here, since products
+# and inverses use only the ambient group's arithmetic: "t a" and "a t^-1"
+# are Britton forms whose letter-by-letter inverses are not.
+JUNCTION_CASES = [
+    ("flat", flat_pair,
+     {"A": ["a", "a^-1", "a a", "a^-2", "a b a^-1 b^-1"]}),
+    ("hnn", toy_hnn_presentation,
+     {"K": ["a", "a^-1", "a a", "t^-1 b t", "t a"],
+      "L": ["b", "b^-1", "b^-2", "a t^-1"]}),
+]
+
+
+@pytest.mark.parametrize("tag, factory, values", JUNCTION_CASES)
+def test_product_and_inverse_of_normal_forms(tag, factory, values):
+    group, pres = factory()
+    nfs = [pres.normalize(w)
+           for w in seeded_fp_words(pres, 80, seed=len(tag), values=values)]
+    rng = random.Random(71)
+    pairs = [(rng.choice(nfs), rng.choice(nfs)) for _ in range(300)]
+    # v starts with the inverse of a tail of u, so the junction cancels
+    # and merges to the identity before a later token stops it
+    for u in nfs:
+        k = rng.randrange(0, len(u) + 1)
+        tail = pres.normalize(letterwise_inverse(u[k:]))
+        pairs.append((u, pres.normalize(tail * rng.choice(nfs))))
+        pairs.append((u, tail))
+    exposed = 0
+    for u, v in pairs:
+        got = pres.product(u, v)
+        assert got == pres.normalize(u * v) \
+            == rewrite_to_fixpoint(pres, u * v), (u, v)
+        assert evaluate(group, got) == \
+            group.multiply(evaluate(group, u), evaluate(group, v)), (u, v)
+        if u and v and isinstance(u[-1], HToken) and isinstance(v[0], HToken) \
+                and u[-1].peripheral == v[0].peripheral \
+                and len(got) < len(u) + len(v) - 2:
+            exposed += 1
+    assert exposed >= 10
+    for w in nfs:
+        inv = pres.inverse(w)
+        assert inv == pres.normalize(letterwise_inverse(w)) \
+            == rewrite_to_fixpoint(pres, letterwise_inverse(w)), w
+        assert pres.product(w, inv) == FPWord() == pres.product(inv, w)
+
+
+def reference_dehn(pres, group, max_length):
+    """The table at ``conjugator_cap=1``, ``fill_cap=2`` from scratch:
+    every word of each length, its whole concatenation normalized, and its
+    fill found among all products of at most two pieces."""
+    alphabet = pres.token_alphabet(1)
+    conjugators = [FPWord()] + [FPWord((t,)) for t in alphabet]
+    pieces = {pres.normalize(letterwise_inverse(c) * r * c)
+              for c in conjugators for rel in pres.relators
+              for r in (rel, letterwise_inverse(rel))}
+    pairs = {pres.normalize(p * q) for p in pieces for q in pieces}
+    rows, best = [], 0
+    for n in range(1, max_length + 1):
+        capped = 0
+        for combo in itertools.product(alphabet, repeat=n):
+            word = FPWord(combo)
+            nf = pres.normalize(word)
+            if evaluate(group, word) or not nf:
+                continue
+            if nf in pieces:
+                best = max(best, 1)
+            elif nf in pairs:
+                best = max(best, 2)
+            else:
+                capped += 1
+        rows.append((n, best, capped == 0, capped))
+    return rows
+
+
+@pytest.mark.parametrize("factory, max_length", [
+    (toy_hnn_presentation, 5),
+    (lambda: modular_presentations()[::2], 6),
+])
+def test_dehn_table_matches_reference_enumeration(factory, max_length):
+    group, pres = factory()
+    table = dehn_bruteforce(pres, group, max_length, fill_cap=2,
+                            conjugator_cap=1)
+    got = [(e.length, e.value, e.exact, e.capped_words)
+           for e in table.entries]
+    assert got == reference_dehn(pres, group, max_length)
+    # a capped length before an exact one: counts are kept per length
+    flags = [exact for _, _, exact, _ in got]
+    assert any(not a and b for a, b in zip(flags, flags[1:]))
+
+
+def test_dehn_table_holds_one_prefix_per_depth():
+    """Words are walked by prefix, so the peak heap barely grows with the
+    length bound; holding every word of a length (4^7 at length 7) more
+    than doubles it."""
+    def peak(max_length):
+        group, pres = flat_pair()
+        tracemalloc.start()
+        try:
+            dehn_bruteforce(pres, group, max_length)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(7) <= 1.5 * peak(5)

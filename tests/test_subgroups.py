@@ -403,7 +403,7 @@ def test_amalgam_trivial_edge_is_free_product():
 
 
 @pytest.mark.parametrize("make, finite, order", [
-    (edge_is_left_factor_amalgam, True, None),
+    (edge_is_left_factor_amalgam, True, 4),
     (trivial_edge_amalgam, False, None),
     (grouplib.modular_amalgam, False, None),
     (lambda: free_product_of_cyclics(4, 1), True, 4),
