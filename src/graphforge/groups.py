@@ -42,10 +42,17 @@ what membership and coset representatives of factor subgroups read.
 ``_product(nfs)`` multiplies factors that must already be normal forms of
 the group, unchecked (any other word gives a wrong answer, not an error):
 in ``FreeGroup`` it cancels only at the junctions, else it is ``multiply``.
+
+Size
+----
+Each class states its size once, in ``order()``: an int, ``math.inf``, or
+None when the schema does not decide it.  ``Group`` derives ``is_finite()``
+from it (None when the order is None), and no class overrides it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import groupby
 
@@ -136,12 +143,13 @@ class Group:
 
     # -- size ----------------------------------------------------------------
 
-    def is_finite(self):
-        """True / False, or None when not determined by the schema."""
+    def order(self):
+        """An int, ``math.inf``, or None when not determined by the schema."""
         return None
 
-    def order(self):
-        return None
+    def is_finite(self):
+        n = self.order()
+        return None if n is None else n != math.inf
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -253,9 +261,6 @@ class FiniteGroup(Group):
     def _canonical(self, word):
         return self.word_of(self.element_of(word))
 
-    def is_finite(self):
-        return True
-
     def order(self):
         return self.n
 
@@ -296,11 +301,8 @@ class FreeGroup(Group):
             out = NormalForm(out)
         return self._nf_cache.setdefault(out, out)
 
-    def is_finite(self):
-        return len(self.generators) == 0
-
     def order(self):
-        return 1 if len(self.generators) == 0 else None
+        return math.inf if self.generators else 1
 
 
 class FreeAbelianGroup(Group):
@@ -320,11 +322,8 @@ class FreeAbelianGroup(Group):
     def _canonical(self, word):
         return NormalForm(self.word_from_exponents(self.exponents(word)))
 
-    def is_finite(self):
-        return len(self.generators) == 0
-
     def order(self):
-        return 1 if len(self.generators) == 0 else None
+        return math.inf if self.generators else 1
 
 
 class FreeProductGroup(Group):
@@ -364,21 +363,17 @@ class FreeProductGroup(Group):
     def _canonical(self, word):
         return NormalForm(l for _, sub in self.syllables(word) for l in sub)
 
-    def is_finite(self):
-        nontrivial = [f for f in self.factors if f.order() != 1]
-        if len(nontrivial) == 0:
-            return True
-        if len(nontrivial) == 1:
-            return nontrivial[0].is_finite()
-        return False
-
     def order(self):
-        nontrivial = [f for f in self.factors if f.order() != 1]
-        if len(nontrivial) == 0:
-            return 1
-        if len(nontrivial) == 1:
-            return nontrivial[0].order()
-        return None
+        return free_product_order(self.factors)
+
+
+def free_product_order(factors):
+    """The order of the free product of ``factors``: 1 when every factor is
+    trivial, the one nontrivial factor's order, else infinite."""
+    nontrivial = [n for n in (f.order() for f in factors) if n != 1]
+    if len(nontrivial) > 1:
+        return math.inf
+    return nontrivial[0] if nontrivial else 1
 
 
 class SplitGroup(Group):
@@ -502,24 +497,14 @@ class AmalgamGroup(SplitGroup):
             return pinned[:-1], factor.multiply(pinned[-1][1], tail)
         return pinned, factor.normalize(tail)
 
-    def is_finite(self):
-        if self.left.is_finite() is False or self.right.is_finite() is False:
-            return False
-        left_whole = self.into_left.codomain.is_whole()
-        right_whole = self.into_right.codomain.is_whole()
-        if left_whole:
-            return self.right.is_finite()
-        if right_whole:
-            return self.left.is_finite()
-        return False  # proper amalgam of finite factors is infinite
-
     def order(self):
-        # an edge group onto a whole factor leaves the other factor
+        # an edge group onto a whole factor leaves the other factor; a
+        # proper amalgam is infinite
         if self.into_left.codomain.is_whole():
             return self.right.order()
         if self.into_right.codomain.is_whole():
             return self.left.order()
-        return None
+        return math.inf
 
 
 class HNNGroup(SplitGroup):
@@ -596,8 +581,8 @@ class HNNGroup(SplitGroup):
     def stable_word(self) -> Word:
         return Word(((self.stable, 1),))
 
-    def is_finite(self):
-        return False
+    def order(self):
+        return math.inf
 
 
 def ball_enumerate(group: Group, gens, radius: int):

@@ -207,10 +207,6 @@ def lift_handle(mono: Monomorphism, stab: Subgroup) -> Subgroup:
     pushed = [mono.push(g) for g in stab.generators]
     if any(p is None for p in pushed):
         raise StabilizerNotContained(f"cannot push {stab!r} through {mono!r}")
-    if isinstance(big, FiniteGroup):
-        closed = FiniteSubgroup.closure(big, pushed, cap=big.order() + 1)
-        if closed is not None:
-            return closed
     return generated(big, pushed)
 
 

@@ -504,9 +504,7 @@ def _step_ball(env, step, report):
 def _step_validate(env, step, report):
     graph = env.graph(step["graph"])
     rep = validate_graph(graph)
-    ok = rep.valid and \
-        (rep.simplicial or not step.get("expect_simplicial", True)) and \
-        (rep.no_inversions or not step.get("expect_no_inversions", True))
+    ok = rep.valid and rep.simplicial and rep.no_inversions
     report.check(step.get("id", step["graph"]), "validate", "graph-valid", ok,
                  {"violations": [str(v) for v in rep.violations]},
                  f"simplicial={rep.simplicial} no_inversions={rep.no_inversions}")

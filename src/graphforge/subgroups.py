@@ -10,10 +10,17 @@ Strategy vocabulary (reported by ``.strategy``):
   FiniteEnumeration, CyclicInAbelian, FreeFactor, AmalgamOfHandles,
   ImageUnderMonomorphism, BudgetedSearch, plus the degenerate Trivial /
   WholeGroup and the Restricted / Conjugate wrappers.
+
+Each handle states its size once, in ``order()``: an int, ``math.inf``, or
+None when the schema does not decide it.  ``Subgroup`` derives
+``is_finite()`` and ``is_trivial()`` from it, and no handle overrides them;
+its ``elements()`` lists a handle of int order n as the generator ball of
+radius n - 1.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .errors import (
@@ -32,6 +39,7 @@ from .groups import (
     Group,
     HNNGroup,
     ball_enumerate,
+    free_product_order,
 )
 from .words import NormalForm, Word
 
@@ -94,8 +102,12 @@ class Subgroup:
     # -- enumeration ----------------------------------------------------------
 
     def elements(self):
-        """Complete element list; only for finite handles."""
-        raise BudgetExceeded(f"{self!r} cannot list all elements")
+        """Complete element list, for a handle of int order n: the generator
+        ball of radius n - 1 reaches every element."""
+        n = self.order()
+        if n is None or n == math.inf:
+            raise BudgetExceeded(f"{self!r} cannot list all elements")
+        return self.ball(n - 1)
 
     def ball(self, length: int):
         """Deterministic products of at most ``length`` handle generators."""
@@ -113,16 +125,18 @@ class Subgroup:
         """Decomposition over handle generators as (index, sign) pairs, or None."""
         return None
 
-    def is_finite(self):
-        return None
-
     def order(self):
+        """An int, ``math.inf``, or None when not determined by the schema."""
         return None
 
-    def is_whole(self) -> bool:
-        return False
+    def is_finite(self):
+        n = self.order()
+        return None if n is None else n != math.inf
 
     def is_trivial(self) -> bool:
+        return self.order() == 1
+
+    def is_whole(self) -> bool:
         return False
 
     def schema_key(self):
@@ -153,14 +167,8 @@ class TrivialSubgroup(Subgroup):
     def express(self, word):
         return [] if not self.check_ambient(word) else None
 
-    def is_finite(self):
-        return True
-
     def order(self):
         return 1
-
-    def is_trivial(self):
-        return True
 
 
 class WholeSubgroup(Subgroup):
@@ -182,14 +190,11 @@ class WholeSubgroup(Subgroup):
         if isinstance(self.ambient, FiniteGroup):
             return [self.ambient.normalize(self.ambient.word_of(e))
                     for e in self.ambient.elements()]
-        raise BudgetExceeded(f"{self.ambient.name} is not enumerable")
+        return super().elements()
 
     def express(self, word):
         idx = {g: i for i, g in enumerate(self.ambient.generators)}
         return [(idx[name], sign) for name, sign in self.ambient.normalize(word)]
-
-    def is_finite(self):
-        return self.ambient.is_finite()
 
     def order(self):
         return self.ambient.order()
@@ -252,14 +257,8 @@ class FiniteSubgroup(Subgroup):
     def express(self, word):
         return self._expr.get(self.check_ambient(word))
 
-    def is_finite(self):
-        return True
-
     def order(self):
         return len(self._elements)
-
-    def is_trivial(self):
-        return len(self._elements) == 1
 
     def is_whole(self):
         return self.ambient.order() == len(self._elements)
@@ -379,15 +378,8 @@ class CyclicSubgroup(Subgroup):
             return None
         return [(0, 1 if k > 0 else -1)] * abs(k)
 
-    def ball(self, length):
-        out = [self.ambient.identity()]
-        for k in range(1, length + 1):
-            out.append(self.ambient.normalize(self.u.power(k)))
-            out.append(self.ambient.normalize(self.u.power(-k)))
-        return sorted(out, key=self.ambient.word_key)
-
-    def is_finite(self):
-        return False
+    def order(self):
+        return math.inf
 
 
 class FreeFactorSubgroup(Subgroup):
@@ -439,12 +431,6 @@ class FreeFactorSubgroup(Subgroup):
             letters.pop()
         return self.ambient.normalize(Word(letters))
 
-    def elements(self):
-        if self.is_finite():
-            return self.ball(max(self.ambient.factors[fi].order()
-                                 for fi in self.factor_indices) + 1)
-        raise BudgetExceeded(f"{self!r} is infinite")
-
     def express(self, word):
         w = self.check_ambient(word)
         if self.contains(w) != YES:
@@ -452,16 +438,11 @@ class FreeFactorSubgroup(Subgroup):
         idx = {self.generators[i][0][0]: i for i in range(len(self.generators))}
         return [(idx[name], sign) for name, sign in w]
 
-    def is_finite(self):
+    def order(self):
         if isinstance(self.ambient, FreeProductGroup):
-            subs = [self.ambient.factors[fi] for fi in self.factor_indices]
-            nontriv = [f for f in subs if f.order() != 1]
-            if not nontriv:
-                return True
-            if len(nontriv) == 1:
-                return nontriv[0].is_finite()
-            return False
-        return len(self.names) == 0
+            return free_product_order(self.ambient.factors[fi]
+                                      for fi in self.factor_indices)
+        return math.inf if self.names else 1
 
     def is_whole(self):
         return self.names == set(self.ambient.generators)
@@ -514,9 +495,12 @@ class SearchSubgroup(Subgroup):
     def coset_rep(self, word):
         return self.check_ambient(word)
 
-    def is_finite(self):
+    def order(self):
+        if not any(self.generators):
+            return 1
+        # free and free abelian groups are torsion-free
         if isinstance(self.ambient, (FreeGroup, FreeAbelianGroup)):
-            return not any(self.generators)
+            return math.inf
         return None
 
 
@@ -586,14 +570,8 @@ class RestrictedSubgroup(Subgroup):
             return None
         return self.inner.express(fw)
 
-    def is_finite(self):
-        return self.inner.is_finite()
-
     def order(self):
         return self.inner.order()
-
-    def is_trivial(self):
-        return self.inner.is_trivial()
 
     def is_whole(self):
         return False
@@ -676,17 +654,15 @@ class JoinSubgroup(Subgroup):
     def elements(self):
         if self._finite is not None:
             return self._finite.elements()
-        raise BudgetExceeded(f"{self!r} is infinite")
-
-    def is_finite(self):
-        if self._finite is not None:
-            return True
-        if self.inner["L"].is_finite() and self.inner["R"].is_finite():
-            return None  # closure cap exceeded
-        return False
+        return super().elements()
 
     def order(self):
-        return self._finite.order() if self._finite is not None else None
+        # the join holds both sides; short of an infinite one, either the
+        # closure cap was hit or a side is undecided
+        if self._finite is not None:
+            return self._finite.order()
+        sides = {h.is_finite() for h in self.inner.values()}
+        return math.inf if False in sides else None
 
     def is_whole(self):
         return self._whole
@@ -730,14 +706,8 @@ class ConjugateSubgroup(Subgroup):
             key=self.ambient.word_key,
         )
 
-    def is_finite(self):
-        return self.base.is_finite()
-
     def order(self):
         return self.base.order()
-
-    def is_trivial(self):
-        return self.base.is_trivial()
 
     def is_whole(self):
         return self.base.is_whole()
@@ -768,8 +738,8 @@ class ImageSubgroup(Subgroup):
     def coset_rep(self, word):
         return self.check_ambient(word)
 
-    def is_finite(self):
-        return self.mono.domain.is_finite()
+    def order(self):
+        return self.mono.domain.order()
 
 
 # -- factories ----------------------------------------------------------------
@@ -785,6 +755,8 @@ def whole(ambient) -> WholeSubgroup:
 
 def cyclic(ambient, generator) -> Subgroup:
     u = ambient.normalize(generator)
+    if ambient.is_finite():
+        return FiniteSubgroup.closure(ambient, [u], cap=ambient.order() + 1)
     acc = ambient.identity()
     for k in range(1, _ORDER_PROBE + 1):
         acc = ambient.multiply(acc, u)
@@ -812,9 +784,11 @@ def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:
     if not gens:
         return TrivialSubgroup(ambient)
     # free and free abelian groups are torsion-free: nontrivial generators
-    # generate an infinite subgroup, so a closure search could only fail
+    # generate an infinite subgroup, so a closure search could only fail;
+    # in a finite ambient the closure always ends
     if not isinstance(ambient, (FreeGroup, FreeAbelianGroup)):
-        closed = FiniteSubgroup.closure(ambient, gens, cap=512)
+        cap = ambient.order() + 1 if ambient.is_finite() else 512
+        closed = FiniteSubgroup.closure(ambient, gens, cap=cap)
         if closed is not None:
             return closed
     if len(gens) == 1:

@@ -207,6 +207,23 @@ def test_induced_stabilizers_match_pointwise():
         }
 
 
+def test_induced_stabilizer_in_a_finite_group_is_its_closure():
+    # the point of Z4 / <a^2> goes into Z8 along a -> d^2; its stabilizer
+    # there is <d^4>, read off the action on every element of Z8
+    z4, z8 = FiniteGroup.cyclic(4, "a", "Z4"), FiniteGroup.cyclic(8, "d", "Z8")
+    emb = Monomorphism(whole(z4), generated(z8, ["d d"]), ["d d"])
+    kset = GSet(z4, [Orbit("p", generated(z4, ["a a"]))])
+    induced, inc = induce_gset(emb, kset)
+    point = inc.apply(kset.elem("p"))
+    fixing = sorted(e for e in z8.elements()
+                    if induced.elem_equal(induced.act(z8.word_of(e), point),
+                                          point))
+    assert fixing == [0, 4]
+    stab = induced.stabilizer(point.orbit_id)
+    assert stab.order() == 2
+    assert sorted(z8.element_of(w) for w in stab.elements()) == [0, 4]
+
+
 def test_pushout_needs_a_source_of_one_orbit():
     s3 = grouplib.sym3()
     S = GSet(s3, [Orbit("s", generated(s3, ["x"]))])

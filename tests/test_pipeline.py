@@ -188,6 +188,28 @@ def test_search_subgroup_of_a_free_group_is_probed_for_fineness():
     assert "finiteness undecided" not in fine["detail"]
 
 
+def test_cyclic_handle_of_an_element_of_large_order_is_finite():
+    # a has order 200, more powers than a probe of the infinite case tries;
+    # in a finite ambient the handle is closed, so its orbit is finite and
+    # needs neither a peripheral nor a fineness probe
+    spec = {
+        "groups": {"Z": {"kind": "cyclic", "order": 200, "generator": "a"}},
+        "subgroups": {"H": {"group": "Z", "kind": "cyclic", "generator": "a"}},
+        "graphs": {"X": {"kind": "edgeless_cosets", "group": "Z",
+                         "subgroups": ["H"]}},
+        "pipeline": [{"op": "audit_gh", "graph": "X", "peripherals": []}],
+    }
+    report = run_pipeline(spec)
+    handle = report.env.subgroup("H")
+    assert handle.order() == 200 and handle.is_finite() is True
+    got = {v["name"]: v for v in report.verdicts}
+    stab = got["gh:vertex-stabilizers-finite-or-peripheral"]
+    assert (stab["verdict"], stab["detail"]) == ("pass", "c0: finite")
+    fine = got["gh:fine-at-infinite-stabilizers"]
+    assert (fine["verdict"], fine["detail"]) == \
+        ("pass", "no infinite stabilizers")
+
+
 def test_cayley_abels_names_the_orbit_of_an_unsettled_stabilizer():
     got = coned_over(["a", "b a b^-1"])
     ca = got["ca:vertex-stabilizers-finite-or-peripheral"]
@@ -461,10 +483,20 @@ graph "hand" {
 """
 
 
+def _cli_env():
+    """The environment with this checkout's package first on PYTHONPATH, so
+    a fresh interpreter imports the code under test."""
+    src = str(Path(graphforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "graphforge.cli", "examples"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_cli_env())
     assert proc.returncode == 0
     assert "example-amalgam-1" in proc.stdout
 
@@ -493,13 +525,9 @@ def test_cli_rejects_restricted_subgroup_of_free_group(tmp_path, capsys,
 def test_restricted_subgroup_rejected_without_asserts(tmp_path):
     # under -O a bare assert would vanish and the run fail later
     path = _write_spec(tmp_path, _restricted_in_free_group())
-    src = str(Path(graphforge.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "graphforge.cli", "run", path],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_cli_env())
     assert proc.returncode == 3
     assert proc.stderr.startswith("spec error: subgroup 'R':")
     assert proc.stderr.count("\n") == 1

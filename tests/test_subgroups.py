@@ -2,6 +2,7 @@
 handle is constant on cosets -- membership is the independent oracle for that.
 """
 
+import math
 import random
 
 import pytest
@@ -12,20 +13,27 @@ from graphforge.errors import (
     MismatchedAmbient,
     MonomorphismUnverified,
 )
+from graphforge.examples import builtin_examples
 from graphforge.groups import (
     FiniteGroup,
     FreeAbelianGroup,
+    FreeGroup,
     FreeProductGroup,
     ball_enumerate,
 )
+from graphforge.pipeline import validate_spec
 from graphforge.subgroups import (
     DEFAULT_BUDGET,
+    ConjugateSubgroup,
+    CyclicSubgroup,
     FiniteSubgroup,
     FreeFactorSubgroup,
+    ImageSubgroup,
     JoinSubgroup,
     Monomorphism,
     RestrictedSubgroup,
     SearchSubgroup,
+    Subgroup,
     build_amalgam,
     build_hnn,
     check_monomorphism,
@@ -404,10 +412,10 @@ def test_amalgam_trivial_edge_is_free_product():
 
 @pytest.mark.parametrize("make, finite, order", [
     (edge_is_left_factor_amalgam, True, 4),
-    (trivial_edge_amalgam, False, None),
-    (grouplib.modular_amalgam, False, None),
+    (trivial_edge_amalgam, False, math.inf),
+    (grouplib.modular_amalgam, False, math.inf),
     (lambda: free_product_of_cyclics(4, 1), True, 4),
-    (lambda: free_product_of_cyclics(4, 6), False, None),
+    (lambda: free_product_of_cyclics(4, 6), False, math.inf),
 ])
 def test_finiteness_of_splittings_matches_ball_growth(make, finite, order):
     # oracle: the generator balls of a finite group stop growing at its
@@ -423,8 +431,107 @@ def test_finiteness_of_splittings_matches_ball_growth(make, finite, order):
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
+def z2_star_z3():
+    return FreeProductGroup("Z2*Z3", [FiniteGroup.cyclic(2, "a", "Z2"),
+                                      FiniteGroup.cyclic(3, "b", "Z3")])
+
+
+def image_of_z4_in_z8():
+    z4, z8 = FiniteGroup.cyclic(4, "c", "Z4"), FiniteGroup.cyclic(8, "d", "Z8")
+    return ImageSubgroup(Monomorphism(whole(z4), generated(z8, ["d d"]),
+                                      ["d d"]))
+
+
+def z4_in_modular_amalgam():
+    g = grouplib.modular_amalgam()
+    return RestrictedSubgroup(g, whole(g.left), "L")
+
+
+def edge_handle_in_hnn():
+    g = grouplib.shift_hnn()
+    return RestrictedSubgroup(g, g.edge_handle, "base")
+
+
+def finite_join():
+    g = grouplib.modular_amalgam()
+    return JoinSubgroup(g, generated(g.left, ["a a"]),
+                        generated(g.right, ["b b b"]))
+
+
+def infinite_join():
+    g = grouplib.coned_amalgam()
+    return JoinSubgroup(g, free_factor(g.left, ["a1", "a2"]),
+                        free_factor(g.right, ["b1", "b2"]))
+
+
+@pytest.mark.parametrize("make, order", [
+    (lambda: free_factor(z2_star_z3(), ["a"]), 2),
+    (lambda: free_factor(z2_star_z3(), ["a", "b"]), math.inf),
+    (lambda: free_factor(grouplib.free2(), []), 1),
+    (image_of_z4_in_z8, 4),
+    (lambda: ImageSubgroup(grouplib.shift_hnn().iso), math.inf),
+    (finite_join, 2),
+    (infinite_join, math.inf),
+    (z4_in_modular_amalgam, 4),
+    (lambda: ConjugateSubgroup(z4_in_modular_amalgam(), "b"), 4),
+    (edge_handle_in_hnn, math.inf),
+    (lambda: ConjugateSubgroup(cyclic(grouplib.free2(), "b"), "a"), math.inf),
+    (lambda: whole(grouplib.free2()), math.inf),
+    (lambda: whole(free_product_of_cyclics(4, 1)), 4),
+    (grouplib.shift_hnn, math.inf),
+    (grouplib.modular_amalgam, math.inf),
+    (edge_is_left_factor_amalgam, 4),
+], ids=["free-factor-Z2-of-Z2*Z3", "free-factor-Z2*Z3", "free-factor-none",
+        "image-of-Z4", "image-of-Z", "finite-join", "infinite-join",
+        "restricted-Z4", "conjugate-Z4", "restricted-in-hnn",
+        "conjugate-cyclic", "whole-F2", "whole-Z4*1", "hnn",
+        "proper-amalgam", "amalgam-onto-Z4"])
+def test_size_answers_match_enumeration(make, order):
+    # oracle: a group of order n lists n distinct elements, and its
+    # generator balls stop growing at n (every finite case here by radius
+    # 5); those of an infinite group grow at every radius
+    x = make()
+    handle = x if isinstance(x, Subgroup) else whole(x)
+    sizes = [len(ball_enumerate(handle.ambient, handle.generators, r))
+             for r in range(7)]
+    assert x.order() == order
+    assert x.is_finite() is (order != math.inf)
+    if order == math.inf:
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+        with pytest.raises(BudgetExceeded):
+            handle.elements()
+    else:
+        assert sizes[-1] == sizes[-2] == order
+        elems = handle.elements()
+        assert len(set(elems)) == len(elems) == order
+        assert all(handle.contains(e) == YES for e in elems)
+    assert handle.is_trivial() is (order == 1)
+
+
+def declared_cyclic_handles():
+    for spec in builtin_examples().values():
+        env = validate_spec(spec)
+        yield from (h for h in env.memo.values()
+                    if isinstance(h, CyclicSubgroup))
+
+
+def test_cyclic_ball_is_the_powers_of_its_generator():
+    f2, zz = grouplib.free2(), FreeAbelianGroup("ZZ", ["x", "y"])
+    z4_star_z = FreeProductGroup("Z4*Z", [FiniteGroup.cyclic(4, "a", "Z4"),
+                                          FreeGroup("Zf", ["t"])])
+    handles = [*declared_cyclic_handles(), cyclic(f2, "a b^-1"),
+               cyclic(f2, "b"), cyclic(zz, "x y^-1"), cyclic(zz, "y y"),
+               cyclic(z4_star_z, "a t"), cyclic(z4_star_z, "t")]
+    assert len(handles) > 6
+    for h in handles:
+        assert isinstance(h, CyclicSubgroup)
+        amb, (u,) = h.ambient, h.generators
+        for r in range(7):
+            powers = {amb.normalize(u.power(k)) for k in range(-r, r + 1)}
+            assert h.ball(r) == sorted(powers, key=amb.word_key), (h, r)
+
+
 def test_conjugate_handle():
-    from graphforge.subgroups import ConjugateSubgroup
     f = grouplib.free2()
     h = ConjugateSubgroup(cyclic(f, "b"), "a")
     assert h.contains("a b a^-1") == YES
@@ -434,7 +541,6 @@ def test_conjugate_handle():
 
 def test_conjugate_of_handle_without_exact_reps():
     from graphforge.gsets import GSet, Orbit
-    from graphforge.subgroups import ConjugateSubgroup
     f = grouplib.free2()
     h = generated(f, ["a b", "b a"])
     assert not h.rep_exact
