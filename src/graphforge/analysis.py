@@ -19,6 +19,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import BudgetExceeded, CombinatorialBlowup, WindowTooSmall
 from .ggraphs import GGraph
@@ -174,7 +175,8 @@ def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):
     i: its edges in order as ``(edge orbit id, other ends as (orbit id, rep)
     pairs, edge key)``; a key already in the window (None: orbit and ends)
     adds no edge.  Cost beyond ``incidence``: a dict lookup per other end and
-    per key, one ``GSetElem`` per new vertex and one pass to build ``adj``.
+    per key, one ``GSetElem`` and three appends per new vertex, made inline,
+    and one pass to build ``adj``.
     """
     verts = graph.vertices
     exact = {o.orbit_id: o.stabilizer.rep_exact for o in verts.orbits}
@@ -189,23 +191,19 @@ def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):
         return next((idx for cand, idx in buckets.get(pair[0], ())
                      if verts.elem_equal(cand, elem)), None)
 
-    def register(pair, depth, complete):
-        elem = GSetElem(*pair)
-        idx = view.add_vertex(elem, depth, complete)
+    def remember(pair, idx):
         if exact[pair[0]]:
             index_of[pair] = idx
         else:
-            buckets.setdefault(pair[0], []).append((elem, idx))
-        return idx
+            buckets.setdefault(pair[0], []).append((elems[idx], idx))
 
-    frontier = []
     for b in bases:
         pair = (b.orbit_id, verts.elem(b.orbit_id, b.rep).rep)
         if index_of.get(pair) is None and scan(pair) is None:
-            idx = register(pair, 0, True)
-            view.base.append(idx)
-            frontier.append(idx)
+            view.base.append(view.add_vertex(GSetElem(*pair), 0))
+            remember(pair, view.base[-1])
 
+    frontier = list(view.base)
     item_start, item_edge = view._item_start, view._item_edge
     for depth in range(radius):
         nxt = []
@@ -222,11 +220,18 @@ def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):
                     if wi is None and not exact[pair[0]]:
                         wi = scan(pair)
                     if wi is None:
-                        if len(elems) >= max_vertices:
+                        wi = len(elems)
+                        if wi >= max_vertices:
                             raise BudgetExceeded(
                                 f"ball exceeded {max_vertices} vertices",
                                 budget=max_vertices)
-                        wi = register(pair, depth + 1, depth + 1 < radius)
+                        elems.append(GSetElem(*pair))
+                        depths.append(depth + 1)
+                        flags.append(depth + 1 < radius)
+                        if exact[pair[0]]:
+                            index_of[pair] = wi
+                        else:
+                            remember(pair, wi)
                         nxt.append(wi)
                 i, j = (vi, wi) if vi <= wi else (wi, vi)
                 if key is None:
@@ -238,8 +243,6 @@ def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):
                     edge_ends.append((i, j))
                 item_edge.append(k)
         frontier = nxt
-        if not frontier:
-            break
     # boundary vertices were never expanded
     if radius > 0 and radius in depths:
         view.complete = False
@@ -279,9 +282,12 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
     which element that is can depend on the budget, and ``narrow_view``
     needs it not to.
 
-    Cost: one product for each listed edge and each of its other ends at
-    every expanded vertex, then ``_grow``'s; and, when ``r`` is not 1, one
-    ``act`` per vertex to move the window back.
+    Cost: one product per distinct ``x0`` of the list and one coset rep per
+    distinct (``x0``, coset rep handle) pair at every expanded vertex (each
+    has a slot in the list's plan, which its edges and other ends read; in
+    a cone-off an edge and its other end often share both), then
+    ``_grow``'s; and, when ``r`` is not 1, one ``act`` per vertex to move
+    the window back.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -294,34 +300,35 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
         bases = [verts.act(back, b) for b in bases]
     edge_stab, vert_stab = graph.edges.stabilizer, verts.stabilizer
     product = graph.group._product   # every rep here is a normal form
-    plans = {}
 
-    def rep_of(stab):
-        # a trivial stabilizer's coset rep is the product itself
-        return None if stab.is_trivial() else stab.coset_rep
+    @cache
+    def plan(orbit_id, budget):
+        found, complete = graph.base_incident_edges(orbit_id, budget)
+        xs, outs = {}, {}   # x0 -> slot; (x0 slot, coset rep) -> slot
+
+        def slot(x0, stab):   # a trivial stabilizer's rep is x itself
+            rep = None if stab.is_trivial() else stab.coset_rep
+            return outs.setdefault((xs.setdefault(x0, len(xs)), rep),
+                                   len(outs))
+
+        items = [(e.orbit_id,
+                  [(q.orbit_id, slot(q.rep, vert_stab(q.orbit_id)))
+                   for q in others],
+                  slot(e.rep, edge_stab(e.orbit_id))
+                  if edge_stab(e.orbit_id).rep_exact else None)
+                 for e, others in found]
+        return complete, list(xs), list(outs), items
 
     def incidence(vi, depth):
-        v = view.elems[vi]
-        key = (v.orbit_id, _depth_budget(view, depth))
-        if key not in plans:
-            found, complete = graph.base_incident_edges(*key)
-            plans[key] = complete, [
-                (e.orbit_id, e.rep, rep_of(edge_stab(e.orbit_id)),
-                 edge_stab(e.orbit_id).rep_exact,
-                 [(q.orbit_id, q.rep, rep_of(vert_stab(q.orbit_id)))
-                  for q in others])
-                for e, others in found]
-        complete, plan = plans[key]
-        r = v.rep
-
-        def at(x0, rep):    # the rep of the coset of r x0
-            x = product((r, x0)) if x0 else r
-            return rep(x) if rep else x
-
+        r = view.elems[vi].rep
+        complete, xs, outs, items = plan(view.elems[vi].orbit_id,
+                                         _depth_budget(view, depth))
+        ys = [product((r, x0)) if x0 else r for x0 in xs]
+        zs = [rep(ys[x]) if rep else ys[x] for x, rep in outs]
         return complete, [
-            (orbit_id, [(q_orbit, at(q0, q_rep)) for q_orbit, q0, q_rep in ends],
-             (orbit_id, at(e0, edge_rep)) if exact else None)
-            for orbit_id, e0, edge_rep, exact, ends in plan]
+            (orbit_id, [(q_orbit, zs[q]) for q_orbit, q in ends],
+             None if e is None else (orbit_id, zs[e]))
+            for orbit_id, ends, e in items]
 
     _grow(graph, view, bases, max_vertices, incidence)
     if frame:
@@ -334,8 +341,9 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
     derived from the wider window ``wide`` that ``ball_view`` built around
     the same bases with a budget at least as large.
 
-    This runs the same breadth-first search over ``wide``'s records
-    instead of enumerating stabilizers again.  It is exact because
+    This runs the same breadth-first search over ``wide``'s records, by
+    wide vertex index, instead of enumerating stabilizers again.  It is
+    exact because
     (1) each stabilizer sample contains every smaller-budget sample, so a
     vertex's edges at a smaller budget are among its edges at a larger one;
     (2) a vertex's depth in the wider window is at most its depth in the
@@ -348,66 +356,75 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
     and in what order, is read from those memoised lists; and an edge's
     other endpoint does not depend on which stabilizer element found it.
 
-    In an orbit whose stabilizer has no exact coset representatives, a
-    vertex keeps the representative it has in ``wide``.
+    The wide index alone names a vertex: the vertices of ``wide`` are
+    distinct elements (distinct ``(orbit, rep)`` pairs in an orbit with
+    exact coset representatives, told apart by ``elem_equal`` while
+    ``wide`` was built in the others), so each is ``wide``'s own
+    ``GSetElem``, with the representative it has there.
 
     Cost: one ``incident_edges`` call per (orbit, budget) pair whose list
     ``ball_view`` has not made, then one step per edge of the narrowed
-    window's expanded vertices.
+    window's expanded vertices, with an int-keyed dict lookup for its other
+    end and one for its wide edge index.
     """
     view = BallView(wide.radius, word_budget)
     if _depth_budget(view, 0) > _depth_budget(wide, 0):
         raise ValueError("a window can only be narrowed to a smaller budget")
     edges = graph.edges
-    wide_of = list(wide.base)   # narrow vertex index -> wide vertex index
-    plans = {}
 
+    @cache
     def plan(orbit_id, wide_budget, budget):
         """Which of the wide-budget edges at a vertex of the orbit survive
         at the budget, as indices into incident_edges' list, in order."""
-        key = (orbit_id, wide_budget, budget)
-        if key not in plans:
-            wide_found, _ = graph.base_incident_edges(orbit_id, wide_budget)
-            found, complete = graph.base_incident_edges(orbit_id, budget)
-            position = {(e.orbit_id, e.rep): k
-                        for k, (e, _) in enumerate(wide_found)}
-            kept = []
-            for e, _ in found:
-                if edges.stabilizer(e.orbit_id).rep_exact:
-                    kept.append(position[(e.orbit_id, e.rep)])
-                else:
-                    kept.append(next(k for k, (w, _) in enumerate(wide_found)
-                                     if edges.elem_equal(w, e)))
-            plans[key] = kept, complete
-        return plans[key]
+        wide_found, _ = graph.base_incident_edges(orbit_id, wide_budget)
+        found, complete = graph.base_incident_edges(orbit_id, budget)
+        position = {(e.orbit_id, e.rep): k
+                    for k, (e, _) in enumerate(wide_found)}
+        return [position[(e.orbit_id, e.rep)]
+                if edges.stabilizer(e.orbit_id).rep_exact else
+                next(k for k, (w, _) in enumerate(wide_found)
+                     if edges.elem_equal(w, e))
+                for e, _ in found], complete
 
-    def incidence(vi, depth):
-        lo = wide_of[vi]
-        kept, complete = plan(view.elems[vi].orbit_id,
-                              _depth_budget(wide, wide.depths[lo]),
-                              _depth_budget(view, depth))
-        start = wide._item_start[lo]
-
-        def items():
+    elems, depths, flags = view.elems, view.depths, view.complete_at
+    ends, keyed, item_edge = view.edge_ends, view._edge_index, view._item_edge
+    w_elems, w_ends, w_edge = wide.elems, wide.edge_ends, wide._item_edge
+    narrow_of = {lo: view.add_vertex(w_elems[lo], 0) for lo in wide.base}
+    view.base, frontier = list(narrow_of.values()), wide.base
+    for depth in range(view.radius):
+        nxt = []
+        for lo in frontier:
+            vi = narrow_of[lo]
+            kept, complete = plan(elems[vi].orbit_id,
+                                  _depth_budget(wide, wide.depths[lo]),
+                                  _depth_budget(view, depth))
+            if not complete:
+                flags[vi] = 0
+                view.complete = False
+            view._item_start.append(len(item_edge))
+            start = wide._item_start[lo]
             for k in kept:
-                e = wide._item_edge[start + k]
-                i, j = wide.edge_ends[e]
+                e = w_edge[start + k]
+                i, j = w_ends[e]
                 other = j if i == lo else i
-                if other == lo:
-                    yield wide.edge_orbit[e], (), e
-                    continue
-                w = wide.elems[other]
-                yield wide.edge_orbit[e], ((w.orbit_id, w.rep),), e
-                # _grow has now looked the endpoint up, and registered it
-                # if it was new
-                if len(wide_of) < len(view.elems):
-                    wide_of.append(other)
-
-        return complete, items()
-
-    # a narrowed window never outgrows the wide one
-    return _grow(graph, view, [wide.elems[i] for i in wide.base],
-                 wide.vertex_count, incidence)
+                wi = narrow_of.get(other)
+                if wi is None:
+                    wi = narrow_of[other] = len(elems)
+                    elems.append(w_elems[other])
+                    depths.append(depth + 1)
+                    flags.append(depth + 1 < view.radius)
+                    nxt.append(other)
+                ni = keyed.get(e)
+                if ni is None:
+                    ni = keyed[e] = len(ends)
+                    view.edge_orbit.append(wide.edge_orbit[e])
+                    ends.append((vi, wi) if vi <= wi else (wi, vi))
+                item_edge.append(ni)
+        frontier = nxt
+    if view.radius > 0 and view.radius in depths:
+        view.complete = False
+    view.adj     # built here, once
+    return view
 
 
 def find_vertex(view: BallView, graph: GGraph, elem: GSetElem):
@@ -483,13 +500,8 @@ def _neighbor_counts(graph, view, apex_idx, bound):
         return [y for y in nbrs if dist.get(y, INFINITE) <= bound]
 
     rows = pmap(close_set, nbrs)
-    counts = {}
-    witnesses = {}
-    for x, close in zip(nbrs, rows):
-        key = graph.vertices.elem_key(view.elems[x])
-        counts[key] = len(close)
-        witnesses[key] = close
-    return counts, witnesses
+    keys = [graph.vertices.elem_key(view.elems[x]) for x in nbrs]
+    return dict(zip(keys, map(len, rows))), dict(zip(keys, rows))
 
 
 def _orbit_fineness(graph, orbit_id, angle_bound, radius, max_vertices):
@@ -499,7 +511,7 @@ def _orbit_fineness(graph, orbit_id, angle_bound, radius, max_vertices):
     the large window's close neighbors of each; and the counts a
     certificate without a violation carries."""
     vertex = graph.vertices.elem(orbit_id)
-    hops = min(radius, angle_bound + 1)
+    hops = min(radius, angle_bound + 1)   # not only room: see fineness_probe
     large = ball_view(graph, [vertex], hops, word_budget=radius + 2,
                       max_vertices=max_vertices)
     small = narrow_view(graph, large, radius)
@@ -511,21 +523,11 @@ def _orbit_fineness(graph, orbit_id, angle_bound, radius, max_vertices):
     # counts; only those well inside the budget are compared across windows
     incident, complete = graph.incident_edges(
         vertex, max(1, radius - angle_bound))
-    if complete:
-        trusted = set(counts_s)
-    else:
-        trusted = set()
-        for _, others in incident:
-            for w in others:
-                trusted.add(graph.vertices.elem_key(w))
-
-    grown = []
-    for key, c_small in counts_s.items():
-        if key not in trusted:
-            continue
-        c_large = counts_l.get(key, c_small)
-        if c_large > c_small:
-            grown.append((key, c_small, c_large))
+    trusted = set(counts_s) if complete else {
+        graph.vertices.elem_key(w) for _, others in incident for w in others}
+    grown = [(key, c_small, counts_l.get(key, c_small))
+             for key, c_small in counts_s.items()
+             if key in trusted and counts_l.get(key, c_small) > c_small]
     witnesses = {key: [large.elems[i] for i in wit_l[key]]
                  for key, _, _ in grown}
     return grown, witnesses, counts_l if grown else counts_s
@@ -543,6 +545,12 @@ def fineness_probe(graph: GGraph, vertex: GSetElem, angle_bound: int,
     A path of length at most the angle bound between two neighbors of the
     apex stays within hop-depth ``angle_bound + 1``, so the windows use that
     hop radius; the requested radius only widens the enumeration budgets.
+    The hop radius also decides which deep vertices join the apex's
+    neighbors: at ``example-coned-free``'s probe the apex lists ``a^k``,
+    ``|k| <= 8``, in the small window, and ``a^±9`` ... ``a^±13`` join when
+    depths 2-6 are expanded.  Hop radius ``angle_bound // 2 + 2`` cuts its
+    count table from 27 entries to 23 (``a^±12``, ``a^±13`` drop out and
+    ``a^±6`` ... ``a^±11`` count less), so it is not lowered.
 
     The window around a vertex with rep ``r`` is ``r`` times the window
     around its orbit's point with rep 1 (see ``ball_view``), and so is every

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import accumulate, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -46,7 +47,6 @@ from .words import NormalForm, Word
 YES, NO, UNKNOWN = "yes", "no", "unknown"
 
 DEFAULT_BUDGET = 12
-_ORDER_PROBE = 128
 
 
 def power_of(group: Group, u, g):
@@ -193,7 +193,7 @@ class WholeSubgroup(Subgroup):
         return super().elements()
 
     def express(self, word):
-        idx = {g: i for i, g in enumerate(self.ambient.generators)}
+        idx = self.ambient._gen_index
         return [(idx[name], sign) for name, sign in self.ambient.normalize(word)]
 
     def order(self):
@@ -754,15 +754,27 @@ def whole(ambient) -> WholeSubgroup:
 
 
 def cyclic(ambient, generator) -> Subgroup:
+    """<generator>, closed when its order is finite: exact but in amalgams and
+    HNN extensions, where no 1 among the first 128 powers means infinite."""
     u = ambient.normalize(generator)
-    if ambient.is_finite():
-        return FiniteSubgroup.closure(ambient, [u], cap=ambient.order() + 1)
-    acc = ambient.identity()
-    for k in range(1, _ORDER_PROBE + 1):
-        acc = ambient.multiply(acc, u)
-        if not acc:
-            return FiniteSubgroup.closure(ambient, [u], cap=k + 1)
-    return CyclicSubgroup(ambient, u)
+    n = ambient.order() if ambient.is_finite() else math.inf if u else 1
+    if n == math.inf and isinstance(ambient, FreeProductGroup):
+        # reduce cyclically: two syllables or more left have infinite order,
+        # and one has the order it has in its factor
+        syl = ambient.syllables(u)
+        while len(syl) > 1 and syl[0][0] == syl[-1][0]:
+            k = syl[0][0]
+            merged = ambient.factors[k].normalize(syl[-1][1] * syl[0][1])
+            syl = syl[1:-1] + ([(k, merged)] if merged else [])
+        if len(syl) == 1:
+            n = cyclic(ambient.factors[syl[0][0]], syl[0][1]).order()
+    elif n == math.inf and not isinstance(ambient, (FreeGroup,
+                                                    FreeAbelianGroup)):
+        powers = accumulate(repeat(u, 128), ambient.multiply)
+        n = next((k for k, p in enumerate(powers, 1) if not p), n)
+    if n == math.inf:
+        return CyclicSubgroup(ambient, u)
+    return FiniteSubgroup.closure(ambient, [u], cap=n + 1)
 
 
 def free_factor(ambient, names) -> FreeFactorSubgroup:

@@ -451,8 +451,9 @@ def probe_outcome(probe, *args, **kwargs):
 
 
 @pytest.mark.parametrize("graph, params, cap", [
+    # (6, 8, 10) and (4, 12, 10) are the probes the two built-ins ship
     (lambda: builtin_graph("example-coned-free", "coned"),
-     [(4, 6, 10), (3, 8, 10)], 200000),
+     [(4, 6, 10), (3, 8, 10), (6, 8, 10)], 200000),
     (lambda: builtin_graph("example-fineness-fail", "coned"),
      [(4, 12, 10), (4, 12, 100), (2, 5, 3), (3, 8, 4)], 200000),
     (lambda: coned_line()[1], [(4, 12, 10), (2, 6, 3)], 200000),

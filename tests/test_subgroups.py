@@ -508,6 +508,41 @@ def test_size_answers_match_enumeration(make, order):
     assert handle.is_trivial() is (order == 1)
 
 
+def z_star_free(n):
+    return FreeProductGroup(f"Z{n}*Z", [FiniteGroup.cyclic(n, "a", f"Z{n}"),
+                                        FreeGroup("Zf", ["x"])])
+
+
+@pytest.mark.parametrize("n, make, order", [
+    (200, lambda g: cyclic(g, "a"), 200),
+    (600, lambda g: generated(g, ["a"]), 600),
+    (600, lambda g: cyclic(g, "x a x^-1"), 600),
+    (600, lambda g: cyclic(g, "x a^-1 x^-1 a^300 x a x^-1"), 2),
+    (600, lambda g: cyclic(g, "x a"), math.inf),
+    (600, lambda g: cyclic(g, "x^2 a x^-1"), math.inf),
+], ids=["cyclic-Z200", "generated-Z600", "conjugate-Z600", "conjugate-Z2",
+        "syllables-x-a", "syllables-x-a-reduced"])
+def test_cyclic_order_in_free_product_is_exact(n, make, order):
+    # oracle: the least k <= n with u^k = 1, by repeated multiplication
+    # (an element of finite order here divides n); the handle closes to
+    # that many elements, beyond the 128 powers an amalgam probe tries
+    g = z_star_free(n)
+    h = make(g)
+    (u,) = h.generators
+    acc, first = g.identity(), math.inf
+    for k in range(1, n + 1):
+        acc = g.multiply(acc, u)
+        if not acc:
+            first = k
+            break
+    assert first == order
+    assert h.order() == order
+    assert isinstance(h, CyclicSubgroup if order == math.inf
+                      else FiniteSubgroup)
+    if order != math.inf:
+        assert len(set(h.elements())) == order
+
+
 def declared_cyclic_handles():
     for spec in builtin_examples().values():
         env = validate_spec(spec)
