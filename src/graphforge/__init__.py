@@ -18,8 +18,6 @@ from .subgroups import (
     build_amalgam,
     build_hnn,
     check_monomorphism,
-    subgroup_contains,
-    coset_rep,
     YES,
     NO,
     UNKNOWN,
@@ -33,6 +31,6 @@ __all__ = [
     "FreeProductGroup", "AmalgamGroup", "HNNGroup",
     "ball_enumerate", "conjugacy_probe",
     "Subgroup", "Monomorphism", "build_amalgam", "build_hnn",
-    "check_monomorphism", "subgroup_contains", "coset_rep",
+    "check_monomorphism",
     "YES", "NO", "UNKNOWN",
 ]

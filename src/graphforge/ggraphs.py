@@ -193,9 +193,6 @@ class GraphReport:
     no_inversions: bool
     violations: list
 
-    def __bool__(self):
-        return self.valid
-
 
 def validate_graph(graph: GGraph) -> GraphReport:
     """Check equivariance of the attaching data, simpliciality, and the
@@ -313,15 +310,11 @@ def induce_graph(mono: Monomorphism, kgraph: GGraph, prefix="") -> GGraph:
 
 def factor_embedding(group, side) -> Monomorphism:
     """The inclusion of one factor (amalgam side or HNN base) into the group."""
-    if isinstance(group, AmalgamGroup) and side in ("L", "R"):
-        fac = group.factor(side)
-        handle = RestrictedSubgroup(group, whole(fac), side)
-    elif isinstance(group, HNNGroup) and side == "base":
-        fac = group.base
-        handle = RestrictedSubgroup(group, whole(fac), "base")
-    else:
+    if side not in group.sides:
         raise GroupMismatch(f"no factor {side!r} in {group.name}")
-    return Monomorphism(whole(fac), handle, fac.generator_words())
+    fac = group.factor(side)
+    return Monomorphism(whole(fac), RestrictedSubgroup(group, whole(fac), side),
+                        fac.generator_words())
 
 
 @dataclass
@@ -478,20 +471,16 @@ def coalesce(group: HNNGroup, graph: GGraph, x: GSetElem, y: GSetElem,
 # -- Bass-Serre trees -----------------------------------------------------------
 
 
-@dataclass
-class TreeHooks:
-    kind: str
-    vertex_orbits: tuple
-    distinguished: GSetElem
-
-
 def bass_serre(group, middle=None) -> GGraph:
     """The tree of the splitting, subdivided at edge-group vertices.
 
     For an amalgam the middle orbit carries the subgroup generated by the
     two edge images (or the two handles supplied in ``middle``); for an HNN
-    extension the vertices are base-cosets and edge-subgroup cosets, with
-    the distinguished vertex at the stable-letter translate.
+    extension the vertices are base-cosets and edge-subgroup cosets.  The
+    tree's ``distinguished`` attribute is the vertex a pushout or
+    coalescence projects its identified vertex to: the middle base vertex
+    ``vM`` of an amalgam, the stable-letter translate ``t vH`` of an HNN
+    extension.
     """
     if isinstance(group, AmalgamGroup):
         if middle is None:
@@ -510,7 +499,7 @@ def bass_serre(group, middle=None) -> GGraph:
                       (verts.elem("vM"), verts.elem("vB"))),
         ]
         tree = GGraph(group, verts, eos)
-        tree.hooks = TreeHooks("amalgam", ("vA", "vM", "vB"), verts.elem("vM"))
+        tree.distinguished = verts.elem("vM")
         return tree
     if isinstance(group, HNNGroup):
         t = group.stable_word()
@@ -524,7 +513,7 @@ def bass_serre(group, middle=None) -> GGraph:
                       (verts.elem("vA"), verts.elem("vH"))),
         ]
         tree = GGraph(group, verts, eos)
-        tree.hooks = TreeHooks("hnn", ("vA", "vH"), verts.elem("vH", t))
+        tree.distinguished = verts.elem("vH", t)
         return tree
     raise GroupMismatch(f"{group.name} is not an amalgam or HNN extension")
 

@@ -67,6 +67,10 @@ from .words import NormalForm, Word, free_reduce
 class Group:
     """Base class: a finitely described group with a canonical form."""
 
+    # names of the distinguished factors, each read by ``factor(side)``;
+    # only splittings have them
+    sides = ()
+
     def __init__(self, name: str, generators):
         self.name = name
         self.generators = tuple(generators)

@@ -18,7 +18,7 @@ from .errors import (
     NotAStabilizer,
     StabilizerNotContained,
 )
-from .groups import AmalgamGroup, FiniteGroup, Group, HNNGroup
+from .groups import AmalgamGroup, FiniteGroup, Group
 from .subgroups import (
     ConjugateSubgroup,
     FiniteSubgroup,
@@ -197,13 +197,9 @@ def lift_handle(mono: Monomorphism, stab: Subgroup) -> Subgroup:
         for name, img in zip(small.generators, mono.images)
     )
     if verbatim:
-        if isinstance(big, AmalgamGroup):
-            if small is big.left:
-                return RestrictedSubgroup(big, stab, "L")
-            if small is big.right:
-                return RestrictedSubgroup(big, stab, "R")
-        if isinstance(big, HNNGroup) and small is big.base:
-            return RestrictedSubgroup(big, stab, "base")
+        for side in big.sides:
+            if small is big.factor(side):
+                return RestrictedSubgroup(big, stab, side)
     pushed = [mono.push(g) for g in stab.generators]
     if any(p is None for p in pushed):
         raise StabilizerNotContained(f"cannot push {stab!r} through {mono!r}")

@@ -729,7 +729,7 @@ def _step_project_tree(env, step, report):
     radius = _natural(step, "check_radius", 3)
     group = graph.group
     z = graph.provenance.z
-    distinguished = tree.hooks.distinguished
+    distinguished = tree.distinguished
     commuting = all(pi.commutes_on(graph.edges.elem(eo.orbit_id))
                     for eo in graph.edge_orbits)
     preimage_ok = True
@@ -756,14 +756,8 @@ def _step_presentation_amalgam(env, step, report):
         raise SpecError(f"step {step['id']!r}: {exc}") from None
     out = amalgam_presentation(p1, step["left_label"], p2, step["right_label"],
                                g, join, join_label=step.get("join_label", "KK"))
-    env.constructions[step["id"]] = out
-    count_ok = len(out.relators) == len(p1.relators) + len(p2.relators)
-    rep = verify_relators(out, g)
-    report.check(step["id"], "presentation_amalgam", "amalgam-presentation",
-                 count_ok and rep.passed,
-                 {"relators": len(out.relators), "count_ok": count_ok,
-                  "relators_pass": rep.passed},
-                 f"{len(out.relators)} relators")
+    _report_presentation(env, step, report, "amalgam", out, g,
+                         len(p1.relators) + len(p2.relators))
 
 
 def _step_presentation_hnn(env, step, report):
@@ -774,10 +768,16 @@ def _step_presentation_hnn(env, step, report):
                      budget=_natural(step, "budget", 4))
     out = hnn_presentation(pres, step["k_label"], step["l_label"], g, join,
                            join_label=step.get("join_label", "KtL"))
+    _report_presentation(env, step, report, "hnn", out, g, len(pres.relators))
+
+
+def _report_presentation(env, step, report, kind, out, group, relator_count):
+    """Keep a combined presentation and check that it has the expected
+    relator count and that its relators are trivial in ``group``."""
     env.constructions[step["id"]] = out
-    count_ok = len(out.relators) == len(pres.relators)
-    rep = verify_relators(out, g)
-    report.check(step["id"], "presentation_hnn", "hnn-presentation",
+    count_ok = len(out.relators) == relator_count
+    rep = verify_relators(out, group)
+    report.check(step["id"], f"presentation_{kind}", f"{kind}-presentation",
                  count_ok and rep.passed,
                  {"relators": len(out.relators), "count_ok": count_ok,
                   "relators_pass": rep.passed},

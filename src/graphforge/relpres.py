@@ -213,26 +213,15 @@ def amalgam_presentation(pres_left: RelPresentation, left_label: str,
     letters retagged, with values re-read inside the amalgam).
     """
     letters = tuple(pres_left.letters) + tuple(pres_right.letters)
+    sides = (("L", pres_left), ("R", pres_right))
     combined = RelPresentation(
         letters,
-        {**{f"L:{k}": v for k, v in pres_left.peripherals.items()},
-         **{f"R:{k}": v for k, v in pres_right.peripherals.items()}},
-        [],
+        {f"{prefix}:{k}": v for prefix, pres in sides
+         for k, v in pres.peripherals.items()},
+        [FPWord(HToken(f"{prefix}:{t.peripheral}", t.value)
+                if isinstance(t, HToken) else t for t in rel)
+         for prefix, pres in sides for rel in pres.relators],
     )
-
-    def import_side(pres, prefix):
-        out = []
-        for rel in pres.relators:
-            toks = []
-            for t in rel:
-                if isinstance(t, HToken):
-                    toks.append(HToken(f"{prefix}:{t.peripheral}", t.value))
-                else:
-                    toks.append(t)
-            out.append(FPWord(toks))
-        return out
-
-    combined.relators = import_side(pres_left, "L") + import_side(pres_right, "R")
     return absorb(combined, [f"L:{left_label}", f"R:{right_label}"],
                   join_label, join_handle)
 
@@ -250,8 +239,6 @@ def hnn_presentation(pres: RelPresentation, k_label: str, l_label: str,
         raise KLNotDistinct("the two distinguished peripherals must differ")
     t = hnn.stable
     stable_letter = SToken(t, 1)
-    peripherals = dict(pres.peripherals)
-    out = RelPresentation(tuple(pres.letters) + (t,), peripherals, [])
 
     def rewrite(tok):
         if isinstance(tok, HToken) and tok.peripheral == k_label:
@@ -261,13 +248,10 @@ def hnn_presentation(pres: RelPresentation, k_label: str, l_label: str,
                     stable_letter]
         return [tok]
 
-    rewritten = []
-    for rel in pres.relators:
-        toks = []
-        for tok in rel:
-            toks.extend(rewrite(tok))
-        rewritten.append(FPWord(toks))
-    out.relators = rewritten
+    out = RelPresentation(
+        tuple(pres.letters) + (t,), dict(pres.peripherals),
+        [FPWord(part for tok in rel for part in rewrite(tok))
+         for rel in pres.relators])
     absorbed = absorb(out, [k_label, l_label], join_label, join_handle)
     assert len(absorbed.relators) == len(pres.relators)
     return absorbed

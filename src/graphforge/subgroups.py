@@ -77,10 +77,9 @@ class Subgroup:
     strategy = "abstract"
     rep_exact = False
 
-    def __init__(self, ambient: Group, generators=(), budget=DEFAULT_BUDGET):
+    def __init__(self, ambient: Group, generators=()):
         self.ambient = ambient
         self.generators = tuple(ambient.normalize(g) for g in generators)
-        self.budget = budget
 
     # -- membership ---------------------------------------------------------
 
@@ -138,10 +137,6 @@ class Subgroup:
 
     def is_whole(self) -> bool:
         return False
-
-    def schema_key(self):
-        return (type(self).__name__, self.ambient.name,
-                tuple(str(g) for g in self.generators))
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "1"
@@ -455,7 +450,8 @@ class SearchSubgroup(Subgroup):
     rep_exact = False
 
     def __init__(self, ambient, generators, budget=DEFAULT_BUDGET):
-        super().__init__(ambient, generators, budget)
+        super().__init__(ambient, generators)
+        self.budget = budget
         self._known = None
 
     def _known_ball(self):
@@ -513,7 +509,7 @@ class RestrictedSubgroup(Subgroup):
 
     def __init__(self, ambient, inner: Subgroup, side: str):
         # side: "L"/"R" for amalgams, "base" for HNN extensions
-        if side not in getattr(ambient, "sides", ()):
+        if side not in ambient.sides:
             raise GroupMismatch(
                 f"side {side!r} is not a factor of {ambient.name}")
         factor = ambient.factor(side)
@@ -572,12 +568,6 @@ class RestrictedSubgroup(Subgroup):
 
     def order(self):
         return self.inner.order()
-
-    def is_whole(self):
-        return False
-
-    def schema_key(self):
-        return ("Restricted", self.side, self.inner.schema_key())
 
 
 class JoinSubgroup(Subgroup):
@@ -667,9 +657,6 @@ class JoinSubgroup(Subgroup):
     def is_whole(self):
         return self._whole
 
-    def schema_key(self):
-        return ("Join", self.inner["L"].schema_key(), self.inner["R"].schema_key())
-
 
 class ConjugateSubgroup(Subgroup):
     """g H g^{-1} for an existing handle H."""
@@ -711,9 +698,6 @@ class ConjugateSubgroup(Subgroup):
 
     def is_whole(self):
         return self.base.is_whole()
-
-    def schema_key(self):
-        return ("Conjugate", str(self.by), self.base.schema_key())
 
 
 class ImageSubgroup(Subgroup):
@@ -781,14 +765,6 @@ def free_factor(ambient, names) -> FreeFactorSubgroup:
     return FreeFactorSubgroup(ambient, names)
 
 
-def finite_table_subgroup(ambient: FiniteGroup, elements) -> FiniteSubgroup:
-    """Subgroup of a table group from an element subset (must be closed)."""
-    elems = ambient.subgroup_closure(elements)
-    words = [ambient.normalize(ambient.word_of(e)) for e in sorted(elems)]
-    nontrivial = [w for w in words if w]
-    return FiniteSubgroup.closure(ambient, nontrivial or [], cap=len(elems) + 1)
-
-
 def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:
     """Best exact handle for the generators, else a budgeted search."""
     gens = [ambient.normalize(g) for g in generators]
@@ -818,9 +794,13 @@ def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:
 
 
 def same_subgroup(s: Subgroup, h: Subgroup) -> bool:
-    """Equal schema keys, or each handle contains the other's generators
-    (``h`` is asked about ``s``'s generators first)."""
-    return s.schema_key() == h.schema_key() or (
+    """Equal generator tuples in one ambient, or each handle contains the
+    other's generators (``h`` is asked about ``s``'s generators first).
+
+    Every handle's ``generators`` generate its subgroup, so equal tuples in
+    the same ambient name the same subgroup, whatever the handle classes.
+    """
+    return (s.ambient is h.ambient and s.generators == h.generators) or (
         all(h.contains(g) == YES for g in s.generators)
         and all(s.contains(g) == YES for g in h.generators))
 
@@ -976,12 +956,3 @@ def build_hnn(name, base, edge_handle, iso, stable, *,
     if not trust_monomorphisms:
         _certify(iso)
     return HNNGroup(name, base, edge_handle, iso, stable)
-
-
-def subgroup_contains(handle: Subgroup, word) -> str:
-    """Three-valued membership; `unknown` only from budgeted strategies."""
-    return handle.contains(word)
-
-
-def coset_rep(handle: Subgroup, word) -> NormalForm:
-    return handle.coset_rep(word)

@@ -41,9 +41,6 @@ class Word(tuple):
             other = Word.coerce(other)
         return Word(tuple.__add__(self, other))
 
-    def __rmul__(self, other) -> "Word":
-        return Word(tuple.__add__(Word.coerce(other), self))
-
     def inverse(self) -> "Word":
         return Word((name, -sign) for name, sign in reversed(self))
 

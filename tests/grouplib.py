@@ -86,6 +86,12 @@ def dihedral_product():
     return FreeProductGroup("D", [h1, h2])
 
 
+def table_subgroup(group, elements):
+    """The handle of a table group's subgroup generated by the given
+    elements (ints of the table)."""
+    return generated(group, [group.word_of(e) for e in sorted(elements)])
+
+
 def all_subgroups(group):
     """Every subgroup of a finite group, as frozensets of elements (small
     groups only)."""

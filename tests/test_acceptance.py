@@ -26,7 +26,6 @@ from graphforge.subgroups import (
     Monomorphism,
     RestrictedSubgroup,
     cyclic,
-    finite_table_subgroup,
     free_factor,
     generated,
     whole,
@@ -228,9 +227,9 @@ def test_criterion_05_induced_action_suite():
     done = _timed(60)
     checked_maps = 0
     for k_group, big, emb in _pairs_for_criterion_05():
-        k_handles = [finite_table_subgroup(k_group, elems)
+        k_handles = [grouplib.table_subgroup(k_group, elems)
                      for elems in grouplib.all_subgroups(k_group)]
-        g_handles = [finite_table_subgroup(big, elems)
+        g_handles = [grouplib.table_subgroup(big, elems)
                      for elems in grouplib.all_subgroups(big)]
         ksets = _gsets_over(k_group, k_handles, 3)
         tsets = _gsets_over(big, g_handles, 3)
@@ -323,9 +322,9 @@ def test_criterion_06_pushout_stabilizers_exhaustive():
             for k2_elems in lattice:
                 if not (c_elems <= k1_elems and c_elems <= k2_elems):
                     continue
-                c = finite_table_subgroup(s3, c_elems)
-                k1 = finite_table_subgroup(s3, k1_elems)
-                k2 = finite_table_subgroup(s3, k2_elems)
+                c = grouplib.table_subgroup(s3, c_elems)
+                k1 = grouplib.table_subgroup(s3, k1_elems)
+                k2 = grouplib.table_subgroup(s3, k2_elems)
                 R = GSet(s3, [Orbit("r", c)])
                 S = GSet(s3, [Orbit("s", k1)])
                 T = GSet(s3, [Orbit("t", k2)])

@@ -983,8 +983,14 @@ def test_undecided_edge_stabilizer_is_inconclusive_in_both_audits():
     verts = GSet(d, [Orbit("p", h), Orbit("q", h)])
     g = GGraph(d, verts, [EdgeOrbit("e", h, (verts.elem("p"),
                                             verts.elem("q")))])
-    for report in (cayley_abels_audit(g, [h], radius=1),
-                   gh_graph_audit(g, [h], angle_bound=1, fineness_radius=1)):
+    ca = cayley_abels_audit(g, [h], radius=1)
+    for report in (ca, gh_graph_audit(g, [h], angle_bound=1,
+                                      fineness_radius=1)):
         by_name = {c.name: c for c in report.conditions}
         assert by_name["finite-edge-stabilizers"].as_tuple() == (
             "finite-edge-stabilizers", "inconclusive", "undetermined: ['e']")
+    # whether p v0 is a window vertex needs a membership in <pq, qp> that
+    # the search handle cannot decide
+    assert {c.name: c for c in ca.conditions}["connected"].as_tuple() == (
+        "connected", "inconclusive",
+        "element equality undecided in orbit 'p' at radius=1")

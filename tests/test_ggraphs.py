@@ -340,7 +340,7 @@ def test_bass_serre_hnn_subdivided():
     tree = bass_serre(g)
     rep = validate_graph(tree)
     assert rep.valid and rep.simplicial and rep.no_inversions
-    mid = tree.hooks.distinguished
+    mid = tree.distinguished
     edges, complete = tree.incident_edges(mid, 3)
     assert not complete  # infinite base group: enumeration is budgeted
     assert len(edges) == 2  # subdivision points have two sides
@@ -352,8 +352,8 @@ def test_project_pushout_to_tree():
                   xg.vertices.elem("cone:KA"), yg.vertices.elem("cone:KB"))
     zv = z.provenance.z
     tree, pi = project_to_tree(z)
-    assert pi.vertex(zv) == tree.hooks.distinguished or \
-        tree.vertices.elem_equal(pi.vertex(zv), tree.hooks.distinguished)
+    assert pi.vertex(zv) == tree.distinguished or \
+        tree.vertices.elem_equal(pi.vertex(zv), tree.distinguished)
     # vertex orbits map onto the three tree orbits
     images = {pi.vertex(z.vertices.elem(o.orbit_id)).orbit_id
               for o in z.vertices.orbits}
@@ -364,7 +364,7 @@ def test_project_pushout_to_tree():
     # preimage of the distinguished vertex is exactly the identified vertex
     for w in ball_enumerate(g, g.generator_words(), 3):
         v = z.vertices.act(w, zv)
-        hits = tree.vertices.elem_equal(pi.vertex(v), tree.hooks.distinguished)
+        hits = tree.vertices.elem_equal(pi.vertex(v), tree.distinguished)
         assert hits == z.vertices.elem_equal(v, zv)
 
 
@@ -376,10 +376,10 @@ def test_project_coalescence_to_tree():
     z = coalesce(g, xg, xg.vertices.elem("cone:A"), xg.vertices.elem("cone:B"))
     zv = z.provenance.z
     tree, pi = project_to_tree(z)
-    assert tree.vertices.elem_equal(pi.vertex(zv), tree.hooks.distinguished)
+    assert tree.vertices.elem_equal(pi.vertex(zv), tree.distinguished)
     for eo in z.edge_orbits:
         assert pi.commutes_on(z.edges.elem(eo.orbit_id))
     for w in ball_enumerate(g, g.generator_words(), 3):
         v = z.vertices.act(w, zv)
-        hits = tree.vertices.elem_equal(pi.vertex(v), tree.hooks.distinguished)
+        hits = tree.vertices.elem_equal(pi.vertex(v), tree.distinguished)
         assert hits == z.vertices.elem_equal(v, zv)

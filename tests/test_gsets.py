@@ -20,7 +20,6 @@ from graphforge.subgroups import (
     Monomorphism,
     Subgroup,
     cyclic,
-    finite_table_subgroup,
     free_factor,
     generated,
     trivial,
@@ -257,9 +256,9 @@ def test_pushout_collapses_to_fixed_point():
 
 def test_pushout_stabilizer_matches_join_exhaustively():
     s3 = grouplib.sym3()
-    x_sub = finite_table_subgroup(s3, [s3.element_of("x")])
-    y_sub = finite_table_subgroup(s3, [s3.element_of("y")])
-    triv = finite_table_subgroup(s3, [])
+    x_sub = grouplib.table_subgroup(s3, [s3.element_of("x")])
+    y_sub = grouplib.table_subgroup(s3, [s3.element_of("y")])
+    triv = grouplib.table_subgroup(s3, [])
     R = GSet(s3, [Orbit("r", triv)])
     S = GSet(s3, [Orbit("s", x_sub)])
     T = GSet(s3, [Orbit("t", y_sub)])
@@ -277,9 +276,9 @@ def test_pushout_stabilizer_matches_join_exhaustively():
 
 def test_chain_factorize_sym3():
     s3 = grouplib.sym3()
-    x_sub = finite_table_subgroup(s3, [s3.element_of("x")])
-    y_sub = finite_table_subgroup(s3, [s3.element_of("y")])
-    triv = finite_table_subgroup(s3, [])
+    x_sub = grouplib.table_subgroup(s3, [s3.element_of("x")])
+    y_sub = grouplib.table_subgroup(s3, [s3.element_of("y")])
+    triv = grouplib.table_subgroup(s3, [])
     R = GSet(s3, [Orbit("r", triv)])
     S = GSet(s3, [Orbit("s", x_sub)])
     T = GSet(s3, [Orbit("t", y_sub)])
@@ -302,9 +301,9 @@ def test_chain_factorize_sym3():
 
 def test_chain_factorize_trivial_cases():
     s3 = grouplib.sym3()
-    x_sub = finite_table_subgroup(s3, [s3.element_of("x")])
-    y_sub = finite_table_subgroup(s3, [s3.element_of("y")])
-    triv = finite_table_subgroup(s3, [])
+    x_sub = grouplib.table_subgroup(s3, [s3.element_of("x")])
+    y_sub = grouplib.table_subgroup(s3, [s3.element_of("y")])
+    triv = grouplib.table_subgroup(s3, [])
     R = GSet(s3, [Orbit("r", triv)])
     S = GSet(s3, [Orbit("s", x_sub)])
     T = GSet(s3, [Orbit("t", y_sub)])

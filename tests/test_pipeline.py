@@ -819,3 +819,40 @@ def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
     assert capsys.readouterr().err == \
         f"spec error: {message.replace('<spec>', ref)}\n"
 
+
+
+def _cayley_connected(group, generators):
+    """The ``ca:connected`` verdict of a Cayley graph spec's audit."""
+    spec = {"groups": {"G": group},
+            "graphs": {"C": {"kind": "cayley", "group": "G",
+                             "generators": generators}},
+            "pipeline": [{"op": "validate", "graph": "C"},
+                         {"op": "audit_cayley_abels", "graph": "C",
+                          "peripherals": []}]}
+    verdicts = run_pipeline(spec).verdicts
+    return next((v["verdict"], v["detail"]) for v in verdicts
+                if v["name"] == "ca:connected")
+
+
+def test_cayley_graph_over_a_proper_subset_is_not_called_connected():
+    # one line per coset of <a>: every vertex orbit is met at radius 4, but
+    # b v0 is never reached, so nothing proves connectedness
+    free = {"kind": "free", "generators": ["a", "b"]}
+    assert _cayley_connected(free, ["a"]) == (
+        "inconclusive", "translate by b not reached at radius=4")
+    # a closed window is the whole component: its missing translate is an
+    # exact failure
+    s3 = {"kind": "permutation", "generators": {"x": [1, 0, 2],
+                                                "y": [1, 2, 0]}}
+    assert _cayley_connected(s3, ["x"]) == (
+        "fail", "component closed without its translate by y")
+
+
+def test_cayley_graph_over_all_generators_is_connected():
+    free = {"kind": "free", "generators": ["a", "b"]}
+    assert _cayley_connected(free, ["a", "b"]) == (
+        "pass", "all orbits reached at radius 4")
+    s3 = {"kind": "permutation", "generators": {"x": [1, 0, 2],
+                                                "y": [1, 2, 0]}}
+    assert _cayley_connected(s3, ["x", "y"]) == (
+        "pass", "component exhausted")

@@ -2,6 +2,7 @@
 handle is constant on cosets -- membership is the independent oracle for that.
 """
 
+import itertools
 import math
 import random
 
@@ -37,12 +38,11 @@ from graphforge.subgroups import (
     build_amalgam,
     build_hnn,
     check_monomorphism,
-    coset_rep,
     cyclic,
     free_factor,
     generated,
     power_of,
-    subgroup_contains,
+    same_subgroup,
     trivial,
     whole,
     YES, NO, UNKNOWN,
@@ -102,7 +102,7 @@ def test_whole_and_trivial():
 def test_mismatched_ambient():
     s3 = grouplib.sym3()
     with pytest.raises(MismatchedAmbient):
-        subgroup_contains(whole(s3), "a")
+        whole(s3).contains("a")
 
 
 def test_free_factor_handle():
@@ -126,8 +126,8 @@ def test_free_factor_handle():
 def test_coset_rep_examples():
     z = grouplib.int_line()
     h = cyclic(z, "a a")
-    assert coset_rep(h, "a^5") == Word.parse("a")
-    assert coset_rep(h, "a^2") == Word()
+    assert h.coset_rep("a^5") == Word.parse("a")
+    assert h.coset_rep("a^2") == Word()
 
     # free factor inside a free product: strip the trailing factor part
     d = grouplib.dihedral_product()
@@ -604,3 +604,43 @@ def test_unknown_from_budgeted_search():
     assert h.strategy == "BudgetedSearch"
     assert h.contains("a a") == YES
     assert h.contains("a") == UNKNOWN
+
+
+def _pairwise_same(classes):
+    """Every ordered pair of handles from ``classes`` (a list of handle
+    lists, one per subgroup): ``same_subgroup`` holds exactly within a
+    class.  Returns the number of comparisons."""
+    labelled = [(k, h) for k, hs in enumerate(classes) for h in hs]
+    for k1, h1 in labelled:
+        for k2, h2 in labelled:
+            assert same_subgroup(h1, h2) == (k1 == k2), (h1, h2)
+    return len(labelled) ** 2
+
+
+def test_same_subgroup_matches_element_sets_in_sym3():
+    s3 = grouplib.sym3()
+    classes = []
+    for elems in grouplib.all_subgroups(s3):
+        words = {e: s3.word_of(e) for e in sorted(elems)}
+        handles = [generated(s3, [words[e] for e in gens])
+                   for size in (1, 2)
+                   for gens in itertools.combinations(words, size)
+                   if s3.subgroup_closure(set(gens)) == elems]
+        handles.append(generated(s3, list(words.values())))
+        if len(elems) == s3.order():
+            handles.append(whole(s3))
+        if len(elems) == 1:
+            handles.append(trivial(s3))
+        classes.append(handles)
+    assert _pairwise_same(classes) == 29 ** 2
+
+
+def test_same_subgroup_in_free_group():
+    f = grouplib.free2()
+    assert _pairwise_same([
+        [cyclic(f, "a"), generated(f, ["a"]), free_factor(f, ["a"]),
+         cyclic(f, "a^-1")],
+        [cyclic(f, "a a")],
+        [cyclic(f, "b")],
+        [whole(f), generated(f, ["a", "b"])],
+    ]) == 64
