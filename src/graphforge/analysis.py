@@ -289,7 +289,8 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
     has a slot in the list's plan, which its edges and other ends read; in
     a cone-off an edge and its other end often share both), then
     ``_grow``'s; and, when ``r`` is not 1, one ``act`` per vertex to move
-    the window back.
+    the window back.  In a splitting a product the cache misses costs the
+    fold of ``x0``'s letters plus one reopened syllable of ``r``.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")

@@ -41,7 +41,13 @@ what membership and coset representatives of factor subgroups read.
 
 ``_product(nfs)`` multiplies factors that must already be normal forms of
 the group, unchecked (any other word gives a wrong answer, not an error):
-in ``FreeGroup`` it cancels only at the junctions, else it is ``multiply``.
+in ``FreeGroup`` it cancels only at the junctions.  A splitting looks up
+the concatenation, and on a miss reopens the first factor's split form as
+a fold state (an amalgam's last pinned syllable times the tail's image) and
+folds only the other factors' letters.  That is exact: the state keeps the
+fold's invariants (pinned reps alternate in side and are nontrivial, the
+open side is not the last pinned one), so the fold ends in a pinned or
+Britton form of the product, which is unique.  Else it is ``multiply``.
 
 Size
 ----
@@ -383,8 +389,9 @@ def free_product_order(factors):
 class SplitGroup(Group):
     """A one-edge splitting (amalgam or HNN extension).  An element's split
     form ``(pinned, tail)`` is kept under its interned normal form, which
-    ``_spell`` writes out with the tail spelled by ``_tail``; ``sides`` name
-    the distinguished factors."""
+    ``_spell`` writes out with the tail spelled by ``_tail``; ``_resume``
+    reopens it as a state ``_fold`` continues from.  ``sides`` name the
+    distinguished factors."""
 
     def __init__(self, name, generators):
         super().__init__(name, generators)
@@ -396,10 +403,24 @@ class SplitGroup(Group):
         return self._split_cache[self.normalize(word)]
 
     def _canonical(self, word):
-        """The normal form spelled by ``word``'s split form, which is kept
-        under it."""
-        form = pinned, tail = self._fold(word)
-        nf = NormalForm(self._spell(pinned, self._tail(tail)))
+        return self._intern(self._fold(word))
+
+    def _product(self, nfs) -> NormalForm:
+        """The concatenation's normal form: cached, or the first factor's
+        fold resumed through the others' letters (see the module doc)."""
+        if len(nfs) < 2:
+            return self.normalize(nfs[0] if nfs else Word())
+        word = Word(sum(nfs, ()))
+        cached = self._nf_cache.get(word)
+        if cached is None:
+            cached = self._nf_cache[word] = self._intern(self._fold(
+                word[len(nfs[0]):], *self._resume(self.split_form(nfs[0]))))
+        return cached
+
+    def _intern(self, form) -> NormalForm:
+        """The interned normal form a split form spells, kept under it."""
+        nf = NormalForm(self._spell(form[0], self._tail(form[1])))
+        nf = self._nf_cache.setdefault(nf, nf)
         self._split_cache.setdefault(nf, form)
         return nf
 
@@ -431,6 +452,7 @@ class AmalgamGroup(SplitGroup):
         self.edge_group = edge_group
         self.into_left = into_left
         self.into_right = into_right
+        self._split_memo: dict = {}
 
     def side_of(self, name) -> str:
         return "L" if self.left.owns(name) else "R"
@@ -442,30 +464,46 @@ class AmalgamGroup(SplitGroup):
         return self.into_left if side == "L" else self.into_right
 
     def _split(self, side, word):
-        """word = rep * k with rep a pinned coset rep, k in the edge image.
+        """(rep, edge word over the edge group's generators) with word =
+        rep * k, rep a pinned coset rep and k in the edge image; kept per
+        (side, word), as the codomain handles answer exactly."""
+        found = self._split_memo.get((side, word))
+        if found is None:
+            emb = self.edge_embedding(side)
+            rep = emb.codomain.coset_rep(word)
+            k_img = self.factor(side).multiply(rep.inverse(), word)
+            c = emb.preimage(k_img)
+            if c is None:
+                raise BudgetExceeded(f"{self.name}: cannot express {k_img}"
+                                     " through the edge group")
+            found = self._split_memo[side, word] = (rep, c)
+        return found
 
-        Returns (rep, edge word over the edge group's generators).
-        """
-        emb = self.edge_embedding(side)
-        rep = emb.codomain.coset_rep(word)
-        k_img = self.factor(side).multiply(rep.inverse(), word)
-        c = emb.preimage(k_img)
-        if c is None:
-            raise BudgetExceeded(
-                f"{self.name}: cannot express {k_img} through the edge group",
-            )
-        return rep, c
+    def _resume(self, form):
+        """The fold state of a pinned form: its last pinned syllable times
+        the tail's image reopened, else a nontrivial tail opened on "L"."""
+        pinned, tail = form
+        if pinned:
+            side, acc = pinned[-1]
+            if tail:   # else the rep, a factor normal form, opens as it is
+                push = self.edge_embedding(side).push(tail)
+                acc = self.factor(side).multiply(acc, push)
+            return pinned[:-1], side, acc
+        return ((), "L", self._tail(tail)) if tail else ((), None, None)
 
-    def _fold(self, word):
-        """The pinned form of ``word``, reduced left to right: at each
-        change of side pin the open syllable's coset rep and carry its edge
-        part into the next run; a syllable in the edge image instead
-        reopens the last pinned one, which is on the side being entered."""
-        pinned = []
-        side = acc = None
+    def _fold(self, word, pinned=(), side=None, acc=None):
+        """The pinned form of the state's element times ``word``, reduced
+        left to right from ``pinned`` and an open syllable ``acc`` in the
+        factor of ``side``, not the last pinned side (empty by default).  A
+        run on the open side joins it; at each change of side pin its coset
+        rep and carry its edge part into the next run; a syllable in the
+        edge image instead reopens the last pinned one."""
+        pinned = list(pinned)
         for s, run in groupby(word, lambda l: self.side_of(l[0])):
             factors = [Word(run)]
-            if side:
+            if side == s:
+                factors.insert(0, acc)
+            elif side:
                 rep, c = self._split(side, acc)
                 factors.insert(0, self.edge_embedding(s).push(c))
                 if rep:
@@ -481,10 +519,7 @@ class AmalgamGroup(SplitGroup):
 
     def _spell(self, pinned, tail):
         """The pinned reps of ``pinned`` followed by the word ``tail``."""
-        out = Word()
-        for _, rep in pinned:
-            out = out * rep
-        return out * tail
+        return Word(l for _, rep in pinned for l in rep) * tail
 
     def _tail(self, tail):
         # the edge part is spelled in the left factor
@@ -492,14 +527,15 @@ class AmalgamGroup(SplitGroup):
 
     def factor_split(self, word, side):
         """(pinned prefix, part in the ``side`` factor) of an element: the
-        last pinned syllable joins the tail's image when it is on ``side``,
-        so the element lies in that factor iff the prefix is empty."""
-        pinned, tail = self.split_form(word)
-        factor = self.factor(side)
-        tail = self.edge_embedding(side).push(tail)
-        if pinned and pinned[-1][0] == side:
-            return pinned[:-1], factor.multiply(pinned[-1][1], tail)
-        return pinned, factor.normalize(tail)
+        ``_resume`` state when its open syllable is on ``side``, else the
+        pinned form and the tail's image, so the element lies in that
+        factor iff the prefix is empty."""
+        pinned, tail = form = self.split_form(word)
+        prefix, open_side, part = self._resume(form)
+        if open_side == side:
+            return prefix, part
+        return pinned, self.factor(side).normalize(
+            self.edge_embedding(side).push(tail))
 
     def order(self):
         # an edge group onto a whole factor leaves the other factor; a
@@ -549,32 +585,37 @@ class HNNGroup(SplitGroup):
             raise BudgetExceeded(f"{self.name}: cannot push {k} through the injection")
         return img
 
-    def _fold(self, word):
-        """The Britton form of ``word``, reduced left to right through its
-        runs of base letters and stable letters."""
-        pinned, acc = [], Word()
+    def _resume(self, form):
+        # the Britton fold closes no syllable: a form is its own state
+        return form
+
+    def _fold(self, word, pinned=(), acc=Word()):
+        """The Britton form of the state's element times ``word``, reduced
+        left to right through its runs of base letters and stable letters
+        from a Britton form's ``pinned`` pairs and base normal form ``acc``
+        (empty by default); each base product is one of normal forms."""
+        base = self.base
+        pinned = list(pinned)
         for stable, run in groupby(word, lambda l: l[0] == self.stable):
             if not stable:
-                acc = self.base.multiply(acc, Word(run))
+                acc = base._product((acc, base.normalize(Word(run))))
                 continue
             for _, eps in run:
                 handle = self.image_handle if eps > 0 else self.edge_handle
                 tau = handle.coset_rep(acc)
-                k = self.base.multiply(tau.inverse(), acc)
-                crossed = self._cross(eps, k)
+                k = base._product((base.inverse(tau), acc))
+                crossed = base.normalize(self._cross(eps, k))
                 if not tau and pinned and pinned[-1][1] == -eps:
                     ptau, _ = pinned.pop()
-                    acc = self.base.multiply(ptau, crossed)
+                    acc = base._product((ptau, crossed))
                 else:
                     pinned.append((tau, eps))
-                    acc = self.base.normalize(crossed)
-        return (tuple(pinned), self.base.normalize(acc))
+                    acc = crossed
+        return (tuple(pinned), base.normalize(acc))
 
     def _spell(self, pinned, tail):
-        out = Word()
-        for tau, eps in pinned:
-            out = out * tau * Word(((self.stable, eps),))
-        return out * tail
+        return Word(l for tau, eps in pinned
+                    for l in (*tau, (self.stable, eps))) * tail
 
     def factor_split(self, word, side):
         """(pinned prefix, base part) of an element (``side`` is "base"):
@@ -592,30 +633,27 @@ class HNNGroup(SplitGroup):
 def ball_enumerate(group: Group, gens, radius: int):
     """All distinct elements expressible as products of at most ``radius``
     of the listed generators and their inverses, as canonical forms sorted
-    shortlex.
+    shortlex.  Steps are the distinct normal forms of the generators and
+    their inverses, so each product is a ``_product`` of normal forms.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    gens = [Word.coerce(g) for g in gens]
     steps = []
-    for g in gens:
-        steps.append(g)
-        inv = g.inverse()
-        if inv not in steps:
-            steps.append(inv)
+    for g in map(group.normalize, gens):
+        for s in (g, group.inverse(g)):
+            if s not in steps:
+                steps.append(s)
     seen = {group.identity()}
     frontier = [group.identity()]
     for _ in range(radius):
         nxt = []
         for e in frontier:
             for s in steps:
-                f = group.multiply(e, s)
+                f = group._product((e, s))
                 if f not in seen:
                     seen.add(f)
                     nxt.append(f)
         frontier = nxt
-        if not frontier:
-            break
     return sorted(seen, key=group.word_key)
 
 

@@ -529,6 +529,64 @@ def test_product_of_normal_forms_is_multiply(tag, factory, alphabet):
         assert g.normalize(got) == got
 
 
+# -- seam products (oracle: a fresh group's normal form of the concatenation)
+
+
+SEAM_GROUPS = [case for case in PRODUCT_GROUPS
+               if case[0] in ("amalgam", "hnn", "lattice", "coned", "point")]
+
+
+@pytest.mark.parametrize("tag,factory,alphabet", SEAM_GROUPS)
+def test_seam_product_resumes_the_fold_exactly(tag, factory, alphabet):
+    g, ref = factory(), factory()
+    assert g._product(()) is g.identity()        # no factor, on a cold cache
+    seed = zlib.crc32(tag.encode())
+    nfs = [g.normalize(w) for w in random_words(alphabet, 60, 8, seed % 1000)]
+    assert all(g._product((nf,)) is nf for nf in nfs)
+    rng = random.Random(seed)
+    cases = [[rng.choice(nfs) for _ in range(rng.randint(2, 3))]
+             for _ in range(300)]
+    cold = reopened = 0
+    for factors in cases:
+        concat = Word(l for nf in factors for l in nf)
+        miss = concat not in g._nf_cache
+        cold += miss
+        # the head's last pinned syllable is on the side the rest enters
+        pinned, rest = g.split_form(factors[0])[0], concat[len(factors[0]):]
+        if miss and isinstance(g, AmalgamGroup) and pinned and rest:
+            reopened += pinned[-1][0] == g.side_of(rest[0][0])
+        got, want = g._product(factors), ref.normalize(concat)
+        assert got == want, factors
+        assert g.normalize(concat) is got and g.normalize(got) is got
+        # factor_split, coset reps and chain factorizations read this form
+        assert g.split_form(got) == ref.split_form(want), factors
+        for side in g.sides:
+            assert g.factor_split(got, side) == ref.factor_split(want, side)
+    assert cold > 100
+    assert reopened > 10 or not isinstance(g, AmalgamGroup)
+
+
+def reference_ball(group, gens, radius):
+    """Breadth-first search by ``multiply`` with the generator words and
+    their inverses."""
+    steps = [w for g in gens for w in (g, g.inverse())]
+    seen = frontier = {group.identity()}
+    for _ in range(radius):
+        frontier = {group.multiply(e, s) for e in frontier for s in steps}
+        frontier -= seen
+        seen = seen | frontier
+    return sorted(seen, key=group.word_key)
+
+
+@pytest.mark.parametrize("tag,factory,alphabet", PRODUCT_GROUPS)
+def test_ball_enumerate_matches_a_multiply_search(tag, factory, alphabet):
+    gens = [Word.parse(name) for name in alphabet]
+    if tag == "lattice":   # b1 is a1; a step may repeat or be unreduced
+        gens += [Word.parse("a1^-1"), Word.parse("b2 b1 b2^-1")]
+    assert ball_enumerate(factory(), gens, 3) == \
+        reference_ball(factory(), gens, 3)
+
+
 # -- balls -------------------------------------------------------------------
 
 
