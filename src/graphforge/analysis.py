@@ -68,8 +68,8 @@ class BallView:
         self._forest = None            # is_forest's answer until an add
         # what a narrower window is derived from (see narrow_view): for each
         # expanded vertex, in index order, the offset of its first entry in
-        # _item_edge, which holds the window edge of every edge that
-        # incident_edges returned for it, in the order returned
+        # _item_edge, which holds the window edge of every edge that its
+        # incidence listed (see _grow), in the order listed
         self._item_start = array("l")
         self._item_edge = array("l")
 
@@ -101,7 +101,7 @@ class BallView:
     @property
     def adj(self):
         if self._adj is None:
-            self._adj = [[] for _ in self.elems]
+            self._adj = [[] for _ in self.depths]
             for i, j in dict.fromkeys(self.edge_ends):
                 self._adj[i].append(j)
                 if i != j:
@@ -170,86 +170,75 @@ def _depth_budget(view: BallView, depth: int) -> int:
     return max(1, view.word_budget - depth)
 
 
-def _grow(graph: GGraph, view: BallView, bases, max_vertices, incidence):
-    """Fill ``view`` breadth-first from the bases, up to its radius.
+def _grow(view: BallView, keys, max_vertices, incidence):
+    """Fill ``view`` breadth-first from the vertices named by ``keys``, up
+    to its radius, and return each vertex's key, by index.
 
-    ``incidence(i, depth)`` gives ``(complete, items)`` for frontier vertex
-    i: its edges in order as ``(edge orbit id, other ends as (orbit id, rep)
-    pairs, edge key)``; a key already in the window (None: orbit and ends)
-    adds no edge.  Cost beyond ``incidence``: a dict lookup per other end and
-    per key, one ``GSetElem`` and three appends per new vertex, made inline,
-    and one pass to build ``adj``.
+    A key is any hashable name of one vertex, and the caller builds
+    ``view.elems`` from the returned keys.  ``incidence(key, depth)`` gives
+    ``(complete, items)`` for a frontier vertex: its edges in order as
+    ``(edge orbit id, other ends' keys, edge key)``; a key already in the
+    window (None: orbit and ends) adds no edge.  The other ends are read
+    one at a time, between the vertex cap checks, so an incidence may
+    resolve each end lazily.  This is the one window search: ``ball_view``
+    and ``narrow_view`` differ only in their incidence.  Cost beyond
+    ``incidence``: a dict lookup per other end and per edge key, three
+    appends per new vertex, and one pass to build ``adj``.
     """
-    verts = graph.vertices
-    exact = {o.orbit_id: o.stabilizer.rep_exact for o in verts.orbits}
-    index_of = {}   # (orbit id, rep) -> vertex index, in exact orbits
-    buckets = {}    # orbit id -> [(elem, vertex index)], in the others
-    elems, depths, flags = view.elems, view.depths, view.complete_at
-    edge_ends, edge_index = view.edge_ends, view._edge_index
+    index = {}   # key -> vertex index
+    order = []   # vertex index -> key
+    depths, flags = view.depths, view.complete_at
+    edge_orbit, edge_ends, edge_index = (view.edge_orbit, view.edge_ends,
+                                         view._edge_index)
+    item_start, item_edge = view._item_start, view._item_edge
     radius = view.radius
-
-    def scan(pair):   # in an orbit without exact reps
-        elem = GSetElem(*pair)
-        return next((idx for cand, idx in buckets.get(pair[0], ())
-                     if verts.elem_equal(cand, elem)), None)
-
-    def remember(pair, idx):
-        if exact[pair[0]]:
-            index_of[pair] = idx
-        else:
-            buckets.setdefault(pair[0], []).append((elems[idx], idx))
-
-    for b in bases:
-        pair = (b.orbit_id, verts.elem(b.orbit_id, b.rep).rep)
-        if index_of.get(pair) is None and scan(pair) is None:
-            view.base.append(view.add_vertex(GSetElem(*pair), 0))
-            remember(pair, view.base[-1])
+    for key in keys:
+        if key not in index:
+            index[key] = len(order)
+            view.base.append(len(order))
+            order.append(key)
+            depths.append(0)
+            flags.append(1)
 
     frontier = list(view.base)
-    item_start, item_edge = view._item_start, view._item_edge
     for depth in range(radius):
         nxt = []
         for vi in frontier:
-            complete, items = incidence(vi, depth)
+            complete, items = incidence(order[vi], depth)
             if not complete:
                 flags[vi] = 0
                 view.complete = False
             item_start.append(len(item_edge))
             for orbit_id, others, key in items:
                 wi = vi
-                for pair in others:
-                    wi = index_of.get(pair)
-                    if wi is None and not exact[pair[0]]:
-                        wi = scan(pair)
+                for end in others:
+                    wi = index.get(end)
                     if wi is None:
-                        wi = len(elems)
+                        wi = len(order)
                         if wi >= max_vertices:
                             raise BudgetExceeded(
                                 f"ball exceeded {max_vertices} vertices",
                                 budget=max_vertices)
-                        elems.append(GSetElem(*pair))
+                        index[end] = wi
+                        order.append(end)
                         depths.append(depth + 1)
                         flags.append(depth + 1 < radius)
-                        if exact[pair[0]]:
-                            index_of[pair] = wi
-                        else:
-                            remember(pair, wi)
                         nxt.append(wi)
-                i, j = (vi, wi) if vi <= wi else (wi, vi)
                 if key is None:
-                    key = (orbit_id, i, j)
+                    key = ((orbit_id, vi, wi) if vi <= wi
+                           else (orbit_id, wi, vi))
                 k = edge_index.get(key)
                 if k is None:
                     k = edge_index[key] = len(edge_ends)
-                    view.edge_orbit.append(orbit_id)
-                    edge_ends.append((i, j))
+                    edge_orbit.append(orbit_id)
+                    edge_ends.append((vi, wi) if vi <= wi else (wi, vi))
                 item_edge.append(k)
         frontier = nxt
     # boundary vertices were never expanded
     if radius > 0 and radius in depths:
         view.complete = False
     view.adj     # built here, once
-    return view
+    return order
 
 
 def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
@@ -284,13 +273,23 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
     which element that is can depend on the budget, and ``narrow_view``
     needs it not to.
 
+    A vertex is keyed by its ``(orbit id, rep)`` pair in the moved window.
+    In an orbit without exact coset reps two pairs can name one vertex, so
+    there an other end is keyed by the first window vertex of its orbit
+    that ``elem_equal`` finds equal to it, or by its own pair when none is.
+    That lookup is made here, as ``_grow`` reads the end, so comparisons
+    and the vertex cap interleave in search order; a plan with no end in
+    such an orbit skips it.
+
     Cost: one product per distinct ``x0`` of the list and one coset rep per
     distinct (``x0``, coset rep handle) pair at every expanded vertex (each
     has a slot in the list's plan, which its edges and other ends read; in
-    a cone-off an edge and its other end often share both), then
-    ``_grow``'s; and, when ``r`` is not 1, one ``act`` per vertex to move
-    the window back.  In a splitting a product the cache misses costs the
-    fold of ``x0``'s letters plus one reopened syllable of ``r``.
+    a cone-off an edge and its other end often share both), one
+    ``elem_equal`` per earlier vertex of the orbit for an end without exact
+    reps, then ``_grow``'s; then one ``GSetElem`` per vertex, and when ``r``
+    is not 1 one ``act`` to move it back.  In a splitting a product the
+    cache misses costs the fold of ``x0``'s letters plus one reopened
+    syllable of ``r``.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -303,6 +302,17 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
         bases = [verts.act(back, b) for b in bases]
     edge_stab, vert_stab = graph.edges.stabilizer, verts.stabilizer
     product = graph.group._product   # every rep here is a normal form
+    seen = {}   # orbit id without exact reps -> its window vertices
+
+    def key_of(orbit_id, rep):
+        if not vert_stab(orbit_id).rep_exact:
+            elem = GSetElem(orbit_id, rep)
+            bucket = seen.setdefault(orbit_id, [])
+            for cand in bucket:
+                if verts.elem_equal(cand, elem):
+                    return orbit_id, cand.rep
+            bucket.append(elem)
+        return orbit_id, rep
 
     @cache
     def plan(orbit_id, budget):
@@ -320,20 +330,26 @@ def ball_view(graph: GGraph, bases, radius: int, word_budget=None,
                   slot(e.rep, edge_stab(e.orbit_id))
                   if edge_stab(e.orbit_id).rep_exact else None)
                  for e, others in found]
-        return complete, list(xs), list(outs), items
+        loose = any(not vert_stab(q).rep_exact
+                    for _, ends, _ in items for q, _ in ends)
+        return complete, list(xs), list(outs), items, loose
 
-    def incidence(vi, depth):
-        r = view.elems[vi].rep
-        complete, xs, outs, items = plan(view.elems[vi].orbit_id,
-                                         _depth_budget(view, depth))
+    def incidence(key, depth):
+        v_orbit, r = key
+        complete, xs, outs, items, loose = plan(v_orbit,
+                                                _depth_budget(view, depth))
         ys = [product((r, x0)) if x0 else r for x0 in xs]
         zs = [rep(ys[x]) if rep else ys[x] for x, rep in outs]
         return complete, [
-            (orbit_id, [(q_orbit, zs[q]) for q_orbit, q in ends],
+            (orbit_id,
+             (key_of(q_orbit, zs[q]) for q_orbit, q in ends) if loose else
+             [(q_orbit, zs[q]) for q_orbit, q in ends],
              None if e is None else (orbit_id, zs[e]))
             for orbit_id, ends, e in items]
 
-    _grow(graph, view, bases, max_vertices, incidence)
+    keys = _grow(view, [key_of(b.orbit_id, b.rep) for b in bases],
+                 max_vertices, incidence)
+    view.elems = [GSetElem(*key) for key in keys]
     if frame:
         view.elems = [verts.act(frame, v) for v in view.elems]
     return view
@@ -344,9 +360,8 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
     derived from the wider window ``wide`` that ``ball_view`` built around
     the same bases with a budget at least as large.
 
-    This runs the same breadth-first search over ``wide``'s records, by
-    wide vertex index, instead of enumerating stabilizers again.  It is
-    exact because
+    This runs ``_grow`` over ``wide``'s records, keyed by wide vertex
+    index, instead of enumerating stabilizers again.  It is exact because
     (1) each stabilizer sample contains every smaller-budget sample, so a
     vertex's edges at a smaller budget are among its edges at a larger one;
     (2) a vertex's depth in the wider window is at most its depth in the
@@ -363,12 +378,14 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
     distinct elements (distinct ``(orbit, rep)`` pairs in an orbit with
     exact coset representatives, told apart by ``elem_equal`` while
     ``wide`` was built in the others), so each is ``wide``'s own
-    ``GSetElem``, with the representative it has there.
+    ``GSetElem``, with the representative it has there.  For the same
+    reason the narrowed window has no vertex cap of its own: it cannot
+    grow past ``wide``.
 
     Cost: one ``incident_edges`` call per (orbit, budget) pair whose list
     ``ball_view`` has not made, then one step per edge of the narrowed
-    window's expanded vertices, with an int-keyed dict lookup for its other
-    end and one for its wide edge index.
+    window's expanded vertices, which reads the wide edge's orbit and ends
+    by its index, then ``_grow``'s.
     """
     view = BallView(wide.radius, word_budget)
     if _depth_budget(view, 0) > _depth_budget(wide, 0):
@@ -389,44 +406,20 @@ def narrow_view(graph: GGraph, wide: BallView, word_budget: int) -> BallView:
                      if edges.elem_equal(w, e))
                 for e, _ in found], complete
 
-    elems, depths, flags = view.elems, view.depths, view.complete_at
-    ends, keyed, item_edge = view.edge_ends, view._edge_index, view._item_edge
-    w_elems, w_ends, w_edge = wide.elems, wide.edge_ends, wide._item_edge
-    narrow_of = {lo: view.add_vertex(w_elems[lo], 0) for lo in wide.base}
-    view.base, frontier = list(narrow_of.values()), wide.base
-    for depth in range(view.radius):
-        nxt = []
-        for lo in frontier:
-            vi = narrow_of[lo]
-            kept, complete = plan(elems[vi].orbit_id,
-                                  _depth_budget(wide, wide.depths[lo]),
-                                  _depth_budget(view, depth))
-            if not complete:
-                flags[vi] = 0
-                view.complete = False
-            view._item_start.append(len(item_edge))
-            start = wide._item_start[lo]
-            for k in kept:
-                e = w_edge[start + k]
-                i, j = w_ends[e]
-                other = j if i == lo else i
-                wi = narrow_of.get(other)
-                if wi is None:
-                    wi = narrow_of[other] = len(elems)
-                    elems.append(w_elems[other])
-                    depths.append(depth + 1)
-                    flags.append(depth + 1 < view.radius)
-                    nxt.append(other)
-                ni = keyed.get(e)
-                if ni is None:
-                    ni = keyed[e] = len(ends)
-                    view.edge_orbit.append(wide.edge_orbit[e])
-                    ends.append((vi, wi) if vi <= wi else (wi, vi))
-                item_edge.append(ni)
-        frontier = nxt
-    if view.radius > 0 and view.radius in depths:
-        view.complete = False
-    view.adj     # built here, once
+    w_elems, w_orbit, w_ends = wide.elems, wide.edge_orbit, wide.edge_ends
+    w_edge = wide._item_edge
+
+    def incidence(lo, depth):
+        kept, complete = plan(w_elems[lo].orbit_id,
+                              _depth_budget(wide, wide.depths[lo]),
+                              _depth_budget(view, depth))
+        start = wide._item_start[lo]
+        return complete, [(w_orbit[e], (j if i == lo else i,), e)
+                          for k in kept for e in [w_edge[start + k]]
+                          for i, j in [w_ends[e]]]
+
+    keys = _grow(view, wide.base, INFINITE, incidence)
+    view.elems = [w_elems[lo] for lo in keys]
     return view
 
 
@@ -524,8 +517,8 @@ def _orbit_fineness(graph, orbit_id, angle_bound, radius, max_vertices):
 
     # neighbors discovered near the enumeration rim have window-limited
     # counts; only those well inside the budget are compared across windows
-    incident, complete = graph.incident_edges(
-        vertex, max(1, radius - angle_bound))
+    incident, complete = graph.base_incident_edges(
+        orbit_id, max(1, radius - angle_bound))
     trusted = set(counts_s) if complete else {
         graph.vertices.elem_key(w) for _, others in incident for w in others}
     grown = [(key, c_small, counts_l.get(key, c_small))

@@ -305,9 +305,14 @@ class SpecEnv:
         elif kind == "free_product":
             g = FreeProductGroup(gid, [self.group(f) for f in decl.listed("factors")])
         elif kind == "amalgam":
+            sides = self.group(decl["left"]), self.group(decl["right"])
+            into = self.mono(decl["into_left"]), self.mono(decl["into_right"])
+            edge = self.group(decl["edge"])
+            _require(all(m.domain_group is edge for m in into),
+                     f"{decl.where}: edge {decl['edge']!r} is not the domain "
+                     "of into_left and into_right")
             g = build_amalgam(
-                gid, self.group(decl["left"]), self.group(decl["right"]),
-                self.mono(decl["into_left"]), self.mono(decl["into_right"]),
+                gid, *sides, *into,
                 trust_monomorphisms=self.budgets["trust_monomorphisms"])
         elif kind == "hnn":
             g = build_hnn(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import accumulate, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -739,7 +738,7 @@ def whole(ambient) -> WholeSubgroup:
 
 def cyclic(ambient, generator) -> Subgroup:
     """<generator>, closed when its order is finite: exact but in amalgams and
-    HNN extensions, where no 1 among the first 128 powers means infinite."""
+    HNN extensions, where a closure past 512 elements means infinite."""
     u = ambient.normalize(generator)
     n = ambient.order() if ambient.is_finite() else math.inf if u else 1
     if n == math.inf and isinstance(ambient, FreeProductGroup):
@@ -754,8 +753,9 @@ def cyclic(ambient, generator) -> Subgroup:
             n = cyclic(ambient.factors[syl[0][0]], syl[0][1]).order()
     elif n == math.inf and not isinstance(ambient, (FreeGroup,
                                                     FreeAbelianGroup)):
-        powers = accumulate(repeat(u, 128), ambient.multiply)
-        n = next((k for k, p in enumerate(powers, 1) if not p), n)
+        closed = FiniteSubgroup.closure(ambient, [u])
+        if closed is not None:
+            return closed
     if n == math.inf:
         return CyclicSubgroup(ambient, u)
     return FiniteSubgroup.closure(ambient, [u], cap=n + 1)
@@ -771,6 +771,8 @@ def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:
     gens = [g for g in gens if g]
     if not gens:
         return TrivialSubgroup(ambient)
+    if len(gens) == 1:
+        return cyclic(ambient, gens[0])
     # free and free abelian groups are torsion-free: nontrivial generators
     # generate an infinite subgroup, so a closure search could only fail;
     # in a finite ambient the closure always ends
@@ -779,8 +781,6 @@ def generated(ambient, generators, budget=DEFAULT_BUDGET) -> Subgroup:
         closed = FiniteSubgroup.closure(ambient, gens, cap=cap)
         if closed is not None:
             return closed
-    if len(gens) == 1:
-        return cyclic(ambient, gens[0])
     names = {n for g in gens for n, _ in g}
     try:
         handle = FreeFactorSubgroup(ambient, names)

@@ -3,6 +3,7 @@ hand (cycle arcs, complete-graph path counts, thin-triangle defects) before
 being frozen here.
 """
 
+import collections
 import copy
 import itertools
 import random
@@ -140,6 +141,98 @@ def test_ball_samples_no_stabilizer_at_an_edgeless_orbit(monkeypatch):
         assert view.complete is complete
 
 
+# -- the window search on bare finite graphs ----------------------------------
+
+
+def random_incidence(seed):
+    """A seeded graph on at most 12 vertices, with loops, parallel edges
+    under distinct keys, key-less edges, edge keys shared by unrelated
+    edges and edges listed at one end only, as an incidence over integer
+    vertex keys 3i + 1; and its bases, some repeated, and the vertices it
+    marks incomplete."""
+    rng = random.Random(seed)
+    names = [3 * i + 1 for i in range(rng.randint(1, 12))]
+    listed = {v: [] for v in names}
+    made = itertools.count()
+    for _ in range(rng.randint(0, 2 * len(names))):
+        u, v = rng.choice(names), rng.choice(names)
+        orbit = rng.choice("ef")
+        for _ in range(rng.choice((1, 1, 2))):     # 2: a parallel edge
+            k = next(made)
+            key = rng.choice((None, ("k", k), ("k", rng.randrange(k + 1))))
+            listed[u].append((orbit, [v], key))
+            if u == v:
+                if rng.random() < 0.5:
+                    listed[u].append((orbit, [], key))  # listed twice
+            elif rng.random() < 0.8:   # else listed at u alone
+                listed[v].append((orbit, [u], key))
+    incomplete = {v for v in names if rng.random() < 0.2}
+    bases = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+
+    def incidence(key, depth):
+        return key not in incomplete, listed[key]
+
+    return listed, incomplete, bases, incidence
+
+
+def plain_search(listed, incomplete, bases, radius):
+    """The window of radius ``radius``, by a queue: keys in discovery order
+    with their depths, each edge once by key (key-less: by orbit and ends)
+    in first-seen order, the window edge of every listed item of the
+    expanded vertices, and the completeness flags."""
+    depth = dict.fromkeys(bases, 0)
+    queue = collections.deque(depth)
+    keys = list(depth)
+    while queue:
+        v = queue.popleft()
+        if depth[v] < radius:
+            for _, others, _ in listed[v]:
+                for w in others:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        keys.append(w)
+                        queue.append(w)
+    index = {v: i for i, v in enumerate(keys)}
+    edges, items = {}, []
+    for v in keys:
+        if depth[v] < radius:
+            for orbit, others, key in listed[v]:
+                ends = tuple(sorted((index[v], index[(others or [v])[0]])))
+                edge = edges.setdefault((orbit, *ends) if key is None else key,
+                                        (len(edges), orbit, ends))
+                items.append(edge[0])
+    expanded = [v for v in keys if depth[v] < radius]
+    flags = [not (v in incomplete and depth[v] < radius)
+             and (depth[v] < radius or v in bases) for v in keys]
+    complete = not any(v in incomplete for v in expanded) and not (
+        radius > 0 and radius in depth.values())
+    return keys, [depth[v] for v in keys], list(edges.values()), items, \
+        flags, complete
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_grow_matches_a_plain_search_on_random_graphs(seed):
+    listed, incomplete, bases, incidence = random_incidence(seed)
+    for radius in range(5):
+        keys, depths, edges, items, flags, complete = plain_search(
+            listed, incomplete, bases, radius)
+        for cap in range(len(set(bases)), len(listed) + 2):
+            view = BallView(radius)
+            if len(keys) > cap:
+                with pytest.raises(BudgetExceeded):
+                    _grow(view, bases, cap, incidence)
+                continue
+            assert _grow(view, bases, cap, incidence) == keys
+            assert list(view.depths) == depths
+            assert view.base == list(range(len(set(bases))))
+            assert [(view.edge_orbit[k], view.edge_ends[k])
+                    for k in range(view.edge_count)] == [
+                (orbit, ends) for _, orbit, ends in edges]
+            assert list(view._item_edge) == items
+            assert list(map(bool, view.complete_at)) == flags
+            assert view.complete is complete
+
+
 # -- narrowed and translated windows -------------------------------------------
 #
 # The oracle for narrow_view is a direct ball_view at the smaller budget.
@@ -229,20 +322,34 @@ def per_vertex_view(graph, bases, radius, word_budget=None,
     base's rep and c the canonical coset rep."""
     view = BallView(radius, word_budget)
     verts, group = graph.vertices, graph.group
-    r = verts.elem(bases[0].orbit_id, bases[0].rep).rep if bases else Word()
+    bases = [verts.elem(b.orbit_id, b.rep) for b in bases]
+    r = bases[0].rep if bases else Word()
     edge_stab = graph.edges.stabilizer
+    seen = {}   # orbit id without exact reps -> its window vertices
 
-    def incidence(vi, depth):
-        v = view.elems[vi]
+    def key_of(w):
+        """(orbit id, rep) of w, or of the first vertex equal to it."""
+        if not verts.stabilizer(w.orbit_id).rep_exact:
+            bucket = seen.setdefault(w.orbit_id, [])
+            for u in bucket:
+                if verts.elem_equal(u, w):
+                    return u.orbit_id, u.rep
+            bucket.append(w)
+        return w.orbit_id, w.rep
+
+    def incidence(key, depth):
+        v = GSetElem(*key)
         at = group.multiply(r, verts.act(r.inverse(), v).rep)
         found, complete = graph.incident_edges(GSetElem(v.orbit_id, at),
                                                _depth_budget(view, depth))
         return complete, [
-            (e.orbit_id, [(w.orbit_id, w.rep) for w in others],
+            (e.orbit_id, map(key_of, others),
              (e.orbit_id, e.rep) if edge_stab(e.orbit_id).rep_exact else None)
             for e, others in found]
 
-    return _grow(graph, view, bases, max_vertices, incidence)
+    keys = _grow(view, map(key_of, bases), max_vertices, incidence)
+    view.elems = [GSetElem(*key) for key in keys]
+    return view
 
 
 def assert_same_window(got, want):

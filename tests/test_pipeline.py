@@ -522,6 +522,22 @@ def test_cli_rejects_restricted_subgroup_of_free_group(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edge, message", [
+    (None, "group 'G': missing key 'edge'"),
+    ("A", "group 'G': edge 'A' is not the domain of into_left and "
+          "into_right"),
+    ("nope", "undeclared group 'nope'"),
+])
+def test_cli_rejects_amalgam_with_wrong_edge(tmp_path, capsys, edge, message):
+    spec = json.loads(json.dumps(builtin_examples()["example-amalgam-1"]))
+    if edge is None:
+        del spec["groups"]["G"]["edge"]
+    else:
+        spec["groups"]["G"]["edge"] = edge
+    assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
+    assert capsys.readouterr().err == f"spec error: {message}\n"
+
+
 def test_restricted_subgroup_rejected_without_asserts(tmp_path):
     # under -O a bare assert would vanish and the run fail later
     path = _write_spec(tmp_path, _restricted_in_free_group())

@@ -525,8 +525,11 @@ def z_star_free(n):
 def test_cyclic_order_in_free_product_is_exact(n, make, order):
     # oracle: the least k <= n with u^k = 1, by repeated multiplication
     # (an element of finite order here divides n); the handle closes to
-    # that many elements, beyond the 128 powers an amalgam probe tries
-    g = z_star_free(n)
+    # that many elements (600 is past the 512 a plain closure tries)
+    check_cyclic_order(z_star_free(n), make, n, order)
+
+
+def check_cyclic_order(g, make, n, order):
     h = make(g)
     (u,) = h.generators
     acc, first = g.identity(), math.inf
@@ -541,6 +544,28 @@ def test_cyclic_order_in_free_product_is_exact(n, make, order):
                       else FiniteSubgroup)
     if order != math.inf:
         assert len(set(h.elements())) == order
+
+
+def z200_amalgam_z2():
+    """Z200 *_1 Z2, an amalgam over the trivial group."""
+    z200 = FiniteGroup.cyclic(200, "a", "Z200")
+    z2 = FiniteGroup.cyclic(2, "b", "Z2")
+    one = FiniteGroup.cyclic(1, "e", "Triv")
+    return build_amalgam("Z200*Z2", z200, z2,
+                         Monomorphism(whole(one), trivial(z200), [Word()]),
+                         Monomorphism(whole(one), trivial(z2), [Word()]))
+
+
+@pytest.mark.parametrize("make, order", [
+    (lambda g: cyclic(g, "a"), 200),
+    (lambda g: generated(g, ["a"]), 200),
+    (lambda g: cyclic(g, "b a^100 b"), 2),
+    (lambda g: cyclic(g, "a b"), math.inf),
+], ids=["cyclic", "generated", "conjugate-Z2", "infinite"])
+def test_cyclic_order_in_amalgam_closes_like_generated(make, order):
+    # the same oracle: cyclic() and generated() close one generator alike,
+    # up to 512 elements, so an element of order 200 is not infinite
+    check_cyclic_order(z200_amalgam_z2(), make, 600, order)
 
 
 def declared_cyclic_handles():
