@@ -37,7 +37,10 @@ Amalgams and HNN extensions share ``SplitGroup``: an element's split form
 is computed once, with its normal form, and kept under that one object.
 ``split_form(w)`` looks it up; ``factor_split(w, side)`` cuts it into the
 pinned prefix and the element's part in one distinguished factor, which is
-what membership and coset representatives of factor subgroups read.
+what membership and coset representatives of factor subgroups read.  Edge
+elements cross the edge injections by ``Monomorphism.push``, which keeps
+each element's image: an edge image is computed once per element and
+injection, however often the folds carry that element across.
 
 ``_product(nfs)`` multiplies factors that must already be normal forms of
 the group, unchecked (any other word gives a wrong answer, not an error):

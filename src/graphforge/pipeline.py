@@ -243,7 +243,7 @@ class SpecEnv:
             elif value is not None or default is not None:
                 _integer(value, f"budgets.{key}",
                          1 if key in POSITIVE_BUDGETS else 0)
-        self._building = set()
+        self._building = []   # the declarations being built, innermost last
 
     # -- declarations ---------------------------------------------------------
 
@@ -260,16 +260,20 @@ class SpecEnv:
         key = (section, did)
         if key in self.memo:
             return self.memo[key]
-        _require(did in self.spec.get(section, {}), f"undeclared {where}")
-        _require(key not in self._building, f"cyclic declaration at {where}")
-        self._building.add(key)
+        if did not in self.spec.get(section, {}):
+            # a reference made while building a declaration names that one
+            outer = f"{self._building[-1]}: " if self._building else ""
+            raise SpecError(f"{outer}undeclared {where}")
+        _require(where not in self._building, f"cyclic declaration at {where}")
+        self._building.append(where)
         decl = _Decl(self.spec[section][did], where)
         try:
             obj = SECTIONS[section](self, did, decl)
         except (ValueError, MalformedWord, GroupMismatch,
                 StableLetterCollision, MonomorphismUnverified) as exc:
             raise SpecError(f"{where}: {exc}") from None
-        self._building.discard(key)
+        finally:
+            self._building.pop()
         self.memo[key] = obj
         return obj
 

@@ -25,6 +25,7 @@ from collections import deque
 
 from .errors import (
     BudgetExceeded,
+    ForgeError,
     GroupMismatch,
     MalformedWord,
     MismatchedAmbient,
@@ -816,31 +817,53 @@ class Monomorphism:
         self.images = tuple(Word.coerce(w) for w in images)
         if len(self.images) != len(domain.generators):
             raise ValueError("one image per domain generator required")
+        # the letters each (generator index, sign) of an expression becomes
+        self._subst = {(i, sign): img if sign > 0 else img.inverse()
+                       for i, img in enumerate(self.images) for sign in (1, -1)}
+        self._push_memo: dict = {}
         self._preimage_cache: dict = {}
         self._finite_map = None
-        # letter-for-letter maps invert by substitution
+        # letter-for-letter maps invert by substitution: each image letter
+        # (name, sign) becomes its domain generator or that one's inverse
         self._letter_inverse = None
         if all(len(img) == 1 and img[0][1] == 1 for img in self.images):
             names = [img[0][0] for img in self.images]
             if len(set(names)) == len(names):
                 self._letter_inverse = {
-                    name: dom_gen for name, dom_gen
-                    in zip(names, self.domain.generators)
-                }
+                    (name, sign): gen if sign > 0 else gen.inverse()
+                    for name, gen in zip(names, self.domain.generators)
+                    for sign in (1, -1)}
 
     @property
     def domain_group(self):
         return self.domain.ambient
 
     def push(self, word):
-        """Image of a domain-subgroup element (a domain-ambient word)."""
-        expr = self.domain.express(word)
+        """Image of a domain-subgroup element (a domain-ambient word), or
+        None when the element is not in the domain subgroup.
+
+        Each element is pushed once: the memo is keyed by the domain
+        ambient's interned normal form, so every spelling of an element
+        shares one entry, and a repeat costs that ``normalize`` and one
+        dict lookup.  A first push expresses the element over the domain
+        generators and builds the image in one pass, one ``Word`` of image
+        and inverse-image letters normalized once, linear in the length of
+        the expression.  A word the domain ambient cannot normalize is not
+        kept: it is expressed as given, which raises or answers as it
+        would without the memo."""
+        try:
+            key = self.domain.ambient.normalize(word)
+        except (ForgeError, TypeError, ValueError):
+            return self._image(self.domain.express(word))
+        if key not in self._push_memo:
+            self._push_memo[key] = self._image(self.domain.express(key))
+        return self._push_memo[key]
+
+    def _image(self, expr):
         if expr is None:
             return None
-        acc = Word()
-        for i, sign in expr:
-            acc = acc * (self.images[i] if sign > 0 else self.images[i].inverse())
-        return self.codomain.ambient.normalize(acc)
+        return self.codomain.ambient.normalize(
+            Word([l for step in expr for l in self._subst[step]]))
 
     def _build_finite_map(self):
         table = {}
@@ -849,7 +872,10 @@ class Monomorphism:
         return table
 
     def preimage(self, word):
-        """Domain word mapping to the given codomain element, or None."""
+        """Domain word mapping to the given codomain element, or None; kept
+        per codomain normal form.  A letter-for-letter map substitutes in
+        one pass, one ``Word`` of domain generators and their inverses
+        normalized once, and confirms the candidate by ``push``."""
         w = self.codomain.ambient.normalize(word)
         if w in self._preimage_cache:
             return self._preimage_cache[w]
@@ -859,12 +885,10 @@ class Monomorphism:
                 self._finite_map = self._build_finite_map()
             result = self._finite_map.get(w)
         elif self._letter_inverse is not None:
-            if all(name in self._letter_inverse for name, _ in w):
-                cand = Word()
-                for name, sign in w:
-                    img = self._letter_inverse[name]
-                    cand = cand * (img if sign > 0 else img.inverse())
-                cand = self.domain.ambient.normalize(cand)
+            inv = self._letter_inverse
+            if all(letter in inv for letter in w):
+                cand = self.domain.ambient.normalize(
+                    Word([l for letter in w for l in inv[letter]]))
                 if self.push(cand) == w:
                     result = cand
         elif len(self.domain.generators) == 1:

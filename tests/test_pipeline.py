@@ -526,7 +526,8 @@ def test_cli_rejects_restricted_subgroup_of_free_group(tmp_path, capsys,
     (None, "group 'G': missing key 'edge'"),
     ("A", "group 'G': edge 'A' is not the domain of into_left and "
           "into_right"),
-    ("nope", "undeclared group 'nope'"),
+    pytest.param("nope", "group 'G': undeclared group 'nope'",
+                 id="nope-undeclared group 'nope'"),
 ])
 def test_cli_rejects_amalgam_with_wrong_edge(tmp_path, capsys, edge, message):
     spec = json.loads(json.dumps(builtin_examples()["example-amalgam-1"]))
@@ -536,6 +537,15 @@ def test_cli_rejects_amalgam_with_wrong_edge(tmp_path, capsys, edge, message):
         spec["groups"]["G"]["edge"] = edge
     assert cli_main(["run", _write_spec(tmp_path, spec)]) == 3
     assert capsys.readouterr().err == f"spec error: {message}\n"
+
+
+def test_undeclared_reference_names_the_innermost_declaration():
+    # group 'G' builds monomorphism 'd1', which references the subgroup
+    spec = json.loads(json.dumps(builtin_examples()["example-amalgam-1"]))
+    spec["monomorphisms"]["d1"]["codomain_subgroup"] = "nope"
+    with pytest.raises(SpecError) as exc:
+        validate_spec(spec)
+    assert str(exc.value) == "monomorphism 'd1': undeclared subgroup 'nope'"
 
 
 def test_restricted_subgroup_rejected_without_asserts(tmp_path):

@@ -35,6 +35,7 @@ from graphforge.subgroups import (
     RestrictedSubgroup,
     SearchSubgroup,
     Subgroup,
+    WholeSubgroup,
     build_amalgam,
     build_hnn,
     check_monomorphism,
@@ -50,6 +51,7 @@ from graphforge.subgroups import (
 from graphforge.words import Word
 
 import grouplib
+from test_acceptance import _bench_module
 from test_groups import random_words
 
 
@@ -312,6 +314,113 @@ def test_check_monomorphism_matches_the_pairwise_reference():
         assert got == pairwise_check_reference(mono, budget), mono
         verdicts.append(got[0])
     assert "verified" in verdicts and "refuted" in verdicts
+
+
+# -- push and preimage ---------------------------------------------------------
+
+
+def declared_monomorphisms():
+    """(spec name, spec, monomorphism id) for every injection the built-ins
+    declare, and the lattice and shift maps of the benchmark's seeded
+    normalize_check spec."""
+    specs = dict(builtin_examples())
+    bench = _bench_module("workloads").normalize_spec(random.Random(1))
+    specs[bench["name"]] = bench
+    return [pytest.param(name, spec, mid, id=f"{name}:{mid}")
+            for name, spec in specs.items()
+            for mid in spec.get("monomorphisms", {})]
+
+
+def reduced_word(rng, letters, length):
+    out = []
+    while len(out) < length:
+        letter = (rng.choice(letters), rng.choice((1, -1)))
+        if not out or out[-1] != (letter[0], -letter[1]):
+            out.append(letter)
+    return Word(out)
+
+
+@pytest.mark.parametrize("name, spec, mid", declared_monomorphisms())
+def test_push_and_preimage_match_a_substitution_model(name, spec, mid):
+    # the model reads a second build of the spec: its groups are fresh, so
+    # no cache of the map under test feeds the expected images
+    mono = validate_spec(spec).mono(mid)
+    model = validate_spec(spec).mono(mid)
+    dom, cod = mono.domain, model.codomain.ambient
+    rng = random.Random(f"push:{name}:{mid}")
+    cases = []
+    if len(dom.generators) == 1:
+        u, image = dom.generators[0], model.images[0]
+        for k in rng.sample(range(-40, 41), 24):
+            assert mono.push(u.power(k)) == cod.normalize(image.power(k)), k
+            cases.append(u.power(k))
+    if isinstance(dom, (WholeSubgroup, FreeFactorSubgroup)):
+        # generators are letters: substitute each by its image
+        subst = {}
+        for g, img in zip(dom.generators, model.images):
+            subst[g[0]] = img
+            subst[g[0][0], -1] = img.inverse()
+        letters = sorted({name for name, _ in subst})
+        for _ in range(30):
+            w = reduced_word(rng, letters, rng.randrange(13))
+            expected = cod.normalize(Word(l for letter in w
+                                          for l in subst[letter]))
+            assert mono.push(w) == expected, w
+            cases.append(w)
+    assert cases
+    for w in cases:
+        c = mono.domain_group.normalize(w)
+        assert mono.push(w) is mono.push(c)
+        assert mono.preimage(mono.push(c)) == c, c
+    mul = mono.codomain.ambient.multiply
+    for u, v in (rng.sample(cases, 2) for _ in range(40)):
+        assert mono.push(u * v) == mul(mono.push(u), mono.push(v)), (u, v)
+
+
+def test_push_memo_is_per_element_and_leaves_answers_unchanged():
+    f = grouplib.free2()
+    shift = Monomorphism(cyclic(f, "a"), cyclic(f, "b"), ["b"])
+    swap = Monomorphism(whole(f), whole(f), ["b", "a"])
+    # a foreign letter raises as the expression does, every time, and is
+    # not kept
+    for mono in (shift, swap):
+        for word in (Word.parse("a z"), "z^-1"):
+            with pytest.raises(Exception) as direct:
+                mono.domain.express(word)
+            for _ in range(2):
+                with pytest.raises(direct.type) as raised:
+                    mono.push(word)
+                assert raised.type is direct.type
+                assert str(raised.value) == str(direct.value)
+        assert mono._push_memo == {}
+    # a non-member's None is kept as None
+    assert shift.push("b") is None and shift.push("a b b^-1 a^-1 b") is None
+    assert shift._push_memo == {f.normalize("b"): None}
+    # every spelling of an element shares its one entry, and the element
+    # is expressed once; an unreduced spelling comes first
+    rng = random.Random(7)
+    words = [reduced_word(rng, ["a", "b"], rng.randrange(9)) for _ in range(40)]
+    spellings = []
+    for w in words:
+        i = rng.randrange(len(w) + 1)
+        spellings += [Word(w[:i]) * Word.parse("b a a^-1 b^-1") * Word(w[i:]), w]
+    expressed = []
+    express = swap.domain.express
+
+    def counted(word):
+        expressed.append(word)
+        return express(word)
+
+    swap.domain.express = counted
+    warm = [swap.push(w) for w in spellings]
+    elements = {f.normalize(w) for w in spellings}
+    assert len(swap._push_memo) == len(expressed) == len(elements)
+    assert all(swap.push(w) is img for w, img in zip(spellings, warm))
+    assert len(expressed) == len(elements)
+    # a cold map over fresh groups answers as the warm one
+    g = grouplib.free2()
+    cold = Monomorphism(whole(g), whole(g), ["b", "a"])
+    assert [cold.push(w) for w in reversed(spellings)] == warm[::-1]
 
 
 def fallback_reference(ambient, gens, budget=12):
