@@ -17,7 +17,7 @@ import sys
 from .dot import export_dot
 from .errors import SpecError
 from .examples import builtin_examples
-from .pipeline import run_pipeline
+from .pipeline import DEFAULT_BUDGETS, run_pipeline
 
 
 def _load_spec(ref: str) -> dict:
@@ -33,10 +33,6 @@ def _load_spec(ref: str) -> dict:
         raise SpecError(f"{ref}: cannot read ({exc.strerror})")
     except json.JSONDecodeError as exc:
         raise SpecError(f"{ref}: not valid JSON ({exc})")
-
-
-BUDGET_FLAGS = ("radius", "angle_bound", "threshold", "max_vertices",
-                "trust_monomorphisms")
 
 
 def _write(path, text):
@@ -60,9 +56,10 @@ def _run(args) -> int:
     Nothing is written unless every output renders."""
     try:
         spec = _load_spec(args.spec)
+        # the budget flags are the parsed options named by budget keys
         report = run_pipeline(spec, timings=args.timings, overrides={
-            key: getattr(args, key) for key in BUDGET_FLAGS
-            if getattr(args, key) is not None})
+            key: value for key, value in vars(args).items()
+            if key in DEFAULT_BUDGETS and value is not None})
         if args.command == "export":
             outputs = [(args.out, {"format": args.format, "source": args.source})]
         else:

@@ -142,6 +142,14 @@ class GGraph:
                 f"{self.vertex_orbit_count} vertex / {self.edge_orbit_count} edge orbits>")
 
 
+def _same_ends(vertices: GSet, p, q) -> bool:
+    """Whether two ends (one or two vertices each) are the same vertices,
+    in either order."""
+    eq = vertices.elem_equal
+    return (eq(p[0], q[0]) and eq(p[-1], q[-1])) or \
+        (eq(p[0], q[-1]) and eq(p[-1], q[0]))
+
+
 class GraphMorphism:
     """A pair of equivariant maps commuting with the attaching data.
 
@@ -173,14 +181,7 @@ class GraphMorphism:
         cod = self.codomain
         if kind == "vertex":
             return all(cod.vertices.elem_equal(m, img) for m in mapped)
-        iends = cod.edge_ends(img)
-        if len(iends) == 1:
-            return all(cod.vertices.elem_equal(m, iends[0]) for m in mapped)
-        direct = (cod.vertices.elem_equal(mapped[0], iends[0])
-                  and cod.vertices.elem_equal(mapped[-1], iends[-1]))
-        swapped = (cod.vertices.elem_equal(mapped[0], iends[-1])
-                   and cod.vertices.elem_equal(mapped[-1], iends[0]))
-        return direct or swapped
+        return _same_ends(cod.vertices, mapped, cod.edge_ends(img))
 
 
 # -- validation -----------------------------------------------------------------
@@ -226,16 +227,11 @@ def validate_graph(graph: GGraph) -> GraphReport:
                 continue
             p = graph.attach[eo.orbit_id]
             q = graph.attach[fo.orbit_id]
-            if len(p) == len(q) == 2:
-                same = (graph.vertices.elem_equal(p[0], q[0])
-                        and graph.vertices.elem_equal(p[1], q[1])) or \
-                       (graph.vertices.elem_equal(p[0], q[1])
-                        and graph.vertices.elem_equal(p[1], q[0]))
-                if same:
-                    violations.append(("parallel-base-edges",
-                                       eo.orbit_id, fo.orbit_id))
+            if len(p) == len(q) == 2 and _same_ends(graph.vertices, p, q):
+                violations.append(("parallel-base-edges",
+                                   eo.orbit_id, fo.orbit_id))
     bad_kinds = {"attach-not-equivariant", "degenerate-edge", "parallel-base-edges"}
-    valid = not any(v[0] in bad_kinds for v in violations if v[0] != "inversion")
+    valid = not any(v[0] in bad_kinds for v in violations)
     return GraphReport(valid=valid, simplicial=simplicial and valid,
                        no_inversions=no_inversions, violations=violations)
 

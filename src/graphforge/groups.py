@@ -129,9 +129,6 @@ class Group:
             cached = self._nf_cache[word] = self._nf_cache.setdefault(nf, nf)
         return cached
 
-    def _canonical(self, word: Word) -> NormalForm:
-        raise NotImplementedError
-
     def identity(self) -> NormalForm:
         return self.normalize(Word())
 
@@ -155,10 +152,6 @@ class Group:
         return len(self.normalize(word)) == 0
 
     # -- size ----------------------------------------------------------------
-
-    def order(self):
-        """An int, ``math.inf``, or None when not determined by the schema."""
-        return None
 
     def is_finite(self):
         n = self.order()
@@ -232,16 +225,13 @@ class FiniteGroup(Group):
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls(name or f"Z{n}", {gen: 1 % n}, table)
 
-    def mult(self, i, j):
-        return self.table[i][j]
-
     def element_of(self, word) -> int:
         e = 0
         for name, sign in Word.coerce(word):
             if name not in self.gen_to_element:
                 raise MalformedWord(f"{name!r} is not a generator of {self.name}")
             x = self.gen_to_element[name]
-            e = self.mult(e, x if sign > 0 else self.inv[x])
+            e = self.table[e][x if sign > 0 else self.inv[x]]
         return e
 
     def word_of(self, element: int) -> Word:
@@ -263,7 +253,7 @@ class FiniteGroup(Group):
             e = frontier.popleft()
             base = words[e]
             for letter, x in letters:
-                f = self.mult(e, x)
+                f = self.table[e][x]
                 if f not in words:
                     words[f] = base * Word((letter,))
                     frontier.append(f)
@@ -287,8 +277,8 @@ class FiniteGroup(Group):
             elems.add(x)
             frontier.append(self.inv[x])
             for y in list(elems):
-                frontier.append(self.mult(x, y))
-                frontier.append(self.mult(y, x))
+                frontier.append(self.table[x][y])
+                frontier.append(self.table[y][x])
         return frozenset(elems)
 
 
@@ -328,8 +318,7 @@ class FreeAbelianGroup(Group):
     def word_from_exponents(self, exps) -> Word:
         letters = []
         for g, e in zip(self.generators, exps):
-            sign = 1 if e > 0 else -1
-            letters.extend((g, sign) for _ in range(abs(e)))
+            letters += [(g, 1 if e > 0 else -1)] * abs(e)
         return Word(letters)
 
     def _canonical(self, word):

@@ -194,15 +194,30 @@ _SHAPES = {list: "a list", dict: "a map", str: "a string"}
 
 
 class _Decl(dict):
-    """A spec object whose missing required keys are spec errors."""
+    """A spec object whose missing required keys are spec errors.  It
+    records the keys its owner reads, so that ``check_read`` can reject
+    the others: a misspelt optional key would otherwise run at its
+    default."""
 
     def __init__(self, obj, where):
         _require(isinstance(obj, dict), f"{where} must be a JSON object")
         super().__init__(obj)
         self.where = where
+        self.read = {"op", "id"}
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
     def __missing__(self, key):
         raise SpecError(f"{self.where}: missing key {key!r}")
+
+    def check_read(self):
+        _known_keys(self, self.read, self.where)
 
     def _shaped(self, kind, key, default=...):
         """``self[key]``, or ``default`` when absent and given: a ``kind``
@@ -274,6 +289,7 @@ class SpecEnv:
             raise SpecError(f"{where}: {exc}") from None
         finally:
             self._building.pop()
+        decl.check_read()
         self.memo[key] = obj
         return obj
 
@@ -403,9 +419,10 @@ class SpecEnv:
     def vertex(self, graph: GGraph, ref) -> GSetElem:
         _require(isinstance(ref, dict) and "orbit" in ref,
                  "vertex references look like {'orbit': ..., 'rep': ...}")
+        where = f"vertex in orbit {ref['orbit']!r}"
+        _known_keys(ref, {"orbit", "rep"}, where)
         self.orbit(graph, ref["orbit"])
-        rep, = _words([ref.get("rep", "1")], graph.group,
-                      f"vertex in orbit {ref['orbit']!r}")
+        rep, = _words([ref.get("rep", "1")], graph.group, where)
         return graph.vertices.elem(ref["orbit"], rep)
 
     def ball(self, bid):
@@ -631,9 +648,15 @@ def _step_audit_delta(env, step, report):
 def _peripherals(env, graph, step):
     """The step's peripherals: subgroup ids or ``{"orbit": ...}``
     stabilizers of the graph."""
-    return [env.subgroup(s) if isinstance(s, str)
-            else env.orbit(graph, s["orbit"])
-            for s in step.listed("peripherals", [])]
+    out = []
+    for i, s in enumerate(step.listed("peripherals", [])):
+        if isinstance(s, str):
+            out.append(env.subgroup(s))
+            continue
+        ref = _Decl(s, f"{step.where}: peripherals[{i}]")
+        out.append(env.orbit(graph, ref["orbit"]))
+        ref.check_read()
+    return out
 
 
 def _report_audit(step, report, op, prefix, audit):
@@ -982,8 +1005,10 @@ def run_pipeline(spec: dict, *, overrides=None, timings=False) -> RunReport:
         for i, step in enumerate(spec.get("pipeline", [])):
             op = step["op"]
             start = time.monotonic()
+            decl = _Decl(step, f"pipeline[{i}]")
             try:
-                STEP_HANDLERS[op](env, _Decl(step, f"pipeline[{i}]"), report)
+                STEP_HANDLERS[op](env, decl, report)
+                decl.check_read()
             except BudgetExceeded as exc:
                 report.record(step.get("id", f"step{i}"), op, "error",
                               {"budget_exceeded": str(exc)})

@@ -30,16 +30,10 @@ class SToken(NamedTuple):
     def inverse(self):
         return SToken(self.name, -self.sign)
 
-    def __str__(self):
-        return self.name if self.sign > 0 else f"{self.name}^-1"
-
 
 class HToken(NamedTuple):
     peripheral: str
     value: tuple  # letters of a word in the peripheral's ambient group
-
-    def __str__(self):
-        return f"{self.peripheral}({Word(self.value)})"
 
 
 class FPWord(tuple):
@@ -52,9 +46,6 @@ class FPWord(tuple):
 
     def __mul__(self, other) -> "FPWord":
         return FPWord(tuple.__add__(self, other))
-
-    def __str__(self):
-        return " ".join(str(t) for t in self) if self else "1"
 
 
 @dataclass

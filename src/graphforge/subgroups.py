@@ -124,10 +124,6 @@ class Subgroup:
         """Decomposition over handle generators as (index, sign) pairs, or None."""
         return None
 
-    def order(self):
-        """An int, ``math.inf``, or None when not determined by the schema."""
-        return None
-
     def is_finite(self):
         n = self.order()
         return None if n is None else n != math.inf
@@ -155,9 +151,6 @@ class TrivialSubgroup(Subgroup):
 
     def coset_rep(self, word):
         return self.check_ambient(word)
-
-    def elements(self):
-        return [self.ambient.identity()]
 
     def express(self, word):
         return [] if not self.check_ambient(word) else None
@@ -209,7 +202,6 @@ class FiniteSubgroup(Subgroup):
         self._elements = sorted(set(elements), key=ambient.word_key)
         self._set = set(self._elements)
         self._expr = expressions or {}
-        self._rep_cache = {}
 
     @classmethod
     def closure(cls, ambient, generators, cap=512):
@@ -237,14 +229,8 @@ class FiniteSubgroup(Subgroup):
 
     def coset_rep(self, word):
         w = self.check_ambient(word)
-        cached = self._rep_cache.get(w)
-        if cached is None:
-            cached = min(
-                (self.ambient.multiply(w, h) for h in self._elements),
-                key=self.ambient.word_key,
-            )
-            self._rep_cache[w] = cached
-        return cached
+        return min((self.ambient.multiply(w, h) for h in self._elements),
+                   key=self.ambient.word_key)
 
     def elements(self):
         return list(self._elements)
@@ -405,12 +391,9 @@ class FreeFactorSubgroup(Subgroup):
             Word(((n, 1),)) for n in sorted(self.names, key=ambient.generators.index)
         ))
 
-    def _in_factor(self, letter_name):
-        return letter_name in self.names
-
     def contains(self, word):
         w = self.check_ambient(word)
-        return YES if all(self._in_factor(n) for n, _ in w) else NO
+        return YES if all(n in self.names for n, _ in w) else NO
 
     def coset_rep(self, word):
         w = self.check_ambient(word)
@@ -422,7 +405,7 @@ class FreeFactorSubgroup(Subgroup):
             return self.ambient.normalize(self.ambient.word_from_exponents(exps))
         # free group / free product: strip the maximal trailing chunk
         letters = list(w)
-        while letters and self._in_factor(letters[-1][0]):
+        while letters and letters[-1][0] in self.names:
             letters.pop()
         return self.ambient.normalize(Word(letters))
 
@@ -519,7 +502,6 @@ class RestrictedSubgroup(Subgroup):
                 f"not in the {side} factor {factor.name}")
         self.inner = inner
         self.side = side
-        self._rep_cache = {}
         super().__init__(ambient, inner.generators)
 
     @property
@@ -543,13 +525,10 @@ class RestrictedSubgroup(Subgroup):
         return self.inner.contains(fw)
 
     def coset_rep(self, word):
-        w = self.check_ambient(word)
-        rep = self._rep_cache.get(w)
-        if rep is None:
-            prefix, part = self.ambient.factor_split(w, self.side)
-            rep = self._rep_cache[w] = self.ambient.normalize(
-                self.ambient._spell(prefix, self.inner.coset_rep(part)))
-        return rep
+        prefix, part = self.ambient.factor_split(self.check_ambient(word),
+                                                 self.side)
+        return self.ambient.normalize(
+            self.ambient._spell(prefix, self.inner.coset_rep(part)))
 
     def elements(self):
         return [self.ambient.normalize(e) for e in self.inner.elements()]

@@ -32,8 +32,7 @@ class Word(tuple):
                 name, exp = chunk, 1
             if not name:
                 raise ValueError(f"empty generator name in {text!r}")
-            sign = 1 if exp > 0 else -1
-            letters.extend((name, sign) for _ in range(abs(exp)))
+            letters += [(name, 1 if exp > 0 else -1)] * abs(exp)
         return cls(letters)
 
     def __mul__(self, other) -> "Word":
@@ -43,9 +42,6 @@ class Word(tuple):
 
     def inverse(self) -> "Word":
         return Word((name, -sign) for name, sign in reversed(self))
-
-    def __invert__(self) -> "Word":
-        return self.inverse()
 
     def power(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()

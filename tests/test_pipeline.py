@@ -15,13 +15,14 @@ import graphforge
 from graphforge.cli import main as cli_main
 from graphforge.dot import export_dot
 from graphforge.errors import SpecError
-from graphforge.examples import builtin_examples
+from graphforge.examples import LATTICE_DECLS, builtin_examples
 from graphforge.pipeline import (
     DEFAULT_BUDGETS,
     STEP_HANDLERS,
     run_pipeline,
     validate_spec,
 )
+from graphforge.relpres import HToken, SToken
 from graphforge.subgroups import SearchSubgroup
 
 
@@ -834,6 +835,20 @@ def _mutated(name, path, value):
      "pipeline[0]: stable_letter must be a string"),
     ("example-hnn-coalesce", ("groups", "H1", "generator"), ["p"],
      "group 'H1': generator must be a string"),
+    # a key that nothing reads would run at its default or be ignored
+    ("example-tree-modular", ("pipeline", 2, "raduis"), 8,
+     "pipeline[2]: unknown keys ['raduis']"),
+    ("example-amalgam-1", ("subgroups", "K1", "generators"), ["a1"],
+     "subgroup 'K1': unknown keys ['generators']"),
+    ("example-amalgam-1", ("monomorphisms", "d1", "domain_subgroup"), "K1",
+     "monomorphism 'd1': unknown keys ['domain']"),
+    ("example-amalgam-1", ("pipeline", 0, "x"), {"orbit": "pt", "rpe": "a1"},
+     "vertex in orbit 'pt': unknown keys ['rpe']"),
+    ("example-tree-modular", ("pipeline", 6, "peripherals"),
+     [{"orbit": "vA", "rpe": "a"}],
+     "pipeline[6]: peripherals[0]: unknown keys ['rpe']"),
+    ("example-tree-modular", ("pipeline", 6, "peripherals"), [5],
+     "pipeline[6]: peripherals[0] must be a JSON object"),
 ])
 def test_cli_rejects_malformed_declarations(tmp_path, capsys, name, path,
                                             value, message):
@@ -882,3 +897,82 @@ def test_cayley_graph_over_all_generators_is_connected():
                                                 "y": [1, 2, 0]}}
     assert _cayley_connected(s3, ["x", "y"]) == (
         "pass", "component exhausted")
+
+
+def test_a_failing_step_is_reported_and_the_run_goes_on():
+    # a coned-off graph records no construction to project from
+    spec = {"groups": {"F": {"kind": "free", "generators": ["a", "b"]}},
+            "subgroups": {"A": {"group": "F", "kind": "cyclic",
+                                "generator": "a"}},
+            "graphs": {"X": {"kind": "coned_off", "group": "F",
+                             "peripherals": ["A"],
+                             "relative_generators": ["b"]}},
+            "pipeline": [{"op": "project_tree", "graph": "X"},
+                         {"op": "orbit_counts", "id": "n", "graph": "X",
+                          "vertices": 2}]}
+    report = run_pipeline(spec)
+    error = "ProvenanceMissing: graph has no recorded construction"
+    assert report.steps[0] == {"id": "step0", "op": "project_tree",
+                               "outcome": "error",
+                               "detail": {"error": error}}
+    assert report.verdicts[0] == {"step": "step0", "name": "project_tree",
+                                  "verdict": "fail", "detail": error}
+    assert [(s["id"], s["outcome"]) for s in report.steps[1:]] == [("n", "ok")]
+    assert report.exit_code() == 1
+
+
+def test_presentation_amalgam_combines_the_relators():
+    # the lattice amalgam A *_C B, with A and B presented relative to
+    # K1 = <a1> and K2 = <b1> by one commutator each
+    spec = json.loads(json.dumps(LATTICE_DECLS))
+    spec["presentations"] = {
+        "P": {"letters": ["a2"], "peripherals": {"K": "K1"},
+              "relators": ["K(a1) a2 K(a1^-1) a2^-1"]},
+        "Q": {"letters": ["b2"], "peripherals": {"K": "K2"},
+              "relators": ["K(b1) b2 K(b1^-1) b2^-1"]},
+    }
+    spec["pipeline"] = [
+        {"op": "presentation_amalgam", "id": "J", "group": "G",
+         "left": "P", "left_label": "K", "right": "Q", "right_label": "K"},
+        {"op": "verify_relators", "presentation": "J", "group": "G"}]
+    report = run_pipeline(spec)
+    assert report.exit_code() == 0
+    assert report.steps[0]["detail"] == {
+        "relators": 2, "count_ok": True, "relators_pass": True}
+    assert report.steps[1]["outcome"] == "ok"
+    joined = report.env.presentation("J")
+    assert set(joined.peripherals) == {"KK"}
+    assert joined.letters == ("a2", "b2")
+
+
+def test_presentation_hnn_rewrites_the_conjugated_letters():
+    # Z^2 = <a, b> relative to K = <a> and L = <b>, and the HNN extension
+    # t a t^-1 = b: each K letter becomes t^-1 K(t a t^-1) t
+    spec = {
+        "groups": {"Z": {"kind": "free_abelian", "generators": ["a", "b"]},
+                   "H": {"kind": "hnn", "base": "Z", "edge": "cA",
+                         "iso": "phi", "stable_letter": "t"}},
+        "subgroups": {"cA": {"group": "Z", "kind": "cyclic",
+                             "generator": "a"},
+                      "cB": {"group": "Z", "kind": "cyclic",
+                             "generator": "b"}},
+        "monomorphisms": {"phi": {"domain_subgroup": "cA",
+                                  "codomain_subgroup": "cB",
+                                  "images": ["b"]}},
+        "presentations": {"P": {"peripherals": {"K": "cA", "L": "cB"},
+                                "relators": ["K(a) L(b) K(a^-1) L(b^-1)"]}},
+        "pipeline": [
+            {"op": "presentation_hnn", "id": "J", "group": "H",
+             "presentation": "P", "k_label": "K", "l_label": "L",
+             "join_generators": ["b"]},
+            {"op": "verify_relators", "presentation": "J", "group": "H"}],
+    }
+    report = run_pipeline(spec)
+    assert report.exit_code() == 0
+    assert report.steps[0]["detail"] == {
+        "relators": 1, "count_ok": True, "relators_pass": True}
+    [relator] = report.env.presentation("J").relators
+    assert [t.name for t in relator if isinstance(t, SToken)] == \
+        ["t", "t", "t", "t"]
+    assert [t.value for t in relator if isinstance(t, HToken)] == \
+        [(("b", 1),), (("b", 1),), (("b", -1),), (("b", -1),)]

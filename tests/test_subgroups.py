@@ -423,6 +423,37 @@ def test_push_memo_is_per_element_and_leaves_answers_unchanged():
     assert [cold.push(w) for w in reversed(spellings)] == warm[::-1]
 
 
+def test_preimage_searches_the_domain_ball_for_other_maps():
+    # a -> a b, b -> b is neither letter-for-letter nor on a cyclic domain,
+    # so preimage searches the domain's generator ball; the oracle
+    # substitutes the images letter by letter
+    f = grouplib.free2()
+    mono = Monomorphism(whole(f), whole(f), ["a b", "b"])
+    subst = {("a", 1): [("a", 1), ("b", 1)], ("a", -1): [("b", -1), ("a", -1)],
+             ("b", 1): [("b", 1)], ("b", -1): [("b", -1)]}
+    for w in ball_enumerate(f, f.generator_words(), 3):
+        image = f.normalize(Word(l for letter in w for l in subst[letter]))
+        assert mono.push(w) == image, w
+        assert mono.preimage(image) == w, w
+    # the search stops at the ball of radius 6, short of a^7
+    assert mono.preimage(f.normalize(Word.parse("a b").power(7))) is None
+
+
+def test_free_factor_coset_rep_in_a_free_abelian_group():
+    z3 = FreeAbelianGroup("Z3", ["a", "b", "c"])
+    h = FreeFactorSubgroup(z3, ["a", "c"])
+    reps = {}
+    for e in itertools.product(range(-2, 3), repeat=3):
+        w = z3.word_from_exponents(e)
+        rep = h.coset_rep(Word(reversed(w)))
+        assert rep == h.coset_rep(w)
+        # brute force: w <a, c> is every vector with w's b exponent
+        assert z3.exponents(z3.multiply(w.inverse(), rep))[1] == 0
+        reps.setdefault(e[1], set()).add(rep)
+    assert all(len(r) == 1 for r in reps.values())
+    assert len(set().union(*reps.values())) == len(reps) == 5
+
+
 def fallback_reference(ambient, gens, budget=12):
     """The handle ``generated`` built once the finite closure failed."""
     gens = [g for g in (ambient.normalize(g) for g in gens) if g]

